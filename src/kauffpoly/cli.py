@@ -74,6 +74,9 @@ def _gather_inputs(args) -> list[tuple[str, Diagram]]:
                     raise DiagramError(f"{path}:{lineno}: {exc}") from exc
     if not out:
         raise _UsageError("no input diagram; use --pd, --name, or a PD file")
+    for name, d in out:
+        if d.c == 0 and d.free_loops == 0:
+            raise _UsageError(f"input {name!r} is an empty diagram")
     return out
 
 
@@ -161,6 +164,8 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_fuzz(args) -> int:
+    if args.steps < 0:
+        raise _UsageError(f"--steps must be nonnegative, got {args.steps}")
     budget = args.budget
     cache = {} if args.cache else None
     start_name = args.start
@@ -269,6 +274,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if args.budget is None:
             args.budget = _env_budget()
+        if args.budget < 0:
+            raise _UsageError(f"the budget must be nonnegative, got {args.budget}")
         return args.func(args)
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -21,9 +21,25 @@ the splice branches strictly drop the crossing count.  Termination is
 therefore unconditional, but the tree is exponential, so a node budget
 converts runaway inputs into a clean error.
 
-All functions are pure; the optional cache maps diagrams to finished
-tables and may be shared freely (results are identical with or without
-it, which the test suite checks).
+Before a diagram is looked up or expanded it is cut down to its cores
+with two exact table laws:
+
+* kink law: an R1 kink of sign ``s`` multiplies every entry by
+  ``y^s``, so the kinks come off first and their signs are added up;
+* disjoint-union law: ``L(D1 + D2) = d * L(D1) * L(D2)`` with
+  ``d = z^-1 (y + y^-1) - 1``, which on tables reads
+  ``T[n] = (y + y^-1) * (T1 * T2)[n] - (T1 * T2)[n - 1]`` (``*`` the
+  convolution over ``n``); a free loop is the table ``{0: 1}``.
+
+Only the connected, kink-free cores are cached, expanded and charged to
+the budget; the caller's table is assembled from theirs.  A
+caller-supplied base (``coeff_table_with_base``) still drives the top
+level unsimplified.  The independent evaluator in
+:mod:`kauffpoly.oracle` deliberately uses neither law.
+
+All functions are pure; the optional cache maps core diagrams to
+finished tables and may be shared freely (results are identical with or
+without it, which the test suite checks).
 """
 
 from __future__ import annotations
@@ -33,13 +49,14 @@ from dataclasses import dataclass
 from typing import MutableMapping
 
 from .diagram import Diagram, DiagramError
-from .laurent import LaurentPoly, monotone_coeff
+from .laurent import Y_PLUS_Y_INV, LaurentPoly, monotone_coeff
+from .moves import kink_sign, kink_sites, r1_remove
 from .warping import (
     BaseSequence,
     base_orientation,
     canonical_base,
-    first_encounter,
     validate_base,
+    warping_order,
 )
 
 logger = logging.getLogger(__name__)
@@ -108,6 +125,23 @@ class CoeffTable:
         """Reindex ``n -> n + k``."""
         return CoeffTable(tuple((n + k, p) for n, p in self.entries))
 
+    def y_shifted(self, k: int) -> "CoeffTable":
+        """Multiply every entry by ``y^k`` (the kink law, once per kink)."""
+        return CoeffTable(tuple((n, p.shift(k)) for n, p in self.entries))
+
+    def disjoint_union(self, other: "CoeffTable") -> "CoeffTable":
+        """Table of the split diagram whose two parts have these tables:
+        ``T[n] = (y + y^-1) * (T1 * T2)[n] - (T1 * T2)[n - 1]``."""
+        conv: dict[int, LaurentPoly] = {}
+        for n1, p1 in self.entries:
+            for n2, p2 in other.entries:
+                conv[n1 + n2] = conv.get(n1 + n2, LaurentPoly.zero()) + p1 * p2
+        out: dict[int, LaurentPoly] = {}
+        for n, p in conv.items():
+            out[n] = out.get(n, LaurentPoly.zero()) + Y_PLUS_Y_INV * p
+            out[n + 1] = out.get(n + 1, LaurentPoly.zero()) - p
+        return CoeffTable.from_dict(out)
+
     def __neg__(self) -> "CoeffTable":
         return CoeffTable(tuple((n, -p) for n, p in self.entries))
 
@@ -129,16 +163,6 @@ class CoeffTable:
 
 
 def _monotone_table(d: Diagram, base: BaseSequence) -> CoeffTable:
-    if d.c > 0 and (len(d.connected_pieces()) > 1 or d.free_loops):
-        # Reaching a split warping-degree-0 diagram is worth noting: the
-        # closed form covers it, but such leaves are structurally richer
-        # than a single descending piece.
-        logger.debug(
-            "warping-degree-0 leaf is disconnected: c=%d r=%d pd=%s",
-            d.c,
-            d.r,
-            d.to_pd(),
-        )
     w = d.writhe(base_orientation(d, base))
     r = d.r
     return CoeffTable.from_dict({n: monotone_coeff(w, n, r) for n in range(r)})
@@ -151,11 +175,7 @@ def _expand(
     budget: _Budget,
     cache: Cache | None,
 ) -> CoeffTable:
-    warping = [
-        ci
-        for ci, parity in first_encounter(d, base)
-        if (parity == 1) != d.crossings[ci].over_v
-    ]
+    warping = warping_order(d, base)
     if pick is not None and pick not in warping:
         raise DiagramError(f"crossing {pick} is not a warping crossing of this base")
     if not warping:
@@ -172,7 +192,24 @@ def _expand(
     return (-flipped) + ta.shifted(shift_a) + tb.shifted(shift_b)
 
 
-def _table(d: Diagram, budget: _Budget, cache: Cache | None) -> CoeffTable:
+_FREE_LOOP = CoeffTable.from_dict({0: LaurentPoly.one()})
+
+
+def _cores(d: Diagram) -> tuple[int, int, tuple[Diagram, ...]]:
+    """(sum of the kink signs, free loops split off, cores) once every
+    R1 kink of ``d`` is removed; a diagram with at most one connected
+    piece or free loop is its own single core."""
+    kinks = 0
+    while sites := kink_sites(d):
+        p = sites[0][0]
+        kinks += kink_sign(d, p)
+        d = r1_remove(d, p)
+    if len(d.connected_pieces()) + d.free_loops <= 1:
+        return kinks, 0, (d,)
+    return kinks, d.free_loops, d.piece_diagrams()
+
+
+def _core_table(d: Diagram, budget: _Budget, cache: Cache | None) -> CoeffTable:
     if cache is not None:
         hit = cache.get(d)
         if hit is not None:
@@ -182,6 +219,15 @@ def _table(d: Diagram, budget: _Budget, cache: Cache | None) -> CoeffTable:
     if cache is not None:
         cache[d] = result
     return result
+
+
+def _table(d: Diagram, budget: _Budget, cache: Cache | None) -> CoeffTable:
+    kinks, loops, cores = _cores(d)
+    tables = [_core_table(core, budget, cache) for core in cores] + [_FREE_LOOP] * loops
+    table = tables[0]
+    for other in tables[1:]:
+        table = table.disjoint_union(other)
+    return table.y_shifted(kinks) if kinks else table
 
 
 def coeff_table(
@@ -199,7 +245,7 @@ def coeff_table(
         Cap on recursion nodes (default ``DEFAULT_BUDGET``); exceeding it
         raises :class:`BudgetExceededError`.
     cache : mutable mapping, optional
-        Diagram -> table memo, shared across calls at the caller's
+        Core diagram -> table memo, shared across calls at the caller's
         discretion.  Off by default.
     """
     return _table(d, _Budget(DEFAULT_BUDGET if budget is None else budget), cache)

@@ -384,6 +384,24 @@ class Diagram:
             pieces.append(frozenset(piece))
         return tuple(pieces)
 
+    def piece_diagrams(self) -> tuple["Diagram", ...]:
+        """The connected pieces as diagrams of their own, free loops left out.
+
+        Each piece keeps its edge labels and over flags; its crossings
+        are renumbered in their original order.
+        """
+        out = []
+        for piece in self.connected_pieces():
+            order = sorted(piece)
+            index = {ci: k for k, ci in enumerate(order)}
+            edges = [
+                (label, (index[a[0]], a[1]), (index[b[0]], b[1]))
+                for label, a, b in self.edges
+                if a[0] in index
+            ]
+            out.append(Diagram(tuple(self.crossings[ci] for ci in order), tuple(edges)))
+        return tuple(out)
+
     def is_planar(self) -> bool:
         """Euler check V - E + F = 2 on every connected piece."""
         if self.c == 0:

@@ -176,3 +176,29 @@ class TestErrors:
         code, _, err = run(capsys, "coeffs")
         assert code == EXIT_USAGE
         assert "no input" in err
+
+    def test_negative_budget_flag(self, capsys):
+        code, out, err = run(capsys, "--budget", "-5", "coeffs", "--name", "trefoil")
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert "budget must be nonnegative" in err
+
+    def test_negative_budget_env_var(self, capsys, monkeypatch):
+        monkeypatch.setenv("KAUFFPOLY_BUDGET", "-1")
+        code, _, err = run(capsys, "coeffs", "--name", "trefoil")
+        assert code == EXIT_USAGE
+        assert "budget must be nonnegative" in err
+
+    def test_negative_fuzz_steps(self, capsys):
+        code, out, err = run(capsys, "fuzz", "--steps", "-1")
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err.strip().splitlines() == ["error: --steps must be nonnegative, got -1"]
+
+    @pytest.mark.parametrize("command", ["coeffs", "kauffman", "verify"])
+    @pytest.mark.parametrize("pd", ["", "   "])
+    def test_empty_diagram_rejected(self, capsys, command, pd):
+        code, out, err = run(capsys, command, "--pd", pd)
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert "empty diagram" in err

@@ -11,11 +11,19 @@ from kauffpoly.coeffs import (
     coeff_table_with_base,
     skein_check,
 )
-from kauffpoly.diagram import Diagram, DiagramError, parse_pd
+from kauffpoly.catalog import CATALOG
+from kauffpoly.diagram import Diagram, DiagramError, disjoint_union, parse_pd
 from kauffpoly.laurent import LaurentPoly, monotone_coeff
-from kauffpoly.moves import random_diagram
+from kauffpoly.moves import r1_add, random_diagram, random_move_walk
 from kauffpoly.oracle import oracle_L
-from kauffpoly.warping import BaseSequence, canonical_base, enumerate_bases, warping_order
+from kauffpoly.series import kauffman_L
+from kauffpoly.warping import (
+    BaseSequence,
+    canonical_base,
+    enumerate_bases,
+    induced_writhe,
+    warping_order,
+)
 
 KINK = "X(1,2,2,1)"
 KINK_NEG = "X(2,2,1,1)"
@@ -262,3 +270,79 @@ class TestBudgetAndCache:
         first = coeff_table(tre, cache=cache)
         assert cache
         assert coeff_table(tre, cache=cache) == first
+
+
+def kink_chain(start: Diagram, signs: str) -> Diagram:
+    """``start`` with one kink per sign, each added on the lowest edge."""
+    d = start
+    for i, sign in enumerate(signs):
+        site = min(d.edge_labels()) if d.c else None
+        d = r1_add(d, site, sign, "LR"[i % 2])
+    return d
+
+
+def nodes(d: Diagram) -> int:
+    """Recursion nodes of one ``coeff_table`` call: stores into its cache."""
+    cache: dict = {}
+    coeff_table(d, cache=cache)
+    return len(cache)
+
+
+class TestCoreReduction:
+    @pytest.mark.parametrize("signs", ["+-" * 20, "++-" * 13 + "+"])
+    def test_kink_chain_costs_one_node(self, signs):
+        d = kink_chain(parse_pd("O"), signs)
+        assert d.c == 40
+        w = induced_writhe(d, canonical_base(d))
+        assert w == signs.count("+") - signs.count("-")
+        assert coeff_table(d, budget=1) == CoeffTable.from_dict({0: LaurentPoly.monomial(w)})
+
+    def test_split_diagram_costs_no_more_than_its_pieces(self):
+        tre, f8 = parse_pd(TREFOIL), parse_pd(FIGURE8)
+        assert nodes(disjoint_union(tre, f8)) <= nodes(tre) + nodes(f8)
+
+    def test_free_loops_cost_nothing(self):
+        tre = parse_pd(TREFOIL)
+        assert nodes(disjoint_union(tre, unlink(2))) <= nodes(tre)
+        # once the core is cached, its split and kinked variants are free
+        cache: dict = {}
+        coeff_table(tre, cache=cache)
+        stored = len(cache)
+        for variant in (disjoint_union(tre, unlink(2)), kink_chain(tre, "+-+")):
+            coeff_table(variant, cache=cache)
+        assert len(cache) == stored
+
+    def test_y_shift_and_disjoint_union(self):
+        loop = coeff_table(unlink(1))
+        assert loop.disjoint_union(loop) == coeff_table(unlink(2))
+        assert coeff_table(unlink(2)).disjoint_union(loop) == coeff_table(unlink(3))
+        assert loop.y_shifted(-2) == CoeffTable.from_dict({0: LaurentPoly.monomial(-2)})
+
+
+def _split_pairs():
+    names = ("unknot", "unlink2", "kink_pos", "hopf", "trefoil", "figure8")
+    for n1, n2 in itertools.combinations_with_replacement(names, 2):
+        yield f"{n1}+{n2}", disjoint_union(CATALOG[n1].diagram(), CATALOG[n2].diagram())
+
+
+def _kinked_trefoils():
+    for signs in ("+", "-", "+-", "++", "-+-", "++-+", "--+-+-"):
+        yield f"trefoil{signs}", kink_chain(parse_pd(TREFOIL), signs)
+
+
+def _walks():
+    for i, name in enumerate(("trefoil", "figure8", "unlink2", "hopf_unknot") * 3):
+        end, _ = random_move_walk(CATALOG[name].diagram(), 10, seed=500 + i, max_c=8)
+        yield f"walk:{name}:{500 + i}", end
+
+
+@pytest.mark.parametrize(
+    "d",
+    [
+        pytest.param(d, id=name)
+        for name, d in (*_split_pairs(), *_kinked_trefoils(), *_walks())
+    ],
+)
+def test_core_reduction_matches_oracle(d):
+    # the oracle applies neither table law, so it checks both independently
+    assert kauffman_L(d) == oracle_L(d)

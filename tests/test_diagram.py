@@ -229,6 +229,15 @@ class TestSumsAndUnions:
         both = disjoint_union(parse_pd(HOPF), parse_pd(TREFOIL))
         assert (both.c, both.r) == (5, 3)
 
+    def test_piece_diagrams_undo_disjoint_union(self):
+        hopf, tre = parse_pd(HOPF), parse_pd(TREFOIL)
+        both = disjoint_union(disjoint_union(hopf, parse_pd("O O")), tre)
+        first, second = both.piece_diagrams()
+        assert first == hopf
+        assert second.to_pd() == "X(5,8,6,9) X(7,10,8,5) X(9,6,10,7)"
+        assert (second.c, second.r, second.free_loops) == (3, 1, 0)
+        assert parse_pd(UNKNOT).piece_diagrams() == ()
+
     def test_connected_sum_of_unknots(self):
         O = parse_pd(UNKNOT)
         s = connected_sum(O, O)
