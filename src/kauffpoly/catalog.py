@@ -14,6 +14,10 @@ from dataclasses import dataclass
 from .diagram import Diagram, connected_sum, disjoint_union, parse_pd
 
 
+class CatalogError(KeyError):
+    """No catalog entry has the requested name."""
+
+
 @dataclass(frozen=True)
 class CatalogEntry:
     name: str
@@ -64,7 +68,7 @@ def get(name: str) -> CatalogEntry:
     try:
         return CATALOG[name]
     except KeyError:
-        raise KeyError(
+        raise CatalogError(
             f"no catalog entry {name!r}; available: {', '.join(sorted(CATALOG))}"
         ) from None
 

@@ -13,7 +13,8 @@ Diagrams come from ``--pd "X(1,2,2,1)"``, from a catalog name via
 polynomial output is exact text, never floating point, and output is
 byte-deterministic for fixed inputs, flags, and seeds.
 
-Exit codes: 0 ok, 1 verification failure, 2 usage or parse error,
+Exit codes: 0 ok, 1 verification failure, 2 usage or parse error
+(an unknown catalog name, an empty or non-planar diagram included),
 3 recursion budget exceeded.  The budget defaults to
 ``KAUFFPOLY_BUDGET`` when that environment variable is set.
 """
@@ -77,6 +78,10 @@ def _gather_inputs(args) -> list[tuple[str, Diagram]]:
     for name, d in out:
         if d.c == 0 and d.free_loops == 0:
             raise _UsageError(f"input {name!r} is an empty diagram")
+        if not d.is_planar():
+            raise _UsageError(
+                f"input {name!r} is not planar: its rotation system fails V - E + F = 2"
+            )
     return out
 
 
@@ -283,7 +288,7 @@ def main(argv: list[str] | None = None) -> int:
     except DiagramError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except KeyError as exc:
+    except _catalog.CatalogError as exc:
         print(f"error: {exc.args[0]}", file=sys.stderr)
         return EXIT_USAGE
     except BudgetExceededError as exc:

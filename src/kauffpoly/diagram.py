@@ -12,6 +12,14 @@ Edge labels are positive integers.  Labels survive crossing changes
 unchanged, and a splice names each merged edge after the smallest label
 it absorbed, which keeps derived diagrams deterministic.
 
+Diagrams that differ only in over flags share their projection data:
+the edge and port maps, the components and strand arrivals, and (filled
+in by :mod:`kauffpoly.warping`) the canonical base and first-encounter
+orders.  ``crossing_change`` and ``mirror`` reuse the validated edges and
+this shared data as they are, so a flip costs one tuple and one dict
+copy.  Removing a crossing is a local edit: only the chains of edges
+through it are merged.
+
 PD text input: whitespace-separated tokens ``X(a,b,c,d)`` listing the
 edge labels at ports 0..3 counterclockwise with the under-strand
 through entries 1 and 3 (ports 0 and 2), plus ``O`` tokens for free
@@ -22,9 +30,9 @@ orientations are supplied separately, one direction per component.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 Port = tuple[int, int]  # (crossing index, port index 0..3)
 EdgeRef = int | None  # an edge label, or None meaning "a free loop"
@@ -38,8 +46,7 @@ class PDSyntaxError(DiagramError):
     """Malformed PD text."""
 
 
-@dataclass(frozen=True)
-class Crossing:
+class Crossing(NamedTuple):
     """One crossing; ``over_v`` is True when strand V (ports 1, 3) is on top."""
 
     over_v: bool
@@ -59,8 +66,72 @@ class Component:
     loop_index: int | None = None
 
 
-_A_BRIDGES = ((0, 1), (2, 3))
-_B_BRIDGES = ((0, 3), (1, 2))
+#: Bridges through a removed crossing: port ``i`` is joined to port ``bridge[i]``.
+_A_BRIDGE = (1, 0, 3, 2)
+_B_BRIDGE = (3, 2, 1, 0)
+_STRAIGHT_BRIDGE = (2, 3, 0, 1)
+
+
+class _Projection:
+    """The data of a diagram that its over flags do not touch.
+
+    Every diagram that ``crossing_change`` or ``mirror`` derives from
+    another holds the same instance, so each value here is computed once
+    per projection.  ``base`` and ``encounters`` are memos that
+    :mod:`kauffpoly.warping` fills in: the canonical base, and the
+    first-encounter order of each base that has passed ``validate_base``.
+    """
+
+    def __init__(
+        self,
+        edges: tuple[tuple[int, Port, Port], ...],
+        free_loops: int,
+        port_map: dict[Port, tuple[int, Port]],
+    ):
+        self.edges = edges
+        self.free_loops = free_loops
+        self.port_map = port_map
+        self.base = None
+        self.encounters: dict = {}
+
+    @cached_property
+    def edge_map(self) -> dict[int, tuple[Port, Port]]:
+        return {label: (a, b) for label, a, b in self.edges}
+
+    def orbit_from(self, edge: int, toward: Port) -> tuple[tuple[int, Port], ...]:
+        port_map = self.port_map
+        start = (edge, toward)
+        orbit = [start]
+        ci, pi = toward
+        cur = port_map[(ci, (pi + 2) % 4)]
+        while cur != start:
+            orbit.append(cur)
+            ci, pi = cur[1]
+            cur = port_map[(ci, (pi + 2) % 4)]
+        return tuple(orbit)
+
+    @cached_property
+    def components(self) -> tuple[Component, ...]:
+        comps: list[Component] = []
+        seen: set[int] = set()
+        for label, a, _ in self.edges:  # sorted by label, a < b: discovery is canonical
+            if label in seen:
+                continue
+            orbit = self.orbit_from(label, a)
+            labels = [e for e, _ in orbit]
+            seen.update(labels)
+            comps.append(Component(edges=tuple(sorted(labels)), orbit=orbit))
+        for i in range(self.free_loops):
+            comps.append(Component(edges=(), orbit=(), loop_index=i))
+        return tuple(comps)
+
+    @cached_property
+    def strand_arrivals(self) -> dict[tuple[int, int], tuple[int, Port]]:
+        out: dict[tuple[int, int], tuple[int, Port]] = {}
+        for k, comp in enumerate(self.components):
+            for _, (ci, pi) in comp.orbit:
+                out[(ci, pi % 2)] = (k, (ci, pi))
+        return out
 
 
 @dataclass(frozen=True)
@@ -69,33 +140,45 @@ class Diagram:
 
     ``edges`` holds (label, port, port) triples sorted by label, each
     port pair sorted; this canonical storage makes structural equality
-    coincide with equality of labeled diagrams.
+    coincide with equality of labeled diagrams.  The shared projection
+    data takes no part in equality, hashing or repr.
     """
 
     crossings: tuple[Crossing, ...]
     edges: tuple[tuple[int, Port, Port], ...]
     free_loops: int = 0
+    _proj: _Projection = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "edges", _normalize_edges(self.edges))
-        seen: set[Port] = set()
-        labels: set[int] = set()
+        edges = _normalize_edges(self.edges)
+        object.__setattr__(self, "edges", edges)
         n = len(self.crossings)
-        for label, a, b in self.edges:
-            if label in labels:
+        port_map: dict[Port, tuple[int, Port]] = {}
+        last = None
+        for label, a, b in edges:
+            if label == last:  # edges are sorted by label
                 raise DiagramError(f"duplicate edge label {label}")
-            labels.add(label)
-            for p in (a, b):
+            last = label
+            for p, other in ((a, b), (b, a)):
                 ci, pi = p
                 if not (0 <= ci < n and 0 <= pi < 4):
                     raise DiagramError(f"edge {label} references missing port {p}")
-                if p in seen:
+                if p in port_map:
                     raise DiagramError(f"port {p} used by two edges")
-                seen.add(p)
-        if len(seen) != 4 * n:
+                port_map[p] = (label, other)
+        if len(port_map) != 4 * n:
             raise DiagramError("some crossing port is not matched by any edge")
         if self.free_loops < 0:
             raise DiagramError("free_loops must be nonnegative")
+        object.__setattr__(self, "_proj", _Projection(edges, self.free_loops, port_map))
+
+    def _with_crossings(self, crossings: tuple[Crossing, ...]) -> "Diagram":
+        """This diagram with other over flags.  The edges are the same
+        validated tuple, so there is nothing to check again; the
+        projection and whatever the diagram has cached come along."""
+        d = object.__new__(Diagram)
+        vars(d).update(vars(self), crossings=crossings)
+        return d
 
     # ------------------------------------------------------------------
     # basic data
@@ -110,18 +193,14 @@ class Diagram:
         """Number of link components, free loops included."""
         return len(self.components)
 
-    @cached_property
+    @property
     def edge_map(self) -> dict[int, tuple[Port, Port]]:
-        return {label: (a, b) for label, a, b in self.edges}
+        return self._proj.edge_map
 
-    @cached_property
+    @property
     def port_map(self) -> dict[Port, tuple[int, Port]]:
         """port -> (edge label, opposite endpoint of that edge)."""
-        out: dict[Port, tuple[int, Port]] = {}
-        for label, a, b in self.edges:
-            out[a] = (label, b)
-            out[b] = (label, a)
-        return out
+        return self._proj.port_map
 
     def edge_labels(self) -> tuple[int, ...]:
         return tuple(label for label, _, _ in self.edges)
@@ -136,54 +215,20 @@ class Diagram:
     # ------------------------------------------------------------------
     # strand following
 
-    def next_dart(self, dart: tuple[int, Port]) -> tuple[int, Port]:
-        """Cross the diagram at the dart's head and continue along the strand."""
-        _, (ci, pi) = dart
-        out_port = (ci, (pi + 2) % 4)
-        label, other = self.port_map[out_port]
-        return (label, other)
-
     def orbit_from(self, edge: int, toward: Port) -> tuple[tuple[int, Port], ...]:
         """The cyclic arrival sequence starting mid-edge heading at ``toward``."""
-        start = (edge, toward)
-        orbit = [start]
-        cur = self.next_dart(start)
-        while cur != start:
-            orbit.append(cur)
-            cur = self.next_dart(cur)
-        return tuple(orbit)
+        return self._proj.orbit_from(edge, toward)
 
     @cached_property
     def components(self) -> tuple[Component, ...]:
-        comps: list[Component] = []
-        visited: set[tuple[int, Port]] = set()
-        for label, a, b in self.edges:  # edges sorted by label: discovery is canonical
-            start = (label, min(a, b))
-            if start in visited:
-                continue
-            orbit = self.orbit_from(label, min(a, b))
-            visited.update(orbit)
-            # mark the reverse direction as visited too
-            for e, arr in orbit:
-                pa, pb = self.edge_map[e]
-                visited.add((e, pb if arr == pa else pa))
-            comps.append(Component(edges=tuple(sorted(e for e, _ in orbit)), orbit=orbit))
-        for i in range(self.free_loops):
-            comps.append(Component(edges=(), orbit=(), loop_index=i))
-        return tuple(comps)
+        # read on every recursion node (``r``), so the diagram keeps its own
+        # reference besides the projection's
+        return self._proj.components
 
-    @cached_property
-    def component_of_edge(self) -> dict[int, int]:
-        return {e: k for k, comp in enumerate(self.components) for e in comp.edges}
-
-    @cached_property
+    @property
     def strand_arrivals(self) -> dict[tuple[int, int], tuple[int, Port]]:
         """(crossing, strand parity) -> (component index, canonical arrival port)."""
-        out: dict[tuple[int, int], tuple[int, Port]] = {}
-        for k, comp in enumerate(self.components):
-            for _, (ci, pi) in comp.orbit:
-                out[(ci, pi % 2)] = (k, (ci, pi))
-        return out
+        return self._proj.strand_arrivals
 
     def delta_p(self, p: int) -> int:
         """1 if the two strands at crossing ``p`` lie on different components."""
@@ -196,17 +241,14 @@ class Diagram:
     def crossing_change(self, p: int) -> "Diagram":
         """Flip which strand passes over at ``p``; everything else is unchanged."""
         self._check_crossing(p)
-        crossings = list(self.crossings)
-        crossings[p] = Crossing(over_v=not crossings[p].over_v)
-        return Diagram(tuple(crossings), self.edges, self.free_loops)
+        crossings = self.crossings
+        return self._with_crossings(
+            crossings[:p] + (Crossing(not crossings[p].over_v),) + crossings[p + 1 :]
+        )
 
     def mirror(self) -> "Diagram":
         """Flip every crossing."""
-        return Diagram(
-            tuple(Crossing(over_v=not x.over_v) for x in self.crossings),
-            self.edges,
-            self.free_loops,
-        )
+        return self._with_crossings(tuple(Crossing(not x.over_v) for x in self.crossings))
 
     def splice(self, p: int, kind: str) -> "Diagram":
         """Remove crossing ``p`` by one of its two smoothings.
@@ -217,88 +259,70 @@ class Diagram:
         """
         self._check_crossing(p)
         if kind == "A":
-            pairs = _A_BRIDGES
-        elif kind == "B":
-            pairs = _B_BRIDGES
-        else:
-            raise DiagramError(f"splice kind must be 'A' or 'B', not {kind!r}")
-        bridges: dict[Port, Port] = {}
-        for i, j in pairs:
-            bridges[(p, i)] = (p, j)
-            bridges[(p, j)] = (p, i)
-        return self._eliminate({p}, bridges)
+            return self._remove(p, _A_BRIDGE)
+        if kind == "B":
+            return self._remove(p, _B_BRIDGE)
+        raise DiagramError(f"splice kind must be 'A' or 'B', not {kind!r}")
 
     def erase_crossings(self, which: Iterable[int]) -> "Diagram":
         """Remove crossings by letting both strands pass straight through."""
-        removed = set(which)
+        removed = sorted(set(which), reverse=True)
         for p in removed:
             self._check_crossing(p)
-        bridges: dict[Port, Port] = {}
-        for p in removed:
-            bridges[(p, 0)] = (p, 2)
-            bridges[(p, 2)] = (p, 0)
-            bridges[(p, 1)] = (p, 3)
-            bridges[(p, 3)] = (p, 1)
-        return self._eliminate(removed, bridges)
+        d = self
+        for p in removed:  # highest first, so the others keep their index
+            d = d._remove(p, _STRAIGHT_BRIDGE)
+        return d
 
-    def _eliminate(self, removed: set[int], bridges: dict[Port, Port]) -> "Diagram":
-        """Drop ``removed`` crossings, rejoining their edges along ``bridges``.
+    def _remove(self, p: int, bridge: tuple[int, int, int, int]) -> "Diagram":
+        """Drop crossing ``p``, joining each of its ports ``i`` to ``bridge[i]``.
 
-        Maximal edge-bridge chains between surviving ports become single
-        edges named after the smallest absorbed label; chains that close
-        up entirely inside the removed crossings become free loops.
+        Edges that miss ``p`` are kept, with crossing indices above ``p``
+        moved down by one.  Each chain of edges through ``p`` becomes one
+        edge named after its smallest label; a chain that closes up inside
+        ``p`` becomes a free loop.
         """
-        port_map = self.port_map
-        new_index: dict[int, int] = {}
-        for ci in range(self.c):
-            if ci not in removed:
-                new_index[ci] = len(new_index)
 
-        def remap(port: Port) -> Port:
-            return (new_index[port[0]], port[1])
+        def moved(port: Port) -> Port:
+            return (port[0] - 1, port[1]) if port[0] > p else port
 
-        new_edges: list[tuple[int, Port, Port]] = []
-        done: set[Port] = set()
-        used_internal: set[Port] = set()
+        edges = []
         for label, a, b in self.edges:
-            for start in (a, b):
-                if start[0] in removed or start in done:
-                    continue
-                labels = []
-                cur = start
-                while True:
-                    lab, other = port_map[cur]
-                    labels.append(lab)
-                    if other[0] not in removed:
-                        end = other
-                        break
-                    used_internal.add(other)
-                    cur = bridges[other]
-                    used_internal.add(cur)
-                done.add(start)
-                done.add(end)
-                new_edges.append((min(labels), remap(start), remap(end)))
-
-        loops = self.free_loops
-        remaining = {
-            (ci, pi) for ci in removed for pi in range(4) if (ci, pi) not in used_internal
-        }
-        while remaining:
-            start = min(remaining)
-            cur = start
+            ca, cb = a[0], b[0]
+            if ca != p and cb != p:
+                edges.append(
+                    (label, a if ca < p else (ca - 1, a[1]), b if cb < p else (cb - 1, b[1]))
+                )
+        port_map = self.port_map
+        done = [False] * 4
+        for i in range(4):  # open chains, each from a port whose edge leaves p
+            label, start = port_map[(p, i)]
+            if done[i] or start[0] == p:
+                continue
+            labels = [label]
+            j = i
             while True:
-                remaining.discard(cur)
-                _, other = port_map[cur]
-                remaining.discard(other)
-                nxt = bridges[other]
-                remaining.discard(nxt)
-                if nxt == start:
+                done[j] = True
+                j = bridge[j]
+                done[j] = True
+                label, end = port_map[(p, j)]
+                labels.append(label)
+                if end[0] != p:
                     break
-                cur = nxt
+                j = end[1]
+            edges.append((min(labels), moved(start), moved(end)))
+        loops = self.free_loops
+        for i in range(4):  # whatever is left closes up inside p
+            if done[i]:
+                continue
             loops += 1
-
-        crossings = tuple(x for ci, x in enumerate(self.crossings) if ci not in removed)
-        return Diagram(crossings, _normalize_edges(new_edges), loops)
+            j = i
+            while not done[j]:
+                done[j] = True
+                j = port_map[(p, j)][1][1]
+                done[j] = True
+                j = bridge[j]
+        return Diagram(self.crossings[:p] + self.crossings[p + 1 :], tuple(edges), loops)
 
     def delta_shift(self, p: int, kind: str) -> int:
         """Signed component-count change ``r(splice) - r``; always in {-1, 0, +1}."""
@@ -326,6 +350,9 @@ class Diagram:
         over-strand direction by a counterclockwise quarter turn."""
         self._check_crossing(p)
         self._check_orientation(orientation)
+        return self._sign(p, orientation)
+
+    def _sign(self, p: int, orientation: Sequence[int]) -> int:
         over_parity = 1 if self.crossings[p].over_v else 0
         out_over = (self._arrival(p, over_parity, orientation)[1] + 2) % 4
         out_under = (self._arrival(p, 1 - over_parity, orientation)[1] + 2) % 4
@@ -333,7 +360,7 @@ class Diagram:
 
     def writhe(self, orientation: Sequence[int]) -> int:
         self._check_orientation(orientation)
-        return sum(self.sign_of(p, orientation) for p in range(self.c))
+        return sum(self._sign(p, orientation) for p in range(self.c))
 
     # ------------------------------------------------------------------
     # faces
@@ -344,6 +371,7 @@ class Diagram:
         A face is a cyclic dart sequence; from a dart arriving at port
         (c, i) the face continues along the edge at port (c, i+1 mod 4).
         """
+        port_map = self.port_map
         darts = [(label, head) for label, a, b in self.edges for head in (a, b)]
         darts.sort()
         out: list[tuple[tuple[int, Port], ...]] = []
@@ -357,8 +385,7 @@ class Diagram:
                 face.append(cur)
                 visited.add(cur)
                 ci, pi = cur[1]
-                label, other = self.port_map[(ci, (pi + 1) % 4)]
-                cur = (label, other)
+                cur = port_map[(ci, (pi + 1) % 4)]
                 if cur == start:
                     break
             out.append(tuple(face))
@@ -366,6 +393,7 @@ class Diagram:
 
     def connected_pieces(self) -> tuple[frozenset[int], ...]:
         """Crossing sets of the connected pieces of the 4-valent graph."""
+        port_map = self.port_map
         seen: set[int] = set()
         pieces: list[frozenset[int]] = []
         for start in range(self.c):
@@ -376,7 +404,7 @@ class Diagram:
             while stack:
                 ci = stack.pop()
                 for pi in range(4):
-                    nb = self.port_map[(ci, pi)][1][0]
+                    nb = port_map[(ci, pi)][1][0]
                     if nb not in piece:
                         piece.add(nb)
                         stack.append(nb)
@@ -442,7 +470,7 @@ class Diagram:
 
 
 def _normalize_edges(edges: Iterable[tuple[int, Port, Port]]) -> tuple[tuple[int, Port, Port], ...]:
-    return tuple(sorted((label, min(a, b), max(a, b)) for label, a, b in edges))
+    return tuple(sorted((label, a, b) if a < b else (label, b, a) for label, a, b in edges))
 
 
 _X_TOKEN = re.compile(r"^X\((\d+),(\d+),(\d+),(\d+)\)$")

@@ -111,7 +111,9 @@ class LaurentPoly:
         return self._hash
 
     def __neg__(self) -> "LaurentPoly":
-        return LaurentPoly({e: -c for e, c in self._terms.items()})
+        out = LaurentPoly()
+        out._terms = {e: -c for e, c in self._terms.items()}
+        return out
 
     def __add__(self, other) -> "LaurentPoly":
         if isinstance(other, int):
@@ -173,7 +175,9 @@ class LaurentPoly:
 
     def shift(self, k: int) -> "LaurentPoly":
         """Multiply by the monomial ``y^k``."""
-        return LaurentPoly({e + k: c for e, c in self._terms.items()})
+        out = LaurentPoly()
+        out._terms = {e + k: c for e, c in self._terms.items()}
+        return out
 
     def subst_y_inverse(self) -> "LaurentPoly":
         """Apply ``y -> y^-1``."""
@@ -250,7 +254,9 @@ class BivariatePoly:
         return self._hash
 
     def __neg__(self) -> "BivariatePoly":
-        return BivariatePoly({k: -c for k, c in self._terms.items()})
+        out = BivariatePoly()
+        out._terms = {k: -c for k, c in self._terms.items()}
+        return out
 
     def __add__(self, other) -> "BivariatePoly":
         if isinstance(other, int):
@@ -312,11 +318,15 @@ class BivariatePoly:
 
     def shift_z(self, k: int) -> "BivariatePoly":
         """Multiply by ``z^k``."""
-        return BivariatePoly({(a, b + k): c for (a, b), c in self._terms.items()})
+        out = BivariatePoly()
+        out._terms = {(a, b + k): c for (a, b), c in self._terms.items()}
+        return out
 
     def shift_y(self, k: int) -> "BivariatePoly":
         """Multiply by ``y^k``."""
-        return BivariatePoly({(a + k, b): c for (a, b), c in self._terms.items()})
+        out = BivariatePoly()
+        out._terms = {(a + k, b): c for (a, b), c in self._terms.items()}
+        return out
 
     def subst_y_inverse(self) -> "BivariatePoly":
         """Apply ``y -> y^-1`` leaving ``z`` fixed."""

@@ -12,6 +12,13 @@ machinery, which is exactly the part most likely to harbor bugs.  Both
 pipelines satisfy the same skein axioms and normalization, so they must
 agree on every diagram; ``uniqueness_check`` asserts that equality.
 
+Leaves share their powers of ``d``: each ``oracle_L`` call builds
+``d^k`` once, when a leaf first needs it, and keeps the powers on the
+object it passes down the recursion with the node budget.  A leaf then
+only shifts its power of ``d`` by ``y^w``.  The recursion itself, its
+base choice and its freedom from the kink and disjoint-union laws do
+not depend on this.
+
 The diagram and warping plumbing is shared with the rest of the package:
 duplicating it would add risk without adding independence where it
 matters.
@@ -36,13 +43,30 @@ from .warping import (
 OracleCache = MutableMapping[Diagram, BivariatePoly]
 
 
+class _OracleRun(_Budget):
+    """One ``oracle_L`` call: its node budget and the powers of ``d``
+    that its leaves share."""
+
+    __slots__ = ("d_powers",)
+
+    def __init__(self, limit: int):
+        super().__init__(limit)
+        self.d_powers = [BivariatePoly.one()]
+
+    def d_power(self, k: int) -> BivariatePoly:
+        powers = self.d_powers
+        while len(powers) <= k:
+            powers.append(powers[-1] * unlink_factor())
+        return powers[k]
+
+
 def _oracle_step(
-    d: Diagram, base: BaseSequence, budget: _Budget, cache: OracleCache | None
+    d: Diagram, base: BaseSequence, budget: _OracleRun, cache: OracleCache | None
 ) -> BivariatePoly:
     warping = warping_order(d, base)
     if not warping:
         w = d.writhe(base_orientation(d, base))
-        return BivariatePoly.monomial(w, 0) * unlink_factor() ** (d.r - 1)
+        return budget.d_power(d.r - 1).shift_y(w)
     p = warping[0]
     return (
         -_oracle(d.crossing_change(p), budget, cache)
@@ -53,7 +77,7 @@ def _oracle_step(
     )
 
 
-def _oracle(d: Diagram, budget: _Budget, cache: OracleCache | None) -> BivariatePoly:
+def _oracle(d: Diagram, budget: _OracleRun, cache: OracleCache | None) -> BivariatePoly:
     if cache is not None:
         hit = cache.get(d)
         if hit is not None:
@@ -72,7 +96,7 @@ def oracle_L(
     cache: OracleCache | None = None,
 ) -> BivariatePoly:
     """Regular-isotopy Kauffman polynomial by whole-polynomial recursion."""
-    return _oracle(d, _Budget(DEFAULT_BUDGET if budget is None else budget), cache)
+    return _oracle(d, _OracleRun(DEFAULT_BUDGET if budget is None else budget), cache)
 
 
 def oracle_L_with_base(
@@ -85,7 +109,7 @@ def oracle_L_with_base(
     """Oracle value with the top-level monotone test and warping choice
     driven by a caller-supplied base; must equal :func:`oracle_L`."""
     validate_base(d, base)
-    b = _Budget(DEFAULT_BUDGET if budget is None else budget)
+    b = _OracleRun(DEFAULT_BUDGET if budget is None else budget)
     b.spend(d)
     return _oracle_step(d, base, b, cache)
 

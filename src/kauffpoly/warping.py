@@ -71,15 +71,19 @@ def validate_base(d: Diagram, base: BaseSequence) -> None:
 def canonical_base(d: Diagram) -> BaseSequence:
     """Deterministic base: per component, its lowest edge heading at the
     lower endpoint.  Depends only on the underlying projection, never on
-    over/under data, so crossing changes preserve it."""
-    entries = []
-    for k, comp in enumerate(d.components):
-        if comp.loop_index is not None:
-            entries.append(BaseEntry(k, None, None))
-        else:
-            edge = comp.edges[0]
-            entries.append(BaseEntry(k, edge, min(d.edge_map[edge])))
-    return BaseSequence(tuple(entries))
+    over/under data, so crossing changes preserve it; it is computed
+    once per projection."""
+    proj = d._proj
+    if proj.base is None:
+        entries = []
+        for k, comp in enumerate(d.components):
+            if comp.loop_index is not None:
+                entries.append(BaseEntry(k, None, None))
+            else:
+                edge = comp.edges[0]
+                entries.append(BaseEntry(k, edge, min(d.edge_map[edge])))
+        proj.base = BaseSequence(tuple(entries))
+    return proj.base
 
 
 def enumerate_bases(d: Diagram) -> Iterator[BaseSequence]:
@@ -104,28 +108,33 @@ def first_encounter(d: Diagram, base: BaseSequence) -> tuple[tuple[int, int], ..
     (0 for U, 1 for V) met first.
 
     The traversal never looks at over/under data, so the result is
-    unchanged by crossing changes.
+    unchanged by crossing changes and is kept on the projection, keyed
+    by the base; only a base that has passed ``validate_base`` on this
+    projection is ever a key.
     """
-    validate_base(d, base)
-    seen: set[int] = set()
-    order: list[tuple[int, int]] = []
-    for entry in base:
-        if entry.edge is None:
-            continue
-        for _, (ci, pi) in d.orbit_from(entry.edge, entry.toward):
-            if ci not in seen:
-                seen.add(ci)
-                order.append((ci, pi % 2))
-    return tuple(order)
+    memo = d._proj.encounters
+    order = memo.get(base)
+    if order is None:
+        validate_base(d, base)
+        seen: set[int] = set()
+        found: list[tuple[int, int]] = []
+        for entry in base:
+            if entry.edge is None:
+                continue
+            for _, (ci, pi) in d.orbit_from(entry.edge, entry.toward):
+                if ci not in seen:
+                    seen.add(ci)
+                    found.append((ci, pi % 2))
+        order = memo[base] = tuple(found)
+    return order
 
 
 def warping_order(d: Diagram, base: BaseSequence) -> tuple[int, ...]:
     """Warping crossings in first-encounter order."""
-    out = []
-    for ci, parity in first_encounter(d, base):
-        if (parity == 1) != d.crossings[ci].over_v:
-            out.append(ci)
-    return tuple(out)
+    crossings = d.crossings
+    return tuple(
+        ci for ci, parity in first_encounter(d, base) if (parity == 1) != crossings[ci].over_v
+    )
 
 
 def warping_set(d: Diagram, base: BaseSequence) -> frozenset[int]:

@@ -202,3 +202,28 @@ class TestErrors:
         assert code == EXIT_USAGE
         assert out == ""
         assert "empty diagram" in err
+
+    @pytest.mark.parametrize("command", ["coeffs", "kauffman", "verify"])
+    def test_non_planar_diagram_rejected(self, capsys, command):
+        # crossing 1 joins opposite ports: that piece has V - E + F = 1 - 2 + 1
+        code, out, err = run(capsys, command, "--pd", "X(1,1,2,2) X(4,3,4,3)")
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert len(err.strip().splitlines()) == 1
+        assert "not planar" in err
+
+    def test_unknown_catalog_name_in_input(self, capsys):
+        code, out, err = run(capsys, "coeffs", "--name", "nope")
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert "no catalog entry" in err
+
+    def test_internal_key_error_is_not_a_usage_error(self, capsys, monkeypatch):
+        import kauffpoly.cli as cli
+
+        def broken(*args, **kwargs):
+            raise KeyError("lost port")
+
+        monkeypatch.setattr(cli, "coeff_table", broken)
+        with pytest.raises(KeyError, match="lost port"):
+            main(["coeffs", "--pd", "O"])

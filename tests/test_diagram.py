@@ -17,7 +17,9 @@ from kauffpoly.diagram import (
     disjoint_union,
     parse_pd,
 )
+from kauffpoly.catalog import CATALOG
 from kauffpoly.moves import random_diagram
+from kauffpoly.warping import canonical_base, enumerate_bases, first_encounter
 
 UNKNOT = "O"
 KINK = "X(1,2,2,1)"
@@ -291,3 +293,149 @@ class TestValidation:
     def test_missing_port_rejected(self):
         with pytest.raises(DiagramError):
             Diagram(parse_pd(KINK).crossings, (), 0)
+
+
+def reference_eliminate(d: Diagram, removed: set, bridges: dict) -> Diagram:
+    """Crossing removal as the package did it before removal became a
+    local edit: every edge is rebuilt along maximal edge-bridge chains
+    between surviving ports.  Kept as the reference for ``splice`` and
+    ``erase_crossings``."""
+    port_map = d.port_map
+    new_index = {}
+    for ci in range(d.c):
+        if ci not in removed:
+            new_index[ci] = len(new_index)
+
+    def remap(port):
+        return (new_index[port[0]], port[1])
+
+    new_edges = []
+    done = set()
+    used_internal = set()
+    for label, a, b in d.edges:
+        for start in (a, b):
+            if start[0] in removed or start in done:
+                continue
+            labels = []
+            cur = start
+            while True:
+                lab, other = port_map[cur]
+                labels.append(lab)
+                if other[0] not in removed:
+                    end = other
+                    break
+                used_internal.add(other)
+                cur = bridges[other]
+                used_internal.add(cur)
+            done.add(start)
+            done.add(end)
+            new_edges.append((min(labels), remap(start), remap(end)))
+
+    loops = d.free_loops
+    remaining = {
+        (ci, pi) for ci in removed for pi in range(4) if (ci, pi) not in used_internal
+    }
+    while remaining:
+        start = min(remaining)
+        cur = start
+        while True:
+            remaining.discard(cur)
+            _, other = port_map[cur]
+            remaining.discard(other)
+            nxt = bridges[other]
+            remaining.discard(nxt)
+            if nxt == start:
+                break
+            cur = nxt
+        loops += 1
+
+    crossings = tuple(x for ci, x in enumerate(d.crossings) if ci not in removed)
+    return Diagram(crossings, tuple(new_edges), loops)
+
+
+_REFERENCE_PAIRS = {"A": ((0, 1), (2, 3)), "B": ((0, 3), (1, 2)), "straight": ((0, 2), (1, 3))}
+
+
+def reference_bridges(removed, kind: str) -> dict:
+    bridges = {}
+    for p in removed:
+        for i, j in _REFERENCE_PAIRS[kind]:
+            bridges[(p, i)] = (p, j)
+            bridges[(p, j)] = (p, i)
+    return bridges
+
+
+@pytest.fixture(scope="module")
+def removal_diagrams():
+    """The catalog and two seeded 9- and 10-crossing walks per seed."""
+    out = [entry.diagram() for entry in CATALOG.values()]
+    for seed in range(200):
+        for max_c in (9, 10):
+            out.append(random_diagram(seed, max_c, walk_steps=30))
+    return out
+
+
+class TestLocalRemoval:
+    def test_splice_matches_reference(self, removal_diagrams):
+        cases = 0
+        for d in removal_diagrams:
+            for p in range(d.c):
+                for kind in "AB":
+                    expected = reference_eliminate(d, {p}, reference_bridges({p}, kind))
+                    assert d.splice(p, kind) == expected
+                    cases += 1
+        assert cases > 4000
+
+    def test_erase_matches_reference(self, removal_diagrams):
+        cases = 0
+        for d in removal_diagrams:
+            for p in range(d.c):
+                pair = {p, (p + 1) % d.c}
+                expected = reference_eliminate(d, pair, reference_bridges(pair, "straight"))
+                assert d.erase_crossings(pair) == expected
+                cases += 1
+        assert cases > 2000
+
+
+class TestSharedProjection:
+    def test_crossing_change_shares_components(self):
+        for seed in range(10):
+            d = random_diagram(seed, 8)
+            for p in range(d.c):
+                assert d.crossing_change(p).components is d.components
+            assert d.mirror().components is d.components
+
+    def test_double_flip_is_equal_with_equal_hash(self):
+        for seed in range(10):
+            d = random_diagram(seed, 8)
+            for p in range(d.c):
+                twice = d.crossing_change(p).crossing_change(p)
+                assert twice == d and hash(twice) == hash(d)
+                assert d.crossing_change(p) != d
+            assert d.mirror().mirror() == d and hash(d.mirror().mirror()) == hash(d)
+
+    def test_projection_stays_out_of_equality_and_repr(self):
+        d = parse_pd(TREFOIL)
+        rebuilt = Diagram(d.crossings, d.edges, d.free_loops)
+        assert rebuilt == d and hash(rebuilt) == hash(d)
+        assert "_proj" not in repr(d)
+
+    @pytest.mark.parametrize("name", sorted(CATALOG))
+    def test_memoised_first_encounter_matches_fresh(self, name):
+        pd = CATALOG[name].pd
+        d = parse_pd(pd)
+        bases = list(enumerate_bases(d))[:40]
+        for base in bases:
+            first_encounter(d, base)  # fill the projection's memo
+        for p in range(d.c):
+            flipped = d.crossing_change(p)
+            fresh = parse_pd(pd).crossing_change(p)
+            for base in bases:
+                assert first_encounter(flipped, base) == first_encounter(fresh, base)
+
+    def test_memo_hit_needs_a_validated_base(self):
+        hopf = parse_pd(HOPF)
+        first_encounter(hopf, canonical_base(hopf))
+        trefoil_base = canonical_base(parse_pd(TREFOIL))
+        with pytest.raises(DiagramError):
+            first_encounter(hopf.crossing_change(0), trefoil_base)

@@ -39,6 +39,10 @@ class TestOracleValues:
     def test_two_component_unlink(self):
         assert oracle_L(Diagram((), (), 2)) == unlink_factor()
 
+    @pytest.mark.parametrize("k", range(1, 6))
+    def test_unlink_leaf_is_power_of_d(self, k):
+        assert oracle_L(Diagram((), (), k)) == unlink_factor() ** (k - 1)
+
     @pytest.mark.parametrize(
         "pd,expected",
         [(TREFOIL, TREFOIL_L), (FIGURE8, FIGURE8_L), (HOPF, HOPF_L)],
