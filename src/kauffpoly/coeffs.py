@@ -37,9 +37,15 @@ caller-supplied base (``coeff_table_with_base``) still drives the top
 level unsimplified.  The independent evaluator in
 :mod:`kauffpoly.oracle` deliberately uses neither law.
 
-All functions are pure; the optional cache maps core diagrams to
-finished tables and may be shared freely (results are identical with or
-without it, which the test suite checks).
+All functions are pure; the optional cache maps the shape code of each
+core (:meth:`kauffpoly.diagram.Diagram.shape_code`) to its finished
+table and may be shared freely (results are identical with or without
+it, which the test suite checks).  Keying on the shape code is sound
+because each entry ``T[n]`` is a coefficient of the Kauffman polynomial,
+a link invariant: two cores with one code are the same diagram up to
+edge labels, crossing order and port numbering, so they have one
+table.  A core that comes back under other labels is found, not
+expanded again.  Without a cache no shape code is computed.
 """
 
 from __future__ import annotations
@@ -50,7 +56,7 @@ from typing import MutableMapping
 
 from .diagram import Diagram, DiagramError
 from .laurent import Y_PLUS_Y_INV, LaurentPoly, monotone_coeff
-from .moves import kink_sign, kink_sites, r1_remove
+from .moves import kink_rule, kink_sites
 from .warping import (
     BaseSequence,
     base_orientation,
@@ -64,7 +70,8 @@ logger = logging.getLogger(__name__)
 #: Default cap on the number of recursion nodes.
 DEFAULT_BUDGET = 10**8
 
-Cache = MutableMapping[Diagram, "CoeffTable"]
+#: Shape code of a connected core -> its table.
+Cache = MutableMapping[tuple[int, ...], "CoeffTable"]
 
 
 class BudgetExceededError(RuntimeError):
@@ -201,9 +208,9 @@ def _cores(d: Diagram) -> tuple[int, int, tuple[Diagram, ...]]:
     piece or free loop is its own single core."""
     kinks = 0
     while sites := kink_sites(d):
-        p = sites[0][0]
-        kinks += kink_sign(d, p)
-        d = r1_remove(d, p)
+        sign, kind = kink_rule(d, sites[0])
+        kinks += sign
+        d = d.splice(sites[0][0], kind)
     if len(d.connected_pieces()) + d.free_loops <= 1:
         return kinks, 0, (d,)
     return kinks, d.free_loops, d.piece_diagrams()
@@ -211,13 +218,14 @@ def _cores(d: Diagram) -> tuple[int, int, tuple[Diagram, ...]]:
 
 def _core_table(d: Diagram, budget: _Budget, cache: Cache | None) -> CoeffTable:
     if cache is not None:
-        hit = cache.get(d)
+        key = d.shape_code()
+        hit = cache.get(key)
         if hit is not None:
             return hit
     budget.spend(d)
     result = _expand(d, canonical_base(d), None, budget, cache)
     if cache is not None:
-        cache[d] = result
+        cache[key] = result
     return result
 
 
@@ -245,8 +253,10 @@ def coeff_table(
         Cap on recursion nodes (default ``DEFAULT_BUDGET``); exceeding it
         raises :class:`BudgetExceededError`.
     cache : mutable mapping, optional
-        Core diagram -> table memo, shared across calls at the caller's
-        discretion.  Off by default.
+        Memo from the shape code of each core to its table, shared
+        across calls at the caller's discretion.  Relabelled copies of a
+        core share its entry, which is sound because the table is a link
+        invariant.  Off by default.
     """
     return _table(d, _Budget(DEFAULT_BUDGET if budget is None else budget), cache)
 

@@ -98,6 +98,14 @@ class _Projection:
     def edge_map(self) -> dict[int, tuple[Port, Port]]:
         return {label: (a, b) for label, a, b in self.edges}
 
+    @cached_property
+    def far_ports(self) -> list[int]:
+        """Port ``(c, i)`` as ``4c + i`` -> the port at the other end of its edge."""
+        far = [0] * len(self.port_map)
+        for (ci, pi), (_, (cj, pj)) in self.port_map.items():
+            far[4 * ci + pi] = 4 * cj + pj
+        return far
+
     def orbit_from(self, edge: int, toward: Port) -> tuple[tuple[int, Port], ...]:
         port_map = self.port_map
         start = (edge, toward)
@@ -429,6 +437,74 @@ class Diagram:
             ]
             out.append(Diagram(tuple(self.crossings[ci] for ci in order), tuple(edges)))
         return tuple(out)
+
+    def shape_code(self) -> tuple[int, ...]:
+        """Exact code of a connected diagram up to relabelling.
+
+        Two connected diagrams share a code exactly when an
+        orientation-preserving map of the sphere carries one onto the
+        other (a rotation system fixes no outer face): edge labels,
+        crossing order and the port numbering at each crossing (with its
+        over flag adjusted) leave no trace, while a mirror image gets its
+        own code.  A crossing-free diagram is connected when it has at
+        most one free loop.
+
+        The code is the free-loop count followed by the least breadth-first
+        code over starting darts.  A start is a crossing and the port that
+        becomes its port 0; a crossing is first reached through the port
+        that becomes its port 0.  Per crossing in discovery order the code
+        lists its local over flag (1 when the strand through its relative
+        ports 1 and 3 is over) and then, for its relative ports 0..3,
+        ``4 * index + port`` of the port at the other end of the edge.
+        Only the two starts per crossing whose local over flag is 0 are
+        tried, which is exact because the least code begins with 0.  The
+        starts advance together one crossing at a time, and a start is
+        dropped at the first crossing whose entries compare above those
+        of another start still in the running.
+        """
+        n = len(self.crossings)
+        loops = self.free_loops
+        if loops > (n == 0):
+            raise DiagramError("shape codes exist only for connected diagrams")
+        if n == 0:
+            return (loops,)
+        far = self._proj.far_ports
+        over = [int(x.over_v) for x in self.crossings]
+        live = []  # (crossing -> discovery index, crossing -> its port 0, discovery order)
+        for s in range(n):
+            for q in (over[s], over[s] + 2):
+                index = [-1] * n
+                rot = [0] * n
+                index[s] = 0
+                rot[s] = q
+                live.append((index, rot, [s]))
+        code = [loops]
+        for k in range(n):
+            if len(live[0][2]) == k:  # every start in the running has found k crossings
+                raise DiagramError("shape codes exist only for connected diagrams")
+            least = keep = None
+            for state in live:
+                index, rot, order = state
+                c = order[k]
+                r = rot[c]
+                block = [over[c] ^ (r & 1)]
+                for j in (r, (r + 1) & 3, (r + 2) & 3, (r + 3) & 3):
+                    f = far[4 * c + j]
+                    c2 = f >> 2
+                    i = index[c2]
+                    if i < 0:
+                        i = index[c2] = len(order)
+                        rot[c2] = f & 3
+                        order.append(c2)
+                    block.append(4 * i + ((f - rot[c2]) & 3))
+                if least is None or block < least:
+                    least = block
+                    keep = [state]
+                elif block == least:
+                    keep.append(state)
+            live = keep
+            code += least
+        return tuple(code)
 
     def is_planar(self) -> bool:
         """Euler check V - E + F = 2 on every connected piece."""

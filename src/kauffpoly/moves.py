@@ -54,13 +54,20 @@ def kink_sites(d: Diagram) -> tuple[tuple[int, int, tuple[int, int]], ...]:
     return tuple(out)
 
 
+def kink_rule(d: Diagram, site: tuple[int, int, tuple[int, int]]) -> tuple[int, str]:
+    """(sign, splice kind that undoes it) of one ``kink_sites`` entry."""
+    p, _, pair = site
+    over_v = d.crossings[p].over_v
+    if pair in ((1, 2), (3, 0)):
+        return (1 if over_v else -1), "A"
+    return (-1 if over_v else 1), "B"
+
+
 def kink_sign(d: Diagram, p: int) -> int:
     """Sign of a kink crossing; independent of traversal direction."""
-    for ci, _, pair in kink_sites(d):
-        if ci == p:
-            if pair in ((1, 2), (3, 0)):
-                return 1 if d.crossings[p].over_v else -1
-            return -1 if d.crossings[p].over_v else 1
+    for site in kink_sites(d):
+        if site[0] == p:
+            return kink_rule(d, site)[0]
     raise MoveSiteError(f"crossing {p} is not a kink")
 
 
@@ -102,10 +109,9 @@ def r1_add(d: Diagram, e: EdgeRef, chirality: str, side: str = "R") -> Diagram:
 
 def r1_remove(d: Diagram, p: int) -> Diagram:
     """Undo a kink at crossing ``p``."""
-    for ci, _, pair in kink_sites(d):
-        if ci == p:
-            kind = "A" if pair in ((1, 2), (3, 0)) else "B"
-            return d.splice(p, kind)
+    for site in kink_sites(d):
+        if site[0] == p:
+            return d.splice(p, kink_rule(d, site)[1])
     raise MoveSiteError(f"crossing {p} is not a kink")
 
 

@@ -158,8 +158,11 @@ def complexity(d: Diagram, base: BaseSequence | None = None) -> Complexity:
 
 def base_orientation(d: Diagram, base: BaseSequence) -> tuple[int, ...]:
     """Per-component direction signs induced by the base directions,
-    relative to each component's canonical traversal."""
-    validate_base(d, base)
+    relative to each component's canonical traversal.  A base that is a
+    key of the projection's first-encounter memo has passed
+    ``validate_base`` already and is not checked again."""
+    if base not in d._proj.encounters:
+        validate_base(d, base)
     signs = [1] * len(d.components)
     for entry in base:
         if entry.edge is None:

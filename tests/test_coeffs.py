@@ -247,6 +247,17 @@ class TestSupportAndTable:
         assert (t + (-t)) == CoeffTable.from_dict({})
 
 
+class HitCountingCache(dict):
+    def __init__(self):
+        super().__init__()
+        self.hits = 0
+
+    def get(self, key, default=None):
+        value = super().get(key, default)
+        self.hits += value is not None
+        return value
+
+
 class TestBudgetAndCache:
     def test_budget_exceeded(self):
         with pytest.raises(BudgetExceededError) as err:
@@ -260,9 +271,22 @@ class TestBudgetAndCache:
         assert "4 crossings" in str(err.value)
 
     def test_cache_matches_reference_path(self):
+        shared = HitCountingCache()
         for seed in range(15):
             d = random_diagram(seed, 6)
-            assert coeff_table(d, cache={}) == coeff_table(d)
+            expected = coeff_table(d)
+            assert coeff_table(d, cache={}) == expected
+            assert coeff_table(d, cache=shared) == expected
+        # cores met again under other labels are answered from the cache
+        assert shared.hits > 0
+
+    def test_relabelled_cores_are_not_expanded_again(self):
+        cache: dict = {}
+        coeff_table(parse_pd(TREFOIL), cache=cache)
+        coeff_table(parse_pd(FIGURE8), cache=cache)
+        stored = len(cache)
+        coeff_table(disjoint_union(parse_pd(FIGURE8), parse_pd(TREFOIL)), cache=cache)
+        assert len(cache) == stored
 
     def test_shared_cache_across_calls(self):
         cache = {}

@@ -6,10 +6,12 @@ under test.
 """
 
 import itertools
+import random
 
 import pytest
 
 from kauffpoly.diagram import (
+    Crossing,
     Diagram,
     DiagramError,
     PDSyntaxError,
@@ -18,6 +20,7 @@ from kauffpoly.diagram import (
     parse_pd,
 )
 from kauffpoly.catalog import CATALOG
+from kauffpoly.coeffs import coeff_table
 from kauffpoly.moves import random_diagram
 from kauffpoly.warping import canonical_base, enumerate_bases, first_encounter
 
@@ -439,3 +442,95 @@ class TestSharedProjection:
         trefoil_base = canonical_base(parse_pd(TREFOIL))
         with pytest.raises(DiagramError):
             first_encounter(hopf.crossing_change(0), trefoil_base)
+
+
+def relabelled(d: Diagram, rng: random.Random) -> Diagram:
+    """An isomorphic copy of ``d``: new edge labels, shuffled crossing
+    indices, and the ports of each crossing rotated by a random turn,
+    with the over flag flipped wherever the turn is odd."""
+    labels = rng.sample(range(1, 10 * len(d.edges) + 10), len(d.edges))
+    new_label = dict(zip(d.edge_labels(), labels))
+    perm = list(range(d.c))
+    rng.shuffle(perm)
+    turn = [rng.randrange(4) for _ in range(d.c)]
+
+    def port(p):
+        return (perm[p[0]], (p[1] - turn[p[0]]) % 4)
+
+    crossings = [None] * d.c
+    for ci, x in enumerate(d.crossings):
+        crossings[perm[ci]] = Crossing(x.over_v != (turn[ci] % 2 == 1))
+    edges = tuple((new_label[label], port(a), port(b)) for label, a, b in d.edges)
+    return Diagram(tuple(crossings), edges, d.free_loops)
+
+
+def is_connected(d: Diagram) -> bool:
+    return len(d.connected_pieces()) + d.free_loops <= 1
+
+
+def shape_code_cases():
+    for name in sorted(CATALOG):
+        yield pytest.param(CATALOG[name].diagram(), id=name)
+    for seed in range(30):
+        yield pytest.param(random_diagram(seed, 8), id=f"random{seed}")
+
+
+class TestShapeCode:
+    @pytest.mark.parametrize("d", list(shape_code_cases()))
+    def test_unchanged_by_relabelling(self, d):
+        rng = random.Random(d.to_pd())
+        if not is_connected(d):
+            with pytest.raises(DiagramError):
+                d.shape_code()
+            with pytest.raises(DiagramError):
+                relabelled(d, rng).shape_code()
+        pieces = (d,) if is_connected(d) else d.piece_diagrams()
+        for piece in pieces:
+            code = piece.shape_code()
+            for _ in range(5):
+                assert relabelled(piece, rng).shape_code() == code
+
+    def test_relabelling_helper_keeps_the_table(self):
+        for seed in range(10):
+            d = random_diagram(seed, 8)
+            copy = relabelled(d, random.Random(seed))
+            assert coeff_table(copy) == coeff_table(d)
+
+    def test_mirror_images_differ(self):
+        trefoil = parse_pd(TREFOIL)
+        assert trefoil.mirror().shape_code() != trefoil.shape_code()
+        kink = parse_pd(KINK)
+        assert kink.mirror().shape_code() != kink.shape_code()
+
+    def test_different_tables_give_different_codes(self):
+        connected = [e.diagram() for e in CATALOG.values() if is_connected(e.diagram())]
+        for d1, d2 in itertools.combinations(connected, 2):
+            if coeff_table(d1) != coeff_table(d2):
+                assert d1.shape_code() != d2.shape_code()
+
+    def test_equal_codes_give_equal_tables(self):
+        by_code = {}
+        for seed in range(60):
+            for piece in random_diagram(seed, 7).piece_diagrams():
+                by_code.setdefault(piece.shape_code(), []).append(piece)
+        shared = [group for group in by_code.values() if len(group) > 1]
+        assert shared
+        for group in shared:
+            assert len({str(coeff_table(d)) for d in group}) == 1
+
+    def test_crossing_free_codes(self):
+        assert Diagram((), (), 0).shape_code() == (0,)
+        assert parse_pd(UNKNOT).shape_code() == (1,)
+
+    @pytest.mark.parametrize(
+        "d",
+        [
+            Diagram((), (), 2),
+            disjoint_union(parse_pd(TREFOIL), parse_pd(FIGURE8)),
+            disjoint_union(parse_pd(HOPF), parse_pd(UNKNOT)),
+        ],
+        ids=["unlink2", "trefoil+figure8", "hopf+loop"],
+    )
+    def test_disconnected_diagram_raises(self, d):
+        with pytest.raises(DiagramError):
+            d.shape_code()
