@@ -22,10 +22,8 @@ from .diagram import (
 from .warping import (
     BaseEntry,
     BaseSequence,
-    Complexity,
     base_orientation,
     canonical_base,
-    complexity,
     enumerate_bases,
     first_encounter,
     induced_writhe,
@@ -33,7 +31,6 @@ from .warping import (
     validate_base,
     warping_degree,
     warping_order,
-    warping_set,
 )
 from .coeffs import (
     DEFAULT_BUDGET,
@@ -90,10 +87,8 @@ __all__ = [
     "parse_pd",
     "BaseEntry",
     "BaseSequence",
-    "Complexity",
     "base_orientation",
     "canonical_base",
-    "complexity",
     "enumerate_bases",
     "first_encounter",
     "induced_writhe",
@@ -101,7 +96,6 @@ __all__ = [
     "validate_base",
     "warping_degree",
     "warping_order",
-    "warping_set",
     "DEFAULT_BUDGET",
     "BudgetExceededError",
     "CoeffTable",

@@ -14,7 +14,8 @@ polynomial output is exact text, never floating point, and output is
 byte-deterministic for fixed inputs, flags, and seeds.
 
 Exit codes: 0 ok, 1 verification failure, 2 usage or parse error
-(an unknown catalog name, an empty or non-planar diagram included),
+(an unknown catalog name, an unreadable PD file, an empty or non-planar
+diagram included),
 3 recursion budget exceeded.  The budget defaults to
 ``KAUFFPOLY_BUDGET`` when that environment variable is set.
 """
@@ -64,15 +65,20 @@ def _gather_inputs(args) -> list[tuple[str, Diagram]]:
         entry = _catalog.get(args.name)
         out.append((entry.name, entry.diagram()))
     for path in getattr(args, "files", ()) or ():
-        with open(path, "r", encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, 1):
-                text = line.split("#", 1)[0].strip()
-                if not text:
-                    continue
-                try:
-                    out.append((f"{path}:{lineno}", parse_pd(text)))
-                except DiagramError as exc:
-                    raise DiagramError(f"{path}:{lineno}: {exc}") from exc
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                lines = fh.readlines()
+        except (OSError, UnicodeDecodeError) as exc:
+            reason = getattr(exc, "strerror", None) or exc
+            raise _UsageError(f"cannot read PD file {path!r}: {reason}") from None
+        for lineno, line in enumerate(lines, 1):
+            text = line.split("#", 1)[0].strip()
+            if not text:
+                continue
+            try:
+                out.append((f"{path}:{lineno}", parse_pd(text)))
+            except DiagramError as exc:
+                raise DiagramError(f"{path}:{lineno}: {exc}") from exc
     if not out:
         raise _UsageError("no input diagram; use --pd, --name, or a PD file")
     for name, d in out:

@@ -2,8 +2,11 @@
 
 ``coeff_table(D)`` computes the family of one-variable polynomials whose
 generating series (see :mod:`kauffpoly.series`) is the regular-isotopy
-Kauffman polynomial of the diagram.  The recursion runs on the
-lexicographic pair (crossing count, warping degree):
+Kauffman polynomial of the diagram.  The table is itself a polynomial:
+a :class:`CoeffTable` is the :class:`~kauffpoly.laurent.BivariatePoly`
+``sum_n T[n] z^n``, so ``L_D = z^(1-r) * T`` and every law below is
+polynomial arithmetic.  The recursion runs on the lexicographic pair
+(crossing count, warping degree):
 
 * warping degree 0: entry ``n`` is the closed form
   ``y^w * (-1)^n * C(r-1, n) * (y + y^-1)^(r-n-1)``, with the writhe
@@ -11,9 +14,11 @@ lexicographic pair (crossing count, warping degree):
 * otherwise, at a warping crossing ``p`` with splice component shifts
   ``sA = r(D_A) - r(D)`` and ``sB = r(D_B) - r(D)``::
 
-      T[n](D) = -T[n](flip p) + T[n + sA - 1](A-splice) + T[n + sB - 1](B-splice)
+      T(D) = -T(flip p) + z^(1 - sA) T(A-splice) + z^(1 - sB) T(B-splice)
 
-  taking fresh canonical bases on every sub-diagram.
+  that is ``T[n](D) = -T[n](flip p) + T[n + sA - 1](A-splice) +
+  T[n + sB - 1](B-splice)``, taking fresh canonical bases on every
+  sub-diagram.
 
 The canonical base depends only on the underlying projection, so the
 flip branch reuses the same base and strictly drops the warping degree;
@@ -24,12 +29,11 @@ converts runaway inputs into a clean error.
 Before a diagram is looked up or expanded it is cut down to its cores
 with two exact table laws:
 
-* kink law: an R1 kink of sign ``s`` multiplies every entry by
-  ``y^s``, so the kinks come off first and their signs are added up;
+* kink law: an R1 kink of sign ``s`` multiplies the table by ``y^s``,
+  so the kinks come off first and their signs are added up;
 * disjoint-union law: ``L(D1 + D2) = d * L(D1) * L(D2)`` with
-  ``d = z^-1 (y + y^-1) - 1``, which on tables reads
-  ``T[n] = (y + y^-1) * (T1 * T2)[n] - (T1 * T2)[n - 1]`` (``*`` the
-  convolution over ``n``); a free loop is the table ``{0: 1}``.
+  ``d = z^-1 (y + y^-1 - z)``, which on tables reads
+  ``T = T1 * T2 * (y + y^-1 - z)``; a free loop is the table ``1``.
 
 Only the connected, kink-free cores are cached, expanded and charged to
 the budget; the caller's table is assembled from theirs.  A
@@ -51,11 +55,10 @@ expanded again.  Without a cache no shape code is computed.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
-from typing import MutableMapping
+from typing import Mapping, MutableMapping
 
 from .diagram import Diagram, DiagramError
-from .laurent import Y_PLUS_Y_INV, LaurentPoly, monotone_coeff
+from .laurent import BivariatePoly, LaurentPoly, monotone_coeff
 from .moves import kink_rule, kink_sites
 from .warping import (
     BaseSequence,
@@ -100,73 +103,32 @@ class _Budget:
             raise BudgetExceededError(d, self.limit)
 
 
-@dataclass(frozen=True)
-class CoeffTable:
-    """Finite map index -> nonzero polynomial; absent indices read as zero."""
+class CoeffTable(BivariatePoly):
+    """A coefficient table as the polynomial ``sum_n T[n] z^n``: entry
+    ``n`` is the ``z^n`` coefficient, and absent indices read as zero.
 
-    entries: tuple[tuple[int, LaurentPoly], ...]
+    All arithmetic is :class:`BivariatePoly`'s and keeps this type; the
+    class adds only the table views and the ``"n: poly; ..."`` text.
+    """
+
+    __slots__ = ()
 
     @classmethod
-    def from_dict(cls, data: dict[int, LaurentPoly]) -> "CoeffTable":
-        return cls(tuple(sorted((n, p) for n, p in data.items() if p)))
+    def from_dict(cls, data: Mapping[int, LaurentPoly]) -> "CoeffTable":
+        return cls({(a, n): c for n, p in data.items() for a, c in p.items()})
 
-    def __getitem__(self, n: int) -> LaurentPoly:
-        for k, p in self.entries:
-            if k == n:
-                return p
-        return LaurentPoly.zero()
-
-    def items(self):
-        return iter(self.entries)
-
-    def as_dict(self) -> dict[int, LaurentPoly]:
-        return dict(self.entries)
+    __getitem__ = BivariatePoly.z_coefficient
 
     def support_bounds(self) -> tuple[int, int] | None:
         """(min index, max index) of the nonzero entries, or None if empty."""
-        if not self.entries:
-            return None
-        return (self.entries[0][0], self.entries[-1][0])
-
-    def shifted(self, k: int) -> "CoeffTable":
-        """Reindex ``n -> n + k``."""
-        return CoeffTable(tuple((n + k, p) for n, p in self.entries))
-
-    def y_shifted(self, k: int) -> "CoeffTable":
-        """Multiply every entry by ``y^k`` (the kink law, once per kink)."""
-        return CoeffTable(tuple((n, p.shift(k)) for n, p in self.entries))
-
-    def disjoint_union(self, other: "CoeffTable") -> "CoeffTable":
-        """Table of the split diagram whose two parts have these tables:
-        ``T[n] = (y + y^-1) * (T1 * T2)[n] - (T1 * T2)[n - 1]``."""
-        conv: dict[int, LaurentPoly] = {}
-        for n1, p1 in self.entries:
-            for n2, p2 in other.entries:
-                conv[n1 + n2] = conv.get(n1 + n2, LaurentPoly.zero()) + p1 * p2
-        out: dict[int, LaurentPoly] = {}
-        for n, p in conv.items():
-            out[n] = out.get(n, LaurentPoly.zero()) + Y_PLUS_Y_INV * p
-            out[n + 1] = out.get(n + 1, LaurentPoly.zero()) - p
-        return CoeffTable.from_dict(out)
-
-    def __neg__(self) -> "CoeffTable":
-        return CoeffTable(tuple((n, -p) for n, p in self.entries))
-
-    def __add__(self, other: "CoeffTable") -> "CoeffTable":
-        acc = dict(self.entries)
-        for n, p in other.entries:
-            s = acc.get(n, LaurentPoly.zero()) + p
-            if s:
-                acc[n] = s
-            else:
-                acc.pop(n, None)
-        return CoeffTable.from_dict(acc)
+        ns = self.z_support()
+        return (ns[0], ns[-1]) if ns else None
 
     def to_json_obj(self) -> dict[str, str]:
-        return {str(n): str(p) for n, p in self.entries}
+        return {str(n): str(self[n]) for n in self.z_support()}
 
     def __str__(self) -> str:
-        return "; ".join(f"{n}: {p}" for n, p in self.entries) or "(zero)"
+        return "; ".join(f"{n}: {self[n]}" for n in self.z_support()) or "(zero)"
 
 
 def _monotone_table(d: Diagram, base: BaseSequence) -> CoeffTable:
@@ -196,10 +158,13 @@ def _expand(
     shift_b = 1 - (db.r - d.r)
     ta = _table(da, budget, cache)
     tb = _table(db, budget, cache)
-    return (-flipped) + ta.shifted(shift_a) + tb.shifted(shift_b)
+    return -flipped + ta.shift_z(shift_a) + tb.shift_z(shift_b)
 
 
-_FREE_LOOP = CoeffTable.from_dict({0: LaurentPoly.one()})
+_FREE_LOOP = CoeffTable.one()
+
+#: ``z * d = y + y^-1 - z``: the disjoint-union law on tables.
+_SPLIT_FACTOR = BivariatePoly({(1, 0): 1, (-1, 0): 1, (0, 1): -1})
 
 
 def _cores(d: Diagram) -> tuple[int, int, tuple[Diagram, ...]]:
@@ -234,8 +199,8 @@ def _table(d: Diagram, budget: _Budget, cache: Cache | None) -> CoeffTable:
     tables = [_core_table(core, budget, cache) for core in cores] + [_FREE_LOOP] * loops
     table = tables[0]
     for other in tables[1:]:
-        table = table.disjoint_union(other)
-    return table.y_shifted(kinks) if kinks else table
+        table = table * other * _SPLIT_FACTOR
+    return table.shift_y(kinks) if kinks else table
 
 
 def coeff_table(
@@ -299,9 +264,9 @@ def skein_check(
     )
     da = d.splice(p, "A")
     db = d.splice(p, "B")
-    rhs = coeff_table(da, budget=b, cache=cache).shifted(1 - (da.r - d.r)) + coeff_table(
+    rhs = coeff_table(da, budget=b, cache=cache).shift_z(1 - (da.r - d.r)) + coeff_table(
         db, budget=b, cache=cache
-    ).shifted(1 - (db.r - d.r))
+    ).shift_z(1 - (db.r - d.r))
     if lhs != rhs:
         logger.warning(
             "four-term relation fails at crossing %d of %s: lhs=%s rhs=%s",

@@ -1,9 +1,11 @@
 """Exact Laurent polynomial arithmetic in one and two variables.
 
-Every invariant value computed by this package lives in ``Z[y, y^-1]``
-(coefficient tables) or in ``Z[y^±1, z^±1]`` (the assembled two-variable
-polynomials).  Coefficients are Python ints, so all arithmetic is exact
-at any size and there is no overflow to guard against.
+Every invariant value computed by this package lives in
+``Z[y^±1, z^±1]``: the Kauffman polynomials, and the coefficient tables,
+which are the polynomials ``sum_n T[n] z^n`` (a subclass of
+``BivariatePoly``); one entry ``T[n]`` lies in ``Z[y, y^-1]``.
+Coefficients are Python ints, so all arithmetic is exact at any size
+and there is no overflow to guard against.
 
 Polynomials are stored sparsely, exponent -> nonzero coefficient, and
 zero coefficients are dropped on construction.  Equal polynomials
@@ -183,9 +185,6 @@ class LaurentPoly:
         """Apply ``y -> y^-1``."""
         return LaurentPoly({-e: c for e, c in self._terms.items()})
 
-    def eval_at_one(self) -> int:
-        return sum(self._terms.values())
-
     def __str__(self) -> str:
         items = [
             ("" if e == 0 else _var_power("y", e), c)
@@ -198,7 +197,11 @@ class LaurentPoly:
 
 
 class BivariatePoly:
-    """Integer Laurent polynomial in ``y`` and ``z``."""
+    """Integer Laurent polynomial in ``y`` and ``z``.
+
+    Operators return ``type(self)``, so a subclass keeps its type (and
+    its text form) under arithmetic.
+    """
 
     __slots__ = ("_terms", "_hash")
 
@@ -254,7 +257,7 @@ class BivariatePoly:
         return self._hash
 
     def __neg__(self) -> "BivariatePoly":
-        out = BivariatePoly()
+        out = type(self)()
         out._terms = {k: -c for k, c in self._terms.items()}
         return out
 
@@ -270,7 +273,7 @@ class BivariatePoly:
                 acc[k] = s
             else:
                 acc.pop(k, None)
-        out = BivariatePoly()
+        out = type(self)()
         out._terms = acc
         return out
 
@@ -285,8 +288,8 @@ class BivariatePoly:
     def __mul__(self, other) -> "BivariatePoly":
         if isinstance(other, int):
             if other == 0:
-                return BivariatePoly()
-            return BivariatePoly({k: c * other for k, c in self._terms.items()})
+                return type(self)()
+            return type(self)({k: c * other for k, c in self._terms.items()})
         if not isinstance(other, BivariatePoly):
             return NotImplemented
         acc: dict[tuple[int, int], int] = {}
@@ -298,7 +301,7 @@ class BivariatePoly:
                     acc[k] = s
                 else:
                     acc.pop(k, None)
-        out = BivariatePoly()
+        out = type(self)()
         out._terms = acc
         return out
 
@@ -307,7 +310,7 @@ class BivariatePoly:
     def __pow__(self, n: int) -> "BivariatePoly":
         if n < 0:
             raise ValueError("negative powers are only defined for monomials")
-        result = BivariatePoly.one()
+        result = type(self).one()
         base = self
         while n:
             if n & 1:
@@ -318,23 +321,23 @@ class BivariatePoly:
 
     def shift_z(self, k: int) -> "BivariatePoly":
         """Multiply by ``z^k``."""
-        out = BivariatePoly()
+        out = type(self)()
         out._terms = {(a, b + k): c for (a, b), c in self._terms.items()}
         return out
 
     def shift_y(self, k: int) -> "BivariatePoly":
         """Multiply by ``y^k``."""
-        out = BivariatePoly()
+        out = type(self)()
         out._terms = {(a + k, b): c for (a, b), c in self._terms.items()}
         return out
 
     def subst_y_inverse(self) -> "BivariatePoly":
         """Apply ``y -> y^-1`` leaving ``z`` fixed."""
-        return BivariatePoly({(-a, b): c for (a, b), c in self._terms.items()})
+        return type(self)({(-a, b): c for (a, b), c in self._terms.items()})
 
     def subst_y_one(self) -> "BivariatePoly":
         """Collapse ``y -> 1``; the result only involves ``z``."""
-        return BivariatePoly([((0, b), c) for (a, b), c in self._terms.items()])
+        return type(self)([((0, b), c) for (a, b), c in self._terms.items()])
 
     def z_coefficient(self, z_exp: int) -> LaurentPoly:
         """Extract the coefficient of ``z^z_exp`` as a polynomial in ``y``."""
@@ -355,7 +358,7 @@ class BivariatePoly:
         return _format_terms(items)
 
     def __repr__(self) -> str:
-        return f"BivariatePoly('{self}')"
+        return f"{type(self).__name__}('{self}')"
 
 
 #: The polynomial y + y^-1, the loop value driving the closed formulas.

@@ -1,14 +1,17 @@
 """Assembling coefficient tables into the two-variable polynomials.
 
 For a diagram ``D`` with ``r`` components the regular-isotopy polynomial
-is the finite sum
+is the coefficient table (itself the polynomial ``sum_n T[n] z^n``) times
+``z^(1-r)``:
 
     L_D(y, z) = z^(1-r) * sum_n  T[n](D; y) * z^n,
 
-and its writhe normalization ``F_D(y, z) = y^(-w(D)) * L_D(y, z)`` is an
-ambient-isotopy invariant of oriented links.  ``F`` takes an explicit
-orientation even for knots: the writhe of a link depends on it, and a
-silent default hides convention bugs.
+returned as a plain :class:`BivariatePoly`, so it prints as polynomial
+text rather than as a table.  Its writhe normalization
+``F_D(y, z) = y^(-w(D)) * L_D(y, z)`` is an ambient-isotopy invariant of
+oriented links.  ``F`` takes an explicit orientation even for knots: the
+writhe of a link depends on it, and a silent default hides convention
+bugs.
 
 The unlink factor ``d = z^-1 (y + y^-1) - 1`` multiplies ``L`` under
 disjoint union, while connected sum is plainly multiplicative.
@@ -18,19 +21,15 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .coeffs import Cache, coeff_table
+from .coeffs import Cache, CoeffTable, coeff_table
 from .diagram import Diagram, EdgeRef, connected_sum, disjoint_union
 from .laurent import BivariatePoly
 
 
-def series_from_table(table, r: int) -> BivariatePoly:
-    """Attach ``z`` powers to a coefficient table: entry ``n`` lands on
+def series_from_table(table: CoeffTable, r: int) -> BivariatePoly:
+    """``z^(1-r) * table`` as a plain polynomial: entry ``n`` lands on
     ``z^(n + 1 - r)``."""
-    terms = {}
-    for n, poly in table.items():
-        for a, c in poly.items():
-            terms[(a, n + 1 - r)] = c
-    return BivariatePoly(terms)
+    return BivariatePoly(table.shift_z(1 - r).items())
 
 
 def kauffman_L(d: Diagram, *, budget: int | None = None, cache: Cache | None = None) -> BivariatePoly:

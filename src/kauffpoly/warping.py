@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterator, NamedTuple
+from typing import Iterator
 
 from .diagram import Diagram, DiagramError, Port
 
@@ -40,13 +40,6 @@ class BaseSequence:
 
     def __iter__(self):
         return iter(self.entries)
-
-
-class Complexity(NamedTuple):
-    """Lexicographic induction measure: (crossing count, warping degree)."""
-
-    crossings: int
-    degree: int
 
 
 def validate_base(d: Diagram, base: BaseSequence) -> None:
@@ -137,23 +130,12 @@ def warping_order(d: Diagram, base: BaseSequence) -> tuple[int, ...]:
     )
 
 
-def warping_set(d: Diagram, base: BaseSequence) -> frozenset[int]:
-    """Crossings whose first-encountered strand is the under-strand."""
-    return frozenset(warping_order(d, base))
-
-
 def warping_degree(d: Diagram, base: BaseSequence) -> int:
     return len(warping_order(d, base))
 
 
 def is_monotone(d: Diagram, base: BaseSequence) -> bool:
     return warping_degree(d, base) == 0
-
-
-def complexity(d: Diagram, base: BaseSequence | None = None) -> Complexity:
-    if base is None:
-        base = canonical_base(d)
-    return Complexity(d.c, warping_degree(d, base))
 
 
 def base_orientation(d: Diagram, base: BaseSequence) -> tuple[int, ...]:

@@ -218,6 +218,21 @@ class TestErrors:
         assert out == ""
         assert "no catalog entry" in err
 
+    @pytest.mark.parametrize("command", ["coeffs", "kauffman", "verify"])
+    @pytest.mark.parametrize("which", ["missing", "directory", "not utf-8"])
+    def test_unreadable_pd_file(self, capsys, tmp_path, command, which):
+        path = tmp_path / "links.pd"
+        if which == "directory":
+            path.mkdir()
+        elif which == "not utf-8":
+            path.write_bytes(b"X(1,2,2,1) \xff\n")
+        code, out, err = run(capsys, command, str(path))
+        assert code == EXIT_USAGE
+        assert out == ""
+        lines = err.strip().splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith(f"error: cannot read PD file {str(path)!r}")
+
     def test_internal_key_error_is_not_a_usage_error(self, capsys, monkeypatch):
         import kauffpoly.cli as cli
 

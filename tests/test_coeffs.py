@@ -3,6 +3,8 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kauffpoly.coeffs import (
     BudgetExceededError,
@@ -13,7 +15,7 @@ from kauffpoly.coeffs import (
 )
 from kauffpoly.catalog import CATALOG
 from kauffpoly.diagram import Diagram, DiagramError, disjoint_union, parse_pd
-from kauffpoly.laurent import LaurentPoly, monotone_coeff
+from kauffpoly.laurent import Y_PLUS_Y_INV, BivariatePoly, LaurentPoly, monotone_coeff
 from kauffpoly.moves import r1_add, random_diagram, random_move_walk
 from kauffpoly.oracle import oracle_L
 from kauffpoly.series import kauffman_L
@@ -32,8 +34,31 @@ TREFOIL = "X(1,4,2,5) X(3,6,4,1) X(5,2,6,3)"
 FIGURE8 = "X(4,2,5,1) X(8,6,1,5) X(6,3,7,4) X(2,7,3,8)"
 
 
+#: ``y + y^-1 - z``: a split diagram's table is ``T1 * T2 * SPLIT``.
+SPLIT = BivariatePoly({(1, 0): 1, (-1, 0): 1, (0, 1): -1})
+
+
 def unlink(r: int) -> Diagram:
     return Diagram((), (), r)
+
+
+def reference_disjoint_union(t1: CoeffTable, t2: CoeffTable) -> CoeffTable:
+    """The disjoint-union law as a convolution over the index:
+    ``T[n] = (y + y^-1) * (T1 * T2)[n] - (T1 * T2)[n - 1]``."""
+    conv: dict[int, LaurentPoly] = {}
+    for n1 in t1.z_support():
+        for n2 in t2.z_support():
+            conv[n1 + n2] = conv.get(n1 + n2, LaurentPoly.zero()) + t1[n1] * t2[n2]
+    out: dict[int, LaurentPoly] = {}
+    for n, p in conv.items():
+        out[n] = out.get(n, LaurentPoly.zero()) + Y_PLUS_Y_INV * p
+        out[n + 1] = out.get(n + 1, LaurentPoly.zero()) - p
+    return CoeffTable.from_dict(out)
+
+
+def tables():
+    entries = st.dictionaries(st.integers(-4, 4), st.integers(-5, 5), max_size=4).map(LaurentPoly)
+    return st.dictionaries(st.integers(-3, 6), entries, max_size=4).map(CoeffTable.from_dict)
 
 
 class TestClosedForms:
@@ -243,8 +268,15 @@ class TestSupportAndTable:
 
     def test_shift_and_add(self):
         t = coeff_table(unlink(2))
-        assert (t.shifted(2))[2] == t[0]
+        assert (t.shift_z(2))[2] == t[0]
         assert (t + (-t)) == CoeffTable.from_dict({})
+
+    def test_arithmetic_keeps_the_table_type(self):
+        t = coeff_table(parse_pd(HOPF))
+        for result in (-t, t + t, t - t, t * t * SPLIT, t.shift_z(-1), t.shift_y(2), t * 3):
+            assert type(result) is CoeffTable
+        assert str(t.shift_z(1)) == "1: -y^-1 - y; 2: 1; 3: y^-1 + y"
+        assert str(CoeffTable.from_dict({})) == "(zero)"
 
 
 class HitCountingCache(dict):
@@ -338,9 +370,27 @@ class TestCoreReduction:
 
     def test_y_shift_and_disjoint_union(self):
         loop = coeff_table(unlink(1))
-        assert loop.disjoint_union(loop) == coeff_table(unlink(2))
-        assert coeff_table(unlink(2)).disjoint_union(loop) == coeff_table(unlink(3))
-        assert loop.y_shifted(-2) == CoeffTable.from_dict({0: LaurentPoly.monomial(-2)})
+        assert loop * loop * SPLIT == coeff_table(unlink(2))
+        assert coeff_table(unlink(2)) * loop * SPLIT == coeff_table(unlink(3))
+        assert loop.shift_y(-2) == CoeffTable.from_dict({0: LaurentPoly.monomial(-2)})
+
+
+class TestSplitLaw:
+    """``T1 * T2 * (y + y^-1 - z)`` is the convolution form of the law."""
+
+    @settings(max_examples=80)
+    @given(tables(), tables())
+    def test_product_matches_reference_convolution(self, t1, t2):
+        assert t1 * t2 * SPLIT == reference_disjoint_union(t1, t2)
+
+    def test_catalog_pairs(self):
+        cache: dict = {}
+        for n1, n2 in itertools.combinations_with_replacement(CATALOG, 2):
+            d1, d2 = CATALOG[n1].diagram(), CATALOG[n2].diagram()
+            t1, t2 = coeff_table(d1, cache=cache), coeff_table(d2, cache=cache)
+            expected = reference_disjoint_union(t1, t2)
+            assert t1 * t2 * SPLIT == expected, (n1, n2)
+            assert coeff_table(disjoint_union(d1, d2), cache=cache) == expected, (n1, n2)
 
 
 def _split_pairs():

@@ -4,7 +4,7 @@ import itertools
 
 import pytest
 
-from kauffpoly.coeffs import coeff_table
+from kauffpoly.coeffs import CoeffTable, coeff_table
 from kauffpoly.diagram import Diagram, connected_sum, disjoint_union, parse_pd
 from kauffpoly.laurent import BivariatePoly, LaurentPoly
 from kauffpoly.moves import random_diagram
@@ -13,6 +13,7 @@ from kauffpoly.series import (
     check_product_laws,
     kauffman_F,
     kauffman_L,
+    series_from_table,
     unlink_factor,
 )
 from kauffpoly.warping import base_orientation, canonical_base
@@ -111,6 +112,25 @@ class TestProductLaws:
         # sanity: the checker is not vacuous
         kink = parse_pd(KINK)
         assert kauffman_L(connected_sum(kink, kink)) != kauffman_L(kink)
+
+
+class TestResultTypes:
+    """A table prints as ``n: poly; ...`` and L as polynomial text, so
+    neither may come back as the other's type."""
+
+    @pytest.mark.parametrize("pd", ["O", KINK, HOPF, TREFOIL, "O O"])
+    def test_exact_types(self, pd):
+        d = parse_pd(pd)
+        table = coeff_table(d)
+        assert type(table) is CoeffTable
+        assert type(series_from_table(table, d.r)) is BivariatePoly
+        assert type(kauffman_L(d)) is BivariatePoly
+        assert type(kauffman_F(d, (1,) * d.r)) is BivariatePoly
+
+    def test_text_forms(self):
+        d = parse_pd(HOPF)
+        assert str(coeff_table(d)) == "0: -y^-1 - y; 1: 1; 2: y^-1 + y"
+        assert str(kauffman_L(d)) == "-y^-1*z^-1 - y*z^-1 + 1 + y^-1*z + y*z"
 
 
 class TestStructure:

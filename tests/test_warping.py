@@ -11,14 +11,13 @@ from kauffpoly.warping import (
     BaseSequence,
     base_orientation,
     canonical_base,
-    complexity,
     enumerate_bases,
     first_encounter,
     induced_writhe,
     is_monotone,
     validate_base,
     warping_degree,
-    warping_set,
+    warping_order,
 )
 
 KINK = "X(1,2,2,1)"
@@ -85,15 +84,17 @@ class TestWarpingDegree:
         for seed in range(12):
             d = random_diagram(seed, 6)
             base = canonical_base(d)
-            ws = warping_set(d, base)
+            ws = warping_order(d, base)
+            assert len(set(ws)) == len(ws)
             for p in ws:
                 flipped = d.crossing_change(p)
                 assert warping_degree(flipped, base) == len(ws) - 1
-                assert warping_set(flipped, base) == ws - {p}
+                assert warping_order(flipped, base) == tuple(q for q in ws if q != p)
 
     def test_complexity_pair(self):
+        # the induction measure (crossing count, warping degree) at the canonical base
         tre = parse_pd(TREFOIL)
-        c, s = complexity(tre)
+        c, s = tre.c, warping_degree(tre, canonical_base(tre))
         assert c == 3 and s in (1, 2)
 
 
