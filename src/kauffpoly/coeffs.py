@@ -27,19 +27,26 @@ therefore unconditional, but the tree is exponential, so a node budget
 converts runaway inputs into a clean error.
 
 Before a diagram is looked up or expanded it is cut down to its cores
-with two exact table laws:
+with three exact table laws:
 
 * kink law: an R1 kink of sign ``s`` multiplies the table by ``y^s``,
-  so the kinks come off first and their signs are added up;
+  so the kinks come off and their signs are added up;
+* bigon law: erasing a removable R2 bigon leaves the table unchanged.
+  ``L`` is an invariant of regular isotopy (Kauffman, "An invariant of
+  regular isotopy", Trans. AMS 318, 1990), so R2 does not change it, and
+  R2 keeps the component count ``r``, so neither does
+  ``T = z^(r-1) L``.  Kinks come off while there are any; then one
+  bigon is erased, and the two steps repeat until neither applies;
 * disjoint-union law: ``L(D1 + D2) = d * L(D1) * L(D2)`` with
   ``d = z^-1 (y + y^-1 - z)``, which on tables reads
   ``T = T1 * T2 * (y + y^-1 - z)``; a free loop is the table ``1``.
 
-Only the connected, kink-free cores are cached, expanded and charged to
-the budget; the caller's table is assembled from theirs.  A
-caller-supplied base (``coeff_table_with_base``) still drives the top
-level unsimplified.  The independent evaluator in
-:mod:`kauffpoly.oracle` deliberately uses neither law.
+Only the connected cores with no kink and no removable bigon are
+cached, expanded and charged to the budget; the caller's table is
+assembled from theirs.  A caller-supplied base
+(``coeff_table_with_base``) still drives the top level unsimplified.
+The independent evaluator in :mod:`kauffpoly.oracle` deliberately uses
+none of the three laws.
 
 All functions are pure; the optional cache maps the shape code of each
 core (:meth:`kauffpoly.diagram.Diagram.shape_code`) to its finished
@@ -59,7 +66,7 @@ from typing import Mapping, MutableMapping
 
 from .diagram import Diagram, DiagramError
 from .laurent import BivariatePoly, LaurentPoly, monotone_coeff
-from .moves import kink_rule, kink_sites
+from .moves import first_bigon, kink_rule, kink_sites
 from .warping import (
     BaseSequence,
     base_orientation,
@@ -78,29 +85,43 @@ Cache = MutableMapping[tuple[int, ...], "CoeffTable"]
 
 
 class BudgetExceededError(RuntimeError):
-    """The recursion node budget ran out."""
+    """The recursion node budget ran out.
 
-    def __init__(self, d: Diagram, limit: int):
+    ``crossings`` and ``components`` describe the diagram the caller
+    asked about; ``at_crossings`` and ``at_components`` the node whose
+    expansion the budget could no longer pay for.
+    """
+
+    def __init__(self, d: Diagram, limit: int, at: Diagram):
         self.crossings = d.c
         self.components = d.r
+        self.at_crossings = at.c
+        self.at_components = at.r
         self.limit = limit
         super().__init__(
-            f"recursion budget of {limit} nodes exhausted while expanding a "
-            f"diagram with {d.c} crossings and {d.r} components"
+            f"recursion budget of {limit} nodes exhausted on a diagram with "
+            f"{d.c} crossings and {d.r} components; it ran out at a node with "
+            f"{at.c} crossings and {at.r} components"
         )
 
 
 class _Budget:
-    __slots__ = ("remaining", "limit")
+    """Nodes left to expand, and the diagram of the whole call; without
+    one, the first diagram charged stands for it."""
 
-    def __init__(self, limit: int):
+    __slots__ = ("remaining", "limit", "top")
+
+    def __init__(self, limit: int, top: Diagram | None = None):
         self.remaining = limit
         self.limit = limit
+        self.top = top
 
     def spend(self, d: Diagram) -> None:
+        if self.top is None:
+            self.top = d
         self.remaining -= 1
         if self.remaining < 0:
-            raise BudgetExceededError(d, self.limit)
+            raise BudgetExceededError(self.top, self.limit, d)
 
 
 class CoeffTable(BivariatePoly):
@@ -118,6 +139,8 @@ class CoeffTable(BivariatePoly):
         return cls({(a, n): c for n, p in data.items() for a, c in p.items()})
 
     __getitem__ = BivariatePoly.z_coefficient
+    #: Indexing never runs out of entries, so a table is not iterable.
+    __iter__ = None
 
     def support_bounds(self) -> tuple[int, int] | None:
         """(min index, max index) of the nonzero entries, or None if empty."""
@@ -169,13 +192,18 @@ _SPLIT_FACTOR = BivariatePoly({(1, 0): 1, (-1, 0): 1, (0, 1): -1})
 
 def _cores(d: Diagram) -> tuple[int, int, tuple[Diagram, ...]]:
     """(sum of the kink signs, free loops split off, cores) once every
-    R1 kink of ``d`` is removed; a diagram with at most one connected
-    piece or free loop is its own single core."""
+    R1 kink and removable R2 bigon of ``d`` is removed; a diagram with at
+    most one connected piece or free loop is its own single core."""
     kinks = 0
-    while sites := kink_sites(d):
-        sign, kind = kink_rule(d, sites[0])
-        kinks += sign
-        d = d.splice(sites[0][0], kind)
+    while True:
+        if sites := kink_sites(d):
+            sign, kind = kink_rule(d, sites[0])
+            kinks += sign
+            d = d.splice(sites[0][0], kind)
+        elif bigon := first_bigon(d):
+            d = d.erase_crossings(bigon)
+        else:
+            break
     if len(d.connected_pieces()) + d.free_loops <= 1:
         return kinks, 0, (d,)
     return kinks, d.free_loops, d.piece_diagrams()
@@ -223,7 +251,7 @@ def coeff_table(
         core share its entry, which is sound because the table is a link
         invariant.  Off by default.
     """
-    return _table(d, _Budget(DEFAULT_BUDGET if budget is None else budget), cache)
+    return _table(d, _Budget(DEFAULT_BUDGET if budget is None else budget, d), cache)
 
 
 def coeff_table_with_base(

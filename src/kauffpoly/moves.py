@@ -188,6 +188,29 @@ def bigon_sites(d: Diagram) -> tuple[tuple[int, int], ...]:
     return tuple(sorted(set(out)))
 
 
+def first_bigon(d: Diagram) -> tuple[int, int] | None:
+    """One ``bigon_sites`` pair, or None when there is none, found in one
+    pass over the port array without tracing any face.
+
+    Port ``i`` of ``u`` bounds a 2-gon face when the edge at port
+    ``i + 1`` ends at port ``j`` of another crossing ``v`` and the edge
+    at port ``i`` ends at port ``j + 1`` of ``v``; the bigon is
+    removable when that side strand is over (or under) at both ends.
+    """
+    if d.c < 2:
+        return None
+    far = d._proj.far_ports
+    for x, fx in enumerate(far):  # x = 4u + i, and x - 3 or x + 1 is 4u + (i + 1) % 4
+        u = x >> 2
+        y = far[x - 3 if x & 3 == 3 else x + 1]
+        v = y >> 2
+        if v == u or fx != (y - 3 if y & 3 == 3 else y + 1):
+            continue
+        if _is_over(d, u, x & 3) == _is_over(d, v, (y + 1) & 3):
+            return (min(u, v), max(u, v))
+    return None
+
+
 def r2_remove(d: Diagram, u: int, v: int) -> Diagram:
     """Undo an R2 bigon: both strands pass straight through."""
     if (min(u, v), max(u, v)) not in bigon_sites(d):

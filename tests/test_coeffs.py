@@ -16,7 +16,15 @@ from kauffpoly.coeffs import (
 from kauffpoly.catalog import CATALOG
 from kauffpoly.diagram import Diagram, DiagramError, disjoint_union, parse_pd
 from kauffpoly.laurent import Y_PLUS_Y_INV, BivariatePoly, LaurentPoly, monotone_coeff
-from kauffpoly.moves import r1_add, random_diagram, random_move_walk
+from kauffpoly.moves import (
+    cofacial_dart_pairs,
+    kink_rule,
+    kink_sites,
+    r1_add,
+    r2_add,
+    random_diagram,
+    random_move_walk,
+)
 from kauffpoly.oracle import oracle_L
 from kauffpoly.series import kauffman_L
 from kauffpoly.warping import (
@@ -32,10 +40,35 @@ KINK_NEG = "X(2,2,1,1)"
 HOPF = "X(1,4,2,3) X(3,2,4,1)"
 TREFOIL = "X(1,4,2,5) X(3,6,4,1) X(5,2,6,3)"
 FIGURE8 = "X(4,2,5,1) X(8,6,1,5) X(6,3,7,4) X(2,7,3,8)"
+#: Closure of the braid [1,-2,1,-2,1,-2] on 3 strands: no kink, no removable bigon.
+BORROMEAN = "X(1,2,5,4) X(3,7,6,5) X(4,6,9,8) X(7,11,10,9) X(8,10,13,1) X(11,3,2,13)"
+#: Closure of 16 seeded letters on 4 strands (``br4x16s2``).
+BR4X16S2 = (
+    "X(1,2,6,5) X(6,3,8,7) X(8,4,10,9) X(9,12,11,7) X(12,10,14,13) X(13,14,16,15) "
+    "X(11,15,18,17) X(16,20,19,18) X(20,22,21,19) X(22,24,23,21) X(17,26,25,5) "
+    "X(26,23,28,27) X(28,30,29,27) X(30,32,31,29) X(32,24,4,3) X(25,31,2,1)"
+)
 
 
 #: ``y + y^-1 - z``: a split diagram's table is ``T1 * T2 * SPLIT``.
 SPLIT = BivariatePoly({(1, 0): 1, (-1, 0): 1, (0, 1): -1})
+
+
+def braid_closure(n: int, word) -> Diagram:
+    """Closure of a braid word on ``n`` strands; generator +i / -i
+    crosses positions i and i+1 (1-based)."""
+    cur = list(range(1, n + 1))
+    top = n
+    quads = []
+    for g in word:
+        i = abs(g) - 1
+        a, b = cur[i], cur[i + 1]
+        a2, b2 = top + 1, top + 2
+        top += 2
+        quads.append((a, b, b2, a2) if g > 0 else (b, b2, a2, a))
+        cur[i], cur[i + 1] = a2, b2
+    close = dict(zip(cur, range(1, n + 1)))
+    return parse_pd(" ".join("X(%d,%d,%d,%d)" % tuple(close.get(x, x) for x in q) for q in quads))
 
 
 def unlink(r: int) -> Diagram:
@@ -225,19 +258,29 @@ class TestSkein:
         monkeypatch.setattr(coeffs_mod, "coeff_table", corrupted)
         assert not coeffs_mod.skein_check(hopf, 0)
 
+    def test_borromean_literal_is_the_braid_closure(self):
+        assert parse_pd(BORROMEAN) == braid_closure(3, [1, -2] * 3)
+
     def test_leaf_corruption_caught_by_oracle(self, monkeypatch):
         # the whole-polynomial evaluator has its own base case, so it
-        # notices when the table engine's closed form goes wrong
+        # notices when the table engine's closed form goes wrong; the
+        # Borromean rings keep leaves with r > 1 after kinks and bigons
+        # are removed
         import kauffpoly.coeffs as coeffs_mod
         from kauffpoly.oracle import uniqueness_check
 
         real = coeffs_mod.monotone_coeff
-        monkeypatch.setattr(
-            coeffs_mod,
-            "monotone_coeff",
-            lambda w, n, r: real(w + (1 if r > 1 else 0), n, r),
-        )
-        assert not uniqueness_check(parse_pd(HOPF))
+        linked_leaves = []
+
+        def corrupted(w, n, r):
+            if r > 1:
+                linked_leaves.append(r)
+                w += 1
+            return real(w, n, r)
+
+        monkeypatch.setattr(coeffs_mod, "monotone_coeff", corrupted)
+        assert not uniqueness_check(parse_pd(BORROMEAN))
+        assert linked_leaves, "no leaf with r > 1 was reached; test is vacuous"
 
 
 class TestSupportAndTable:
@@ -278,6 +321,12 @@ class TestSupportAndTable:
         assert str(t.shift_z(1)) == "1: -y^-1 - y; 2: 1; 3: y^-1 + y"
         assert str(CoeffTable.from_dict({})) == "(zero)"
 
+    def test_table_is_not_iterable(self):
+        # every index reads as a polynomial, so iteration could never end
+        table = coeff_table(parse_pd(KINK))
+        with pytest.raises(TypeError):
+            list(table)
+
 
 class HitCountingCache(dict):
     def __init__(self):
@@ -301,6 +350,20 @@ class TestBudgetAndCache:
         with pytest.raises(BudgetExceededError) as err:
             coeff_table(parse_pd(FIGURE8), budget=1)
         assert "4 crossings" in str(err.value)
+
+    def test_budget_error_names_where_it_ran_out(self):
+        # the trefoil reports its own size; the node the budget could not
+        # pay for is a smaller core of its expansion
+        with pytest.raises(BudgetExceededError) as err:
+            coeff_table(parse_pd(TREFOIL), budget=2)
+        e = err.value
+        assert (e.crossings, e.components) == (3, 1)
+        assert e.at_crossings < 3
+        assert f"{e.at_crossings} crossings and {e.at_components} components" in str(e)
+        with pytest.raises(BudgetExceededError) as err:
+            coeff_table(parse_pd(FIGURE8), budget=0)
+        e = err.value
+        assert (e.at_crossings, e.at_components) == (e.crossings, e.components) == (4, 1)
 
     def test_cache_matches_reference_path(self):
         shared = HitCountingCache()
@@ -373,6 +436,70 @@ class TestCoreReduction:
         assert loop * loop * SPLIT == coeff_table(unlink(2))
         assert coeff_table(unlink(2)) * loop * SPLIT == coeff_table(unlink(3))
         assert loop.shift_y(-2) == CoeffTable.from_dict({0: LaurentPoly.monomial(-2)})
+
+
+def _kink_only_cores(d: Diagram):
+    """The core reduction without bigon erasure: a reference engine."""
+    kinks = 0
+    while sites := kink_sites(d):
+        sign, kind = kink_rule(d, sites[0])
+        kinks += sign
+        d = d.splice(sites[0][0], kind)
+    if len(d.connected_pieces()) + d.free_loops <= 1:
+        return kinks, 0, (d,)
+    return kinks, d.free_loops, d.piece_diagrams()
+
+
+def _braid_closures():
+    yield pytest.param(braid_closure(3, [1, 2] * 7), id="T(3,7)")
+    yield pytest.param(parse_pd(BR4X16S2), id="br4x16s2")
+
+
+class TestBigonReduction:
+    """Erasing removable R2 bigons leaves every table unchanged."""
+
+    @pytest.fixture
+    def reference(self, monkeypatch):
+        import kauffpoly.coeffs as coeffs_mod
+
+        cache: dict = {}
+
+        def table(d: Diagram) -> CoeffTable:
+            with monkeypatch.context() as m:
+                m.setattr(coeffs_mod, "_cores", _kink_only_cores)
+                return coeff_table(d, cache=cache)
+
+        return table
+
+    def test_catalog(self, reference):
+        cache: dict = {}
+        for name, entry in CATALOG.items():
+            d = entry.diagram()
+            assert coeff_table(d, cache=cache) == reference(d), name
+
+    def test_random_walks(self, reference):
+        cache: dict = {}
+        for seed in range(40):
+            d = random_diagram(seed, 12, walk_steps=30)
+            assert coeff_table(d, cache=cache) == reference(d), seed
+
+    @pytest.mark.parametrize("d", list(_braid_closures()))
+    def test_braid_closures(self, reference, d):
+        assert nodes(d) < 200
+        assert coeff_table(d) == reference(d)
+
+    def test_added_bigon_costs_nothing(self):
+        tre = parse_pd(TREFOIL)
+        for e1, e2 in {(d1[0], d2[0]) for d1, d2 in cofacial_dart_pairs(tre)}:
+            for over_first in (True, False):
+                assert nodes(r2_add(tre, e1, e2, over_first)) == nodes(tre)
+
+    @pytest.mark.parametrize("n", range(2, 16))
+    def test_two_strand_torus_links_are_linear(self, n):
+        # the flip at a crossing of [1]^n leaves a bigon with its neighbour
+        d = braid_closure(2, [1] * n)
+        assert (d.c, d.r) == (n, 2 - n % 2)
+        assert nodes(d) <= n
 
 
 class TestSplitLaw:

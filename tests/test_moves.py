@@ -13,6 +13,7 @@ from kauffpoly.moves import (
     apply_step,
     bigon_sites,
     cofacial_dart_pairs,
+    first_bigon,
     kink_sign,
     kink_sites,
     r1_add,
@@ -143,6 +144,21 @@ class TestR2:
         assert (tre.c, tre.c + 1) not in bigon_sites(clasp)
         with pytest.raises(MoveSiteError):
             r2_remove(clasp, tre.c, tre.c + 1)
+
+    def test_first_bigon_is_a_bigon_site(self):
+        found = missing = 0
+        for seed in range(80):
+            d = random_diagram(seed, 10, walk_steps=20)
+            for variant in (d, d.mirror(), d.crossing_change(0) if d.c else d):
+                sites = bigon_sites(variant)
+                bigon = first_bigon(variant)
+                if sites:
+                    assert bigon in sites, (seed, variant.to_pd())
+                    found += 1
+                else:
+                    assert bigon is None, (seed, variant.to_pd())
+                    missing += 1
+        assert found and missing
 
 
 class TestR3:
