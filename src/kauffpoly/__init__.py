@@ -9,37 +9,10 @@ and the first-encounter rule, and it is cross-checked against an
 independent whole-polynomial skein evaluator.
 """
 
-from .laurent import BivariatePoly, LaurentPoly, Y_PLUS_Y_INV, monotone_coeff
-from .diagram import (
-    Crossing,
-    Diagram,
-    DiagramError,
-    PDSyntaxError,
-    connected_sum,
-    disjoint_union,
-    parse_pd,
-)
-from .warping import (
-    BaseEntry,
-    BaseSequence,
-    base_orientation,
-    canonical_base,
-    enumerate_bases,
-    first_encounter,
-    induced_writhe,
-    is_monotone,
-    validate_base,
-    warping_degree,
-    warping_order,
-)
-from .coeffs import (
-    DEFAULT_BUDGET,
-    BudgetExceededError,
-    CoeffTable,
-    coeff_table,
-    coeff_table_with_base,
-    skein_check,
-)
+from .laurent import BivariatePoly, LaurentPoly, monotone_coeff
+from .diagram import Diagram, DiagramError, PDSyntaxError, connected_sum, parse_pd
+from .warping import canonical_base, enumerate_bases, warping_degree
+from .coeffs import BudgetExceededError, coeff_table, coeff_table_with_base
 from .series import (
     check_L_skein,
     check_product_laws,
@@ -48,88 +21,39 @@ from .series import (
     series_from_table,
     unlink_factor,
 )
-from .oracle import agree_at_y_one, oracle_L, oracle_L_with_base, uniqueness_check
-from .moves import (
-    MoveSiteError,
-    MoveStep,
-    MoveTrace,
-    apply_step,
-    bigon_sites,
-    cofacial_dart_pairs,
-    kink_sign,
-    kink_sites,
-    r1_add,
-    r1_remove,
-    r2_add,
-    r2_add_at,
-    r2_remove,
-    r3_apply,
-    r3_sites,
-    random_diagram,
-    random_move_walk,
-    replay,
-)
-from .catalog import CATALOG, CatalogEntry
+from .oracle import oracle_L, uniqueness_check
+from .moves import MoveSiteError, r1_add, random_diagram, random_move_walk, replay
+from .catalog import CATALOG
 
 __version__ = "0.1.0"
 
 __all__ = [
     "BivariatePoly",
     "LaurentPoly",
-    "Y_PLUS_Y_INV",
     "monotone_coeff",
-    "Crossing",
     "Diagram",
     "DiagramError",
     "PDSyntaxError",
     "connected_sum",
-    "disjoint_union",
     "parse_pd",
-    "BaseEntry",
-    "BaseSequence",
-    "base_orientation",
     "canonical_base",
     "enumerate_bases",
-    "first_encounter",
-    "induced_writhe",
-    "is_monotone",
-    "validate_base",
     "warping_degree",
-    "warping_order",
-    "DEFAULT_BUDGET",
     "BudgetExceededError",
-    "CoeffTable",
     "coeff_table",
     "coeff_table_with_base",
-    "skein_check",
     "check_L_skein",
     "check_product_laws",
     "kauffman_F",
     "kauffman_L",
     "series_from_table",
     "unlink_factor",
-    "agree_at_y_one",
     "oracle_L",
-    "oracle_L_with_base",
     "uniqueness_check",
     "MoveSiteError",
-    "MoveStep",
-    "MoveTrace",
-    "apply_step",
-    "bigon_sites",
-    "cofacial_dart_pairs",
-    "kink_sign",
-    "kink_sites",
     "r1_add",
-    "r1_remove",
-    "r2_add",
-    "r2_add_at",
-    "r2_remove",
-    "r3_apply",
-    "r3_sites",
     "random_diagram",
     "random_move_walk",
     "replay",
     "CATALOG",
-    "CatalogEntry",
 ]

@@ -81,13 +81,6 @@ def _gather_inputs(args) -> list[tuple[str, Diagram]]:
                 raise DiagramError(f"{path}:{lineno}: {exc}") from exc
     if not out:
         raise _UsageError("no input diagram; use --pd, --name, or a PD file")
-    for name, d in out:
-        if d.c == 0 and d.free_loops == 0:
-            raise _UsageError(f"input {name!r} is an empty diagram")
-        if not d.is_planar():
-            raise _UsageError(
-                f"input {name!r} is not planar: its rotation system fails V - E + F = 2"
-            )
     return out
 
 

@@ -14,11 +14,13 @@ it absorbed, which keeps derived diagrams deterministic.
 
 Diagrams that differ only in over flags share their projection data:
 the edge and port maps, the components and strand arrivals, and (filled
-in by :mod:`kauffpoly.warping`) the canonical base and first-encounter
-orders.  ``crossing_change`` and ``mirror`` reuse the validated edges and
-this shared data as they are, so a flip costs one tuple and one dict
-copy.  Removing a crossing is a local edit: only the chains of edges
-through it are merged.
+in by :mod:`kauffpoly.warping`) the canonical base.  There is no
+first-encounter memo: the canonical base is each component's own
+traversal start, so its first-encounter order is read off the orbits.
+``crossing_change`` and ``mirror`` reuse the validated edges and this
+shared data as they are, so a flip costs one tuple and one dict copy.
+Removing a crossing is a local edit: only the chains of edges through
+it are merged.
 
 PD text input: whitespace-separated tokens ``X(a,b,c,d)`` listing the
 edge labels at ports 0..3 counterclockwise with the under-strand
@@ -77,9 +79,9 @@ class _Projection:
 
     Every diagram that ``crossing_change`` or ``mirror`` derives from
     another holds the same instance, so each value here is computed once
-    per projection.  ``base`` and ``encounters`` are memos that
-    :mod:`kauffpoly.warping` fills in: the canonical base, and the
-    first-encounter order of each base that has passed ``validate_base``.
+    per projection.  ``base`` is the canonical base, a memo that
+    :mod:`kauffpoly.warping` fills in; it is each component's
+    ``orbit[0]``, valid by construction.
     """
 
     def __init__(
@@ -92,7 +94,6 @@ class _Projection:
         self.free_loops = free_loops
         self.port_map = port_map
         self.base = None
-        self.encounters: dict = {}
 
     @cached_property
     def edge_map(self) -> dict[int, tuple[Port, Port]]:
@@ -147,7 +148,8 @@ class Diagram:
     """An unoriented link diagram.
 
     ``edges`` holds (label, port, port) triples sorted by label, each
-    port pair sorted; this canonical storage makes structural equality
+    port pair sorted, whatever order they were passed in; this canonical
+    storage makes structural equality
     coincide with equality of labeled diagrams.  The shared projection
     data takes no part in equality, hashing or repr.
     """
@@ -158,7 +160,9 @@ class Diagram:
     _proj: _Projection = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        edges = _normalize_edges(self.edges)
+        edges = tuple(
+            sorted((label, a, b) if a < b else (label, b, a) for label, a, b in self.edges)
+        )
         object.__setattr__(self, "edges", edges)
         n = len(self.crossings)
         port_map: dict[Port, tuple[int, Port]] = {}
@@ -545,10 +549,6 @@ class Diagram:
         return self.to_pd() or "(empty)"
 
 
-def _normalize_edges(edges: Iterable[tuple[int, Port, Port]]) -> tuple[tuple[int, Port, Port], ...]:
-    return tuple(sorted((label, a, b) if a < b else (label, b, a) for label, a, b in edges))
-
-
 _X_TOKEN = re.compile(r"^X\((\d+),(\d+),(\d+),(\d+)\)$")
 
 
@@ -557,7 +557,9 @@ def parse_pd(text: str) -> Diagram:
 
     Each label must occur exactly twice across the whole input; the
     strand through quadruple entries 1 and 3 is read as the under-strand.
-    An ``O`` token adds a crossing-free loop.
+    An ``O`` token adds a crossing-free loop.  Text with no token, and a
+    rotation system that is not planar, are outside the theory and raise
+    ``PDSyntaxError``.
     """
     quads: list[tuple[int, int, int, int]] = []
     loops = 0
@@ -572,6 +574,8 @@ def parse_pd(text: str) -> Diagram:
         if any(v <= 0 for v in quad):
             raise PDSyntaxError(f"edge labels must be positive in {token!r}")
         quads.append(quad)  # type: ignore[arg-type]
+    if not quads and not loops:
+        raise PDSyntaxError("empty diagram: the PD text has no X or O token")
 
     occurrences: dict[int, list[Port]] = {}
     for ci, quad in enumerate(quads):
@@ -583,8 +587,10 @@ def parse_pd(text: str) -> Diagram:
             raise PDSyntaxError(f"edge label {label} occurs {len(ports)} times, expected 2")
         edges.append((label, ports[0], ports[1]))
 
-    crossings = tuple(Crossing(over_v=True) for _ in quads)
-    return Diagram(crossings, _normalize_edges(edges), loops)
+    d = Diagram(tuple(Crossing(over_v=True) for _ in quads), edges, loops)
+    if not d.is_planar():
+        raise PDSyntaxError("not planar: the rotation system fails V - E + F = 2")
+    return d
 
 
 def _relabel(d: Diagram, label_offset: int, crossing_offset: int) -> list[tuple[int, Port, Port]]:
@@ -598,7 +604,7 @@ def disjoint_union(d: Diagram, d2: Diagram) -> Diagram:
     """Place two diagrams side by side; components simply add up."""
     offset = max(d.edge_labels(), default=0)
     edges = list(d.edges) + _relabel(d2, offset, d.c)
-    return Diagram(d.crossings + d2.crossings, _normalize_edges(edges), d.free_loops + d2.free_loops)
+    return Diagram(d.crossings + d2.crossings, edges, d.free_loops + d2.free_loops)
 
 
 def _resolve_edge_ref(d: Diagram, e: EdgeRef) -> EdgeRef:
@@ -630,10 +636,10 @@ def connected_sum(d: Diagram, d2: Diagram, e: EdgeRef = None, e2: EdgeRef = None
 
     if e is None and e2 is None:
         # joining two free loops yields one free loop
-        return Diagram(crossings, _normalize_edges(edges), loops - 1)
+        return Diagram(crossings, edges, loops - 1)
     if e is None or e2 is None:
         # a cut free loop is absorbed into the other diagram's cut edge
-        return Diagram(crossings, _normalize_edges(edges), loops - 1)
+        return Diagram(crossings, edges, loops - 1)
 
     a, b = d.edge_map[e]
     a2, b2 = d2.edge_map[e2]
@@ -643,4 +649,4 @@ def connected_sum(d: Diagram, d2: Diagram, e: EdgeRef = None, e2: EdgeRef = None
     top = max(label for label, _, _ in edges)
     keep.append((top + 1, a, a2))
     keep.append((top + 2, b, b2))
-    return Diagram(crossings, _normalize_edges(keep), loops)
+    return Diagram(crossings, keep, loops)

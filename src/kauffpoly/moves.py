@@ -24,9 +24,9 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
-from .diagram import Crossing, Diagram, DiagramError, EdgeRef, Port, _normalize_edges
+from .diagram import Crossing, Diagram, DiagramError, EdgeRef, Port
 
 
 class MoveSiteError(DiagramError):
@@ -94,7 +94,7 @@ def r1_add(d: Diagram, e: EdgeRef, chirality: str, side: str = "R") -> Diagram:
             new = [(top + 1, (k, 0), (k, 3)), (top + 2, (k, 1), (k, 2))]
         else:
             new = [(top + 1, (k, 0), (k, 1)), (top + 2, (k, 2), (k, 3))]
-        return Diagram(crossings, _normalize_edges(list(d.edges) + new), d.free_loops - 1)
+        return Diagram(crossings, list(d.edges) + new, d.free_loops - 1)
 
     if not d.has_edge(e):
         raise MoveSiteError(f"no edge {e}")
@@ -104,7 +104,7 @@ def r1_add(d: Diagram, e: EdgeRef, chirality: str, side: str = "R") -> Diagram:
         new = [(e, a, (k, 0)), (top + 1, (k, 3), b), (top + 2, (k, 1), (k, 2))]
     else:
         new = [(e, a, (k, 0)), (top + 1, (k, 1), b), (top + 2, (k, 2), (k, 3))]
-    return Diagram(crossings, _normalize_edges(rest + new), d.free_loops)
+    return Diagram(crossings, rest + new, d.free_loops)
 
 
 def r1_remove(d: Diagram, p: int) -> Diagram:
@@ -158,7 +158,7 @@ def r2_add_at(d: Diagram, dart1: Dart, dart2: Dart, over_first: bool = True) -> 
     ]
     over_v = not over_first  # strand 1 runs through the U ports of both crossings
     crossings = d.crossings + (Crossing(over_v), Crossing(over_v))
-    return Diagram(crossings, _normalize_edges(rest + new), d.free_loops)
+    return Diagram(crossings, rest + new, d.free_loops)
 
 
 def r2_add(d: Diagram, e1: int, e2: int, over_first: bool = True) -> Diagram:
@@ -171,34 +171,16 @@ def r2_add(d: Diagram, e1: int, e2: int, over_first: bool = True) -> Diagram:
     raise MoveSiteError(f"edges {e1} and {e2} do not share a face")
 
 
-def bigon_sites(d: Diagram) -> tuple[tuple[int, int], ...]:
-    """Crossing pairs (u, v) of removable R2 bigons."""
-    out = []
-    for face in d.faces():
-        if len(face) != 2:
-            continue
-        (ea, ha), (eb, hb) = face
-        u, v = ha[0], hb[0]
-        if u == v or ea == eb:
-            continue
-        # side edge ea sits at port ha[1] of u and at the tail of the
-        # first dart, i.e. port (hb[1]+1) of v
-        if _is_over(d, u, ha[1]) == _is_over(d, v, (hb[1] + 1) % 4):
-            out.append((min(u, v), max(u, v)))
-    return tuple(sorted(set(out)))
-
-
-def first_bigon(d: Diagram) -> tuple[int, int] | None:
-    """One ``bigon_sites`` pair, or None when there is none, found in one
-    pass over the port array without tracing any face.
+def _bigon_scan(d: Diagram) -> Iterator[tuple[int, int]]:
+    """Crossing pairs (u, v), u < v, of removable R2 bigons, each met
+    once per bounding port, found in one pass over the port array
+    without tracing any face.
 
     Port ``i`` of ``u`` bounds a 2-gon face when the edge at port
     ``i + 1`` ends at port ``j`` of another crossing ``v`` and the edge
     at port ``i`` ends at port ``j + 1`` of ``v``; the bigon is
     removable when that side strand is over (or under) at both ends.
     """
-    if d.c < 2:
-        return None
     far = d._proj.far_ports
     for x, fx in enumerate(far):  # x = 4u + i, and x - 3 or x + 1 is 4u + (i + 1) % 4
         u = x >> 2
@@ -207,8 +189,17 @@ def first_bigon(d: Diagram) -> tuple[int, int] | None:
         if v == u or fx != (y - 3 if y & 3 == 3 else y + 1):
             continue
         if _is_over(d, u, x & 3) == _is_over(d, v, (y + 1) & 3):
-            return (min(u, v), max(u, v))
-    return None
+            yield (min(u, v), max(u, v))
+
+
+def bigon_sites(d: Diagram) -> tuple[tuple[int, int], ...]:
+    """Crossing pairs (u, v) of removable R2 bigons."""
+    return tuple(sorted(set(_bigon_scan(d))))
+
+
+def first_bigon(d: Diagram) -> tuple[int, int] | None:
+    """The first ``bigon_sites`` pair the port scan meets, or None."""
+    return next(_bigon_scan(d), None)
 
 
 def r2_remove(d: Diagram, u: int, v: int) -> Diagram:
@@ -273,7 +264,7 @@ def r3_apply(d: Diagram, face: Sequence[Dart], slider: int) -> Diagram:
     edges = [
         (label, sub.get(a, a), sub.get(b, b)) for label, a, b in d.edges
     ]
-    return Diagram(d.crossings, _normalize_edges(edges), d.free_loops)
+    return Diagram(d.crossings, edges, d.free_loops)
 
 
 # ----------------------------------------------------------------------

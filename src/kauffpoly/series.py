@@ -19,6 +19,7 @@ disjoint union, while connected sum is plainly multiplicative.
 
 from __future__ import annotations
 
+import itertools
 from typing import Sequence
 
 from .coeffs import Cache, CoeffTable, coeff_table
@@ -83,15 +84,13 @@ def check_product_laws(
     d: Diagram,
     d2: Diagram,
     *,
-    edges: Sequence[tuple[EdgeRef, EdgeRef]] | None = None,
     budget: int | None = None,
     cache: Cache | None = None,
 ) -> bool:
     """Connected sums multiply L; disjoint unions pick up the unlink factor.
 
-    ``edges`` limits which summing-edge pairs are tried; by default every
-    pair of cut sites (all edges, plus a free loop when present) is
-    tested.
+    Every pair of cut sites (all edges, plus a free loop when present)
+    is tested.
     """
     left = kauffman_L(d, budget=budget, cache=cache)
     right = kauffman_L(d2, budget=budget, cache=cache)
@@ -100,15 +99,13 @@ def check_product_laws(
     if kauffman_L(disjoint_union(d, d2), budget=budget, cache=cache) != unlink_factor() * product:
         return False
 
-    if edges is None:
-        refs: list[EdgeRef] = list(d.edge_labels())
-        refs2: list[EdgeRef] = list(d2.edge_labels())
-        if d.free_loops:
-            refs.append(None)
-        if d2.free_loops:
-            refs2.append(None)
-        edges = [(e, e2) for e in refs for e2 in refs2]
-    for e, e2 in edges:
+    refs: list[EdgeRef] = list(d.edge_labels())
+    refs2: list[EdgeRef] = list(d2.edge_labels())
+    if d.free_loops:
+        refs.append(None)
+    if d2.free_loops:
+        refs2.append(None)
+    for e, e2 in itertools.product(refs, refs2):
         summed = connected_sum(d, d2, e, e2)
         if kauffman_L(summed, budget=budget, cache=cache) != product:
             return False

@@ -12,6 +12,12 @@ base case of the coefficient recursion.
 Base points live on edges, between crossings: a purely combinatorial
 diagram has no finer positions.  Free-loop components carry a single
 trivial base choice.
+
+The canonical base starts each component where its own traversal
+starts, so it is valid by construction: under it the traversal is the
+components' orbits as they are, and it is never validated.  There is
+no first-encounter memo; a base a caller hands in is validated and
+walked on every call.
 """
 
 from __future__ import annotations
@@ -62,20 +68,19 @@ def validate_base(d: Diagram, base: BaseSequence) -> None:
 
 
 def canonical_base(d: Diagram) -> BaseSequence:
-    """Deterministic base: per component, its lowest edge heading at the
-    lower endpoint.  Depends only on the underlying projection, never on
-    over/under data, so crossing changes preserve it; it is computed
-    once per projection."""
+    """Deterministic base: per component, where its own traversal starts
+    (its lowest edge heading at the lower endpoint).  Depends only on the
+    underlying projection, never on over/under data, so crossing changes
+    preserve it; it is computed once per projection.  It is valid by
+    construction, so the functions below never validate it."""
     proj = d._proj
     if proj.base is None:
-        entries = []
-        for k, comp in enumerate(d.components):
-            if comp.loop_index is not None:
-                entries.append(BaseEntry(k, None, None))
-            else:
-                edge = comp.edges[0]
-                entries.append(BaseEntry(k, edge, min(d.edge_map[edge])))
-        proj.base = BaseSequence(tuple(entries))
+        proj.base = BaseSequence(
+            tuple(
+                BaseEntry(k, *comp.orbit[0]) if comp.orbit else BaseEntry(k, None, None)
+                for k, comp in enumerate(d.components)
+            )
+        )
     return proj.base
 
 
@@ -100,26 +105,22 @@ def first_encounter(d: Diagram, base: BaseSequence) -> tuple[tuple[int, int], ..
     """Crossings in order of first visit, with the parity of the strand
     (0 for U, 1 for V) met first.
 
-    The traversal never looks at over/under data, so the result is
-    unchanged by crossing changes and is kept on the projection, keyed
-    by the base; only a base that has passed ``validate_base`` on this
-    projection is ever a key.
+    Under the canonical base this walks each component's own orbit;
+    any other base is validated and walked afresh.
     """
-    memo = d._proj.encounters
-    order = memo.get(base)
-    if order is None:
+    if base == d._proj.base:
+        orbits = [comp.orbit for comp in d.components]
+    else:
         validate_base(d, base)
-        seen: set[int] = set()
-        found: list[tuple[int, int]] = []
-        for entry in base:
-            if entry.edge is None:
-                continue
-            for _, (ci, pi) in d.orbit_from(entry.edge, entry.toward):
-                if ci not in seen:
-                    seen.add(ci)
-                    found.append((ci, pi % 2))
-        order = memo[base] = tuple(found)
-    return order
+        orbits = [d.orbit_from(e.edge, e.toward) for e in base if e.edge is not None]
+    seen: set[int] = set()
+    found: list[tuple[int, int]] = []
+    for orbit in orbits:
+        for _, (ci, pi) in orbit:
+            if ci not in seen:
+                seen.add(ci)
+                found.append((ci, pi % 2))
+    return tuple(found)
 
 
 def warping_order(d: Diagram, base: BaseSequence) -> tuple[int, ...]:
@@ -140,12 +141,11 @@ def is_monotone(d: Diagram, base: BaseSequence) -> bool:
 
 def base_orientation(d: Diagram, base: BaseSequence) -> tuple[int, ...]:
     """Per-component direction signs induced by the base directions,
-    relative to each component's canonical traversal.  A base that is a
-    key of the projection's first-encounter memo has passed
-    ``validate_base`` already and is not checked again."""
-    if base not in d._proj.encounters:
-        validate_base(d, base)
+    relative to each component's canonical traversal."""
     signs = [1] * len(d.components)
+    if base == d._proj.base:
+        return tuple(signs)
+    validate_base(d, base)
     for entry in base:
         if entry.edge is None:
             continue

@@ -22,6 +22,7 @@ from kauffpoly.diagram import (
 from kauffpoly.catalog import CATALOG
 from kauffpoly.coeffs import coeff_table
 from kauffpoly.moves import random_diagram
+from kauffpoly.verification import verify_diagram
 from kauffpoly.warping import canonical_base, enumerate_bases, first_encounter
 
 UNKNOT = "O"
@@ -92,8 +93,25 @@ class TestParse:
             parse_pd("X(0,1,1,0)")
 
     def test_empty_input(self):
-        d = parse_pd("")
-        assert (d.c, d.r, d.free_loops) == (0, 0, 0)
+        with pytest.raises(PDSyntaxError, match="empty diagram"):
+            parse_pd("")
+
+    def test_non_planar_input(self):
+        # crossing 1 joins opposite ports: that piece has V - E + F = 1 - 2 + 1
+        with pytest.raises(PDSyntaxError, match="not planar"):
+            parse_pd("X(1,1,2,2) X(4,3,4,3)")
+
+    def test_verify_reports_a_non_planar_diagram(self):
+        edges = [
+            (1, (0, 0), (0, 1)),
+            (2, (0, 2), (0, 3)),
+            (3, (1, 1), (1, 3)),
+            (4, (1, 0), (1, 2)),
+        ]
+        d = Diagram((Crossing(True), Crossing(True)), edges)
+        checks = verify_diagram(d)["checks"]
+        assert not checks["planar_rotation_system"]
+        assert not checks["pd_roundtrip"]
 
     def test_roundtrip_exact_for_parsed(self):
         for pd in (UNKNOT, KINK, HOPF, TREFOIL, FIGURE8, "O O X(1,2,2,1)"):

@@ -160,6 +160,39 @@ class TestR2:
                     missing += 1
         assert found and missing
 
+    def test_bigon_sites_match_the_face_reference(self):
+        found = 0
+        for seed in range(80):
+            d = random_diagram(seed, 10, walk_steps=20)
+            variants = [d, d.mirror()] + [d.crossing_change(p) for p in range(d.c)]
+            variants += [d.splice(p, kind) for p in range(d.c) for kind in "AB"]
+            for variant in variants:
+                sites = bigon_sites(variant)
+                assert sites == face_bigon_sites(variant), (seed, variant.to_pd())
+                found += bool(sites)
+        assert found > 100
+
+
+def face_bigon_sites(d: Diagram) -> tuple[tuple[int, int], ...]:
+    """Removable R2 bigons traced face by face: the reference for the
+    port scan behind ``bigon_sites`` and ``first_bigon``."""
+    def over(ci, pi):
+        return (pi % 2 == 1) == d.crossings[ci].over_v
+
+    out = []
+    for face in d.faces():
+        if len(face) != 2:
+            continue
+        (ea, ha), (eb, hb) = face
+        u, v = ha[0], hb[0]
+        if u == v or ea == eb:
+            continue
+        # side edge ea sits at port ha[1] of u and at the tail of the
+        # first dart, i.e. port (hb[1]+1) of v
+        if over(u, ha[1]) == over(v, (hb[1] + 1) % 4):
+            out.append((min(u, v), max(u, v)))
+    return tuple(sorted(set(out)))
+
 
 class TestR3:
     def test_alternating_triangles_are_inadmissible(self):

@@ -4,8 +4,14 @@ import itertools
 
 import pytest
 
+import kauffpoly.coeffs
+import kauffpoly.oracle
+import kauffpoly.warping
+from kauffpoly.coeffs import coeff_table, coeff_table_with_base
 from kauffpoly.diagram import Diagram, DiagramError, parse_pd
 from kauffpoly.moves import random_diagram
+from kauffpoly.oracle import oracle_L
+from kauffpoly.series import kauffman_L
 from kauffpoly.warping import (
     BaseEntry,
     BaseSequence,
@@ -142,6 +148,45 @@ class TestBases:
         hopf = parse_pd(HOPF)
         base = canonical_base(hopf)
         validate_base(hopf, BaseSequence(tuple(reversed(base.entries))))
+
+
+class TestValidationAtTheBoundary:
+    """The canonical base is valid by construction; only a base a caller
+    hands in is validated."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        count = [0]
+
+        def counting(d, base):
+            count[0] += 1
+            validate_base(d, base)
+
+        for module in (kauffpoly.warping, kauffpoly.coeffs, kauffpoly.oracle):
+            monkeypatch.setattr(module, "validate_base", counting)
+        return count
+
+    def test_canonical_recursion_validates_nothing(self, calls):
+        for seed in range(6):
+            d = random_diagram(seed, 7)
+            coeff_table(d)
+            kauffman_L(d)
+            oracle_L(d)
+        assert calls[0] == 0
+
+    def test_caller_base_is_validated(self, calls):
+        tre = parse_pd(TREFOIL)
+        base = next(b for b in enumerate_bases(tre) if b != canonical_base(tre))
+        assert coeff_table_with_base(tre, base) == coeff_table(tre)
+        assert calls[0] >= 1
+
+    def test_invalid_base_raises(self):
+        hopf = parse_pd(HOPF)
+        canonical_base(hopf)
+        trefoil_base = canonical_base(parse_pd(TREFOIL))
+        for walk in (first_encounter, base_orientation):
+            with pytest.raises(DiagramError):
+                walk(hopf.crossing_change(0), trefoil_base)
 
 
 class TestOrientation:
