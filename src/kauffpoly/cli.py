@@ -100,7 +100,7 @@ def _emit(obj) -> None:
 
 def _cmd_coeffs(args) -> int:
     budget = args.budget
-    cache = {} if args.cache else None
+    cache = {}
     for _, d in _gather_inputs(args):
         table = coeff_table(d, budget=budget, cache=cache)
         base = canonical_base(d)
@@ -118,8 +118,8 @@ def _cmd_coeffs(args) -> int:
 
 def _cmd_kauffman(args) -> int:
     budget = args.budget
-    cache = {} if args.cache else None
-    oracle_cache = {} if args.cache else None
+    cache = {}
+    oracle_cache = {}
     for _, d in _gather_inputs(args):
         orientation = _parse_orientation(args.orient, d.r)
         L = kauffman_L(d, budget=budget, cache=cache)
@@ -139,8 +139,8 @@ def _cmd_kauffman(args) -> int:
 
 def _cmd_verify(args) -> int:
     budget = args.budget
-    cache = {} if args.cache else None
-    oracle_cache = {} if args.cache else None
+    cache = {}
+    oracle_cache = {}
     ok = True
     if args.catalog:
         all_ok, reports = verify_catalog(
@@ -171,7 +171,7 @@ def _cmd_fuzz(args) -> int:
     if args.steps < 0:
         raise _UsageError(f"--steps must be nonnegative, got {args.steps}")
     budget = args.budget
-    cache = {} if args.cache else None
+    cache = {}
     start_name = args.start
     entry = _catalog.get(start_name)
     start = entry.diagram()
@@ -231,12 +231,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         help="recursion node budget (default: KAUFFPOLY_BUDGET or %d)" % DEFAULT_BUDGET,
-    )
-    parser.add_argument(
-        "--no-cache",
-        dest="cache",
-        action="store_false",
-        help="disable the diagram memo cache (results are identical, just slower)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 

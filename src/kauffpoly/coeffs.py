@@ -48,15 +48,16 @@ assembled from theirs.  A caller-supplied base
 The independent evaluator in :mod:`kauffpoly.oracle` deliberately uses
 none of the three laws.
 
-All functions are pure; the optional cache maps the shape code of each
-core (:meth:`kauffpoly.diagram.Diagram.shape_code`) to its finished
-table and may be shared freely (results are identical with or without
-it, which the test suite checks).  Keying on the shape code is sound
-because each entry ``T[n]`` is a coefficient of the Kauffman polynomial,
-a link invariant: two cores with one code are the same diagram up to
-edge labels, crossing order and port numbering, so they have one
-table.  A core that comes back under other labels is found, not
-expanded again.  Without a cache no shape code is computed.
+All functions are pure.  Every call memoises: the memo maps the shape
+code of each core (:meth:`kauffpoly.diagram.Diagram.shape_code`) to its
+finished table, so a call expands each distinct core once and the
+budget counts distinct cores.  A caller may pass its own memo as
+``cache`` to share it across calls; otherwise the call makes a fresh
+one.  Keying on the shape code is sound because each entry ``T[n]`` is
+a coefficient of the Kauffman polynomial, a link invariant: two cores
+with one code are the same diagram up to edge labels, crossing order
+and port numbering, so they have one table.  A core that comes back
+under other labels is found, not expanded again.
 """
 
 from __future__ import annotations
@@ -105,20 +106,19 @@ class BudgetExceededError(RuntimeError):
         )
 
 
-class _Budget:
-    """Nodes left to expand, and the diagram of the whole call; without
-    one, the first diagram charged stands for it."""
+class _Run:
+    """One call of a recursion: the diagram it was asked about, the
+    nodes it may still expand, and its memo of finished results."""
 
-    __slots__ = ("remaining", "limit", "top")
+    __slots__ = ("top", "limit", "remaining", "memo")
 
-    def __init__(self, limit: int, top: Diagram | None = None):
-        self.remaining = limit
-        self.limit = limit
+    def __init__(self, top: Diagram, budget: int | None, memo: MutableMapping | None):
         self.top = top
+        self.limit = DEFAULT_BUDGET if budget is None else budget
+        self.remaining = self.limit
+        self.memo = {} if memo is None else memo
 
     def spend(self, d: Diagram) -> None:
-        if self.top is None:
-            self.top = d
         self.remaining -= 1
         if self.remaining < 0:
             raise BudgetExceededError(self.top, self.limit, d)
@@ -160,13 +160,7 @@ def _monotone_table(d: Diagram, base: BaseSequence) -> CoeffTable:
     return CoeffTable.from_dict({n: monotone_coeff(w, n, r) for n in range(r)})
 
 
-def _expand(
-    d: Diagram,
-    base: BaseSequence,
-    pick: int | None,
-    budget: _Budget,
-    cache: Cache | None,
-) -> CoeffTable:
+def _expand(d: Diagram, base: BaseSequence, pick: int | None, run: _Run) -> CoeffTable:
     warping = warping_order(d, base)
     if pick is not None and pick not in warping:
         raise DiagramError(f"crossing {pick} is not a warping crossing of this base")
@@ -174,13 +168,13 @@ def _expand(
         return _monotone_table(d, base)
     p = warping[0] if pick is None else pick
 
-    flipped = _table(d.crossing_change(p), budget, cache)
+    flipped = _table(d.crossing_change(p), run)
     da = d.splice(p, "A")
     db = d.splice(p, "B")
     shift_a = 1 - (da.r - d.r)
     shift_b = 1 - (db.r - d.r)
-    ta = _table(da, budget, cache)
-    tb = _table(db, budget, cache)
+    ta = _table(da, run)
+    tb = _table(db, run)
     return -flipped + ta.shift_z(shift_a) + tb.shift_z(shift_b)
 
 
@@ -209,22 +203,18 @@ def _cores(d: Diagram) -> tuple[int, int, tuple[Diagram, ...]]:
     return kinks, d.free_loops, d.piece_diagrams()
 
 
-def _core_table(d: Diagram, budget: _Budget, cache: Cache | None) -> CoeffTable:
-    if cache is not None:
-        key = d.shape_code()
-        hit = cache.get(key)
-        if hit is not None:
-            return hit
-    budget.spend(d)
-    result = _expand(d, canonical_base(d), None, budget, cache)
-    if cache is not None:
-        cache[key] = result
-    return result
+def _core_table(d: Diagram, run: _Run) -> CoeffTable:
+    key = d.shape_code()
+    table = run.memo.get(key)
+    if table is None:
+        run.spend(d)
+        table = run.memo[key] = _expand(d, canonical_base(d), None, run)
+    return table
 
 
-def _table(d: Diagram, budget: _Budget, cache: Cache | None) -> CoeffTable:
+def _table(d: Diagram, run: _Run) -> CoeffTable:
     kinks, loops, cores = _cores(d)
-    tables = [_core_table(core, budget, cache) for core in cores] + [_FREE_LOOP] * loops
+    tables = [_core_table(core, run) for core in cores] + [_FREE_LOOP] * loops
     table = tables[0]
     for other in tables[1:]:
         table = table * other * _SPLIT_FACTOR
@@ -246,12 +236,12 @@ def coeff_table(
         Cap on recursion nodes (default ``DEFAULT_BUDGET``); exceeding it
         raises :class:`BudgetExceededError`.
     cache : mutable mapping, optional
-        Memo from the shape code of each core to its table, shared
-        across calls at the caller's discretion.  Relabelled copies of a
-        core share its entry, which is sound because the table is a link
-        invariant.  Off by default.
+        Memo from the shape code of each core to its table, to share
+        across calls; without one the call memoises in a fresh dict.
+        Relabelled copies of a core share its entry, which is sound
+        because the table is a link invariant.
     """
-    return _table(d, _Budget(DEFAULT_BUDGET if budget is None else budget, d), cache)
+    return _table(d, _Run(d, budget, cache))
 
 
 def coeff_table_with_base(
@@ -270,9 +260,9 @@ def coeff_table_with_base(
     which lets tests confirm that every choice yields the same table.
     """
     validate_base(d, base)
-    b = _Budget(DEFAULT_BUDGET if budget is None else budget)
-    b.spend(d)
-    return _expand(d, base, warping_crossing, b, cache)
+    run = _Run(d, budget, cache)
+    run.spend(d)
+    return _expand(d, base, warping_crossing, run)
 
 
 def skein_check(
@@ -286,15 +276,14 @@ def skein_check(
     the tables of the diagram and its flip sum to the shifted tables of
     the two splices."""
     d._check_crossing(p)
-    b = DEFAULT_BUDGET if budget is None else budget
-    lhs = coeff_table(d, budget=b, cache=cache) + coeff_table(
-        d.crossing_change(p), budget=b, cache=cache
-    )
+
+    def table(x: Diagram) -> CoeffTable:
+        return coeff_table(x, budget=budget, cache=cache)
+
     da = d.splice(p, "A")
     db = d.splice(p, "B")
-    rhs = coeff_table(da, budget=b, cache=cache).shift_z(1 - (da.r - d.r)) + coeff_table(
-        db, budget=b, cache=cache
-    ).shift_z(1 - (db.r - d.r))
+    lhs = table(d) + table(d.crossing_change(p))
+    rhs = table(da).shift_z(1 - (da.r - d.r)) + table(db).shift_z(1 - (db.r - d.r))
     if lhs != rhs:
         logger.warning(
             "four-term relation fails at crossing %d of %s: lhs=%s rhs=%s",

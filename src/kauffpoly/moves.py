@@ -63,12 +63,17 @@ def kink_rule(d: Diagram, site: tuple[int, int, tuple[int, int]]) -> tuple[int, 
     return (-1 if over_v else 1), "B"
 
 
-def kink_sign(d: Diagram, p: int) -> int:
-    """Sign of a kink crossing; independent of traversal direction."""
+def _kink_rule_at(d: Diagram, p: int) -> tuple[int, str]:
+    """``kink_rule`` of the kink at crossing ``p``."""
     for site in kink_sites(d):
         if site[0] == p:
-            return kink_rule(d, site)[0]
+            return kink_rule(d, site)
     raise MoveSiteError(f"crossing {p} is not a kink")
+
+
+def kink_sign(d: Diagram, p: int) -> int:
+    """Sign of a kink crossing; independent of traversal direction."""
+    return _kink_rule_at(d, p)[0]
 
 
 def r1_add(d: Diagram, e: EdgeRef, chirality: str, side: str = "R") -> Diagram:
@@ -109,10 +114,7 @@ def r1_add(d: Diagram, e: EdgeRef, chirality: str, side: str = "R") -> Diagram:
 
 def r1_remove(d: Diagram, p: int) -> Diagram:
     """Undo a kink at crossing ``p``."""
-    for site in kink_sites(d):
-        if site[0] == p:
-            return d.splice(p, kink_rule(d, site)[1])
-    raise MoveSiteError(f"crossing {p} is not a kink")
+    return d.splice(p, _kink_rule_at(d, p)[1])
 
 
 # ----------------------------------------------------------------------

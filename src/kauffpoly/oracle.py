@@ -12,12 +12,15 @@ machinery, which is exactly the part most likely to harbor bugs.  Both
 pipelines satisfy the same skein axioms and normalization, so they must
 agree on every diagram; ``uniqueness_check`` asserts that equality.
 
-Leaves share their powers of ``d``: each ``oracle_L`` call builds
-``d^k`` once, when a leaf first needs it, and keeps the powers on the
-object it passes down the recursion with the node budget.  A leaf then
-only shifts its power of ``d`` by ``y^w``.  The recursion itself, its
-base choice and its freedom from the kink and disjoint-union laws do
-not depend on this.
+Each ``oracle_L`` call carries one run object down the recursion: its
+node budget, its memo and the powers of ``d`` its leaves share.  The
+memo maps each labelled diagram to its value, so a call expands each
+diagram it meets once; a caller may pass its own memo as ``cache`` to
+share it across calls.  It is keyed by the diagram itself, not by the
+table engine's shape code, so that this path stays separate.  A leaf
+builds ``d^k`` once, when it first needs it, and then only shifts it by
+``y^w``.  The recursion itself, its base choice and its freedom from
+the kink, bigon and disjoint-union laws do not depend on either.
 
 The diagram and warping plumbing is shared with the rest of the package:
 duplicating it would add risk without adding independence where it
@@ -28,7 +31,7 @@ from __future__ import annotations
 
 from typing import MutableMapping
 
-from .coeffs import DEFAULT_BUDGET, _Budget
+from .coeffs import _Run
 from .diagram import Diagram
 from .laurent import BivariatePoly
 from .series import kauffman_L, unlink_factor
@@ -43,14 +46,14 @@ from .warping import (
 OracleCache = MutableMapping[Diagram, BivariatePoly]
 
 
-class _OracleRun(_Budget):
-    """One ``oracle_L`` call: its node budget and the powers of ``d``
-    that its leaves share."""
+class _OracleRun(_Run):
+    """One ``oracle_L`` call: a run that also keeps the powers of ``d``
+    its leaves share."""
 
     __slots__ = ("d_powers",)
 
-    def __init__(self, limit: int):
-        super().__init__(limit)
+    def __init__(self, top: Diagram, budget: int | None, memo: OracleCache | None):
+        super().__init__(top, budget, memo)
         self.d_powers = [BivariatePoly.one()]
 
     def d_power(self, k: int) -> BivariatePoly:
@@ -60,32 +63,23 @@ class _OracleRun(_Budget):
         return powers[k]
 
 
-def _oracle_step(
-    d: Diagram, base: BaseSequence, budget: _OracleRun, cache: OracleCache | None
-) -> BivariatePoly:
+def _oracle_step(d: Diagram, base: BaseSequence, run: _OracleRun) -> BivariatePoly:
     warping = warping_order(d, base)
     if not warping:
         w = d.writhe(base_orientation(d, base))
-        return budget.d_power(d.r - 1).shift_y(w)
+        return run.d_power(d.r - 1).shift_y(w)
     p = warping[0]
     return (
-        -_oracle(d.crossing_change(p), budget, cache)
-        + (
-            _oracle(d.splice(p, "A"), budget, cache)
-            + _oracle(d.splice(p, "B"), budget, cache)
-        ).shift_z(1)
+        -_oracle(d.crossing_change(p), run)
+        + (_oracle(d.splice(p, "A"), run) + _oracle(d.splice(p, "B"), run)).shift_z(1)
     )
 
 
-def _oracle(d: Diagram, budget: _OracleRun, cache: OracleCache | None) -> BivariatePoly:
-    if cache is not None:
-        hit = cache.get(d)
-        if hit is not None:
-            return hit
-    budget.spend(d)
-    value = _oracle_step(d, canonical_base(d), budget, cache)
-    if cache is not None:
-        cache[d] = value
+def _oracle(d: Diagram, run: _OracleRun) -> BivariatePoly:
+    value = run.memo.get(d)
+    if value is None:
+        run.spend(d)
+        value = run.memo[d] = _oracle_step(d, canonical_base(d), run)
     return value
 
 
@@ -96,7 +90,7 @@ def oracle_L(
     cache: OracleCache | None = None,
 ) -> BivariatePoly:
     """Regular-isotopy Kauffman polynomial by whole-polynomial recursion."""
-    return _oracle(d, _OracleRun(DEFAULT_BUDGET if budget is None else budget), cache)
+    return _oracle(d, _OracleRun(d, budget, cache))
 
 
 def oracle_L_with_base(
@@ -109,9 +103,9 @@ def oracle_L_with_base(
     """Oracle value with the top-level monotone test and warping choice
     driven by a caller-supplied base; must equal :func:`oracle_L`."""
     validate_base(d, base)
-    b = _OracleRun(DEFAULT_BUDGET if budget is None else budget)
-    b.spend(d)
-    return _oracle_step(d, base, b, cache)
+    run = _OracleRun(d, budget, cache)
+    run.spend(d)
+    return _oracle_step(d, base, run)
 
 
 def uniqueness_check(

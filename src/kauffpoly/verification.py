@@ -13,8 +13,8 @@ import random
 from typing import Mapping
 
 from .catalog import CATALOG, CatalogEntry
-from .coeffs import Cache, coeff_table, coeff_table_with_base, skein_check
-from .diagram import Diagram, DiagramError
+from .coeffs import Cache, CoeffTable, coeff_table, coeff_table_with_base, skein_check
+from .diagram import Diagram, DiagramError, parse_pd
 from .laurent import LaurentPoly
 from .moves import r1_add
 from .oracle import OracleCache, agree_at_y_one, oracle_L, uniqueness_check
@@ -36,7 +36,9 @@ BASE_SAMPLE = 16
 PRODUCT_PARTNERS = ("kink_pos", "kink_neg", "hopf", "trefoil")
 
 
-def check_tag(d: Diagram, tag: str) -> bool:
+def check_tag(
+    d: Diagram, tag: str, *, budget: int | None = None, cache: Cache | None = None
+) -> bool:
     """Evaluate one catalog property tag."""
     if tag.startswith("r="):
         return d.r == int(tag[2:])
@@ -47,7 +49,7 @@ def check_tag(d: Diagram, tag: str) -> bool:
     if tag == "monotone":
         return is_monotone(d, canonical_base(d))
     if tag == "amphichiral":
-        f = kauffman_F(d, (1,) * d.r)
+        f = kauffman_F(d, (1,) * d.r, budget=budget, cache=cache)
         return f == f.subst_y_inverse()
     raise ValueError(f"unknown catalog tag {tag!r}")
 
@@ -69,12 +71,15 @@ def verify_diagram(
     cache: Cache | None = None,
     oracle_cache: OracleCache | None = None,
 ) -> dict:
-    """Run the full single-diagram check suite and return a report."""
+    """Run the full single-diagram check suite and return a report; its
+    checks share one memo per pipeline unless the caller passes them."""
+    cache = {} if cache is None else cache
+    oracle_cache = {} if oracle_cache is None else oracle_cache
     checks: dict[str, bool] = {}
     table = coeff_table(d, budget=budget, cache=cache)
 
     checks["planar_rotation_system"] = d.is_planar()
-    checks["pd_roundtrip"] = _pd_roundtrip_ok(d)
+    checks["pd_roundtrip"] = _pd_roundtrip_ok(d, table, budget, cache)
 
     bounds = table.support_bounds()
     checks["support_lower_bound"] = bounds is None or bounds[0] >= 0
@@ -112,7 +117,7 @@ def verify_diagram(
     checks["kink_scaling"] = _kink_scaling_ok(d, budget, cache)
 
     for tag in tags:
-        checks[f"tag:{tag}"] = check_tag(d, tag)
+        checks[f"tag:{tag}"] = check_tag(d, tag, budget=budget, cache=cache)
 
     return {
         "name": name or d.to_pd() or "(empty)",
@@ -125,14 +130,16 @@ def verify_diagram(
     }
 
 
-def _pd_roundtrip_ok(d: Diagram) -> bool:
-    from .diagram import parse_pd
-
+def _pd_roundtrip_ok(d: Diagram, table: CoeffTable, budget, cache) -> bool:
+    """``d``'s PD text parses back to the same text and ``d``'s table."""
     try:
         reparsed = parse_pd(d.to_pd())
     except DiagramError:  # PD text cannot carry an empty or non-planar diagram
         return False
-    return reparsed.to_pd() == d.to_pd() and coeff_table(reparsed) == coeff_table(d)
+    return (
+        reparsed.to_pd() == d.to_pd()
+        and coeff_table(reparsed, budget=budget, cache=cache) == table
+    )
 
 
 def _kink_scaling_ok(d: Diagram, budget, cache) -> bool:

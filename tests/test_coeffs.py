@@ -14,7 +14,13 @@ from kauffpoly.coeffs import (
     skein_check,
 )
 from kauffpoly.catalog import CATALOG
-from kauffpoly.diagram import Diagram, DiagramError, disjoint_union, parse_pd
+from kauffpoly.diagram import (
+    Diagram,
+    DiagramError,
+    connected_sum,
+    disjoint_union,
+    parse_pd,
+)
 from kauffpoly.laurent import Y_PLUS_Y_INV, BivariatePoly, LaurentPoly, monotone_coeff
 from kauffpoly.moves import (
     cofacial_dart_pairs,
@@ -339,6 +345,13 @@ class HitCountingCache(dict):
         return value
 
 
+class NeverHits(dict):
+    """A memo that stores but never answers: the unmemoised recursion."""
+
+    def get(self, key, default=None):
+        return None
+
+
 class TestBudgetAndCache:
     def test_budget_exceeded(self):
         with pytest.raises(BudgetExceededError) as err:
@@ -369,11 +382,20 @@ class TestBudgetAndCache:
         shared = HitCountingCache()
         for seed in range(15):
             d = random_diagram(seed, 6)
-            expected = coeff_table(d)
+            expected = coeff_table(d, cache=NeverHits())
+            assert coeff_table(d) == expected
             assert coeff_table(d, cache={}) == expected
             assert coeff_table(d, cache=shared) == expected
         # cores met again under other labels are answered from the cache
         assert shared.hits > 0
+
+    def test_a_call_without_cache_expands_each_core_once(self):
+        f8 = parse_pd(FIGURE8)
+        d = connected_sum(f8, f8)
+        # seven distinct cores; without a memo the tree expands 103 nodes
+        assert coeff_table(d, budget=7) == coeff_table(d, cache=NeverHits())
+        with pytest.raises(BudgetExceededError):
+            coeff_table(d, budget=6)
 
     def test_relabelled_cores_are_not_expanded_again(self):
         cache: dict = {}

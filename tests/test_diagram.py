@@ -7,8 +7,11 @@ under test.
 
 import itertools
 import random
+import re
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from kauffpoly.diagram import (
     Crossing,
@@ -121,6 +124,36 @@ class TestParse:
     def test_json_dump_shape(self):
         d = parse_pd(KINK + " O")
         assert d.to_json_obj() == {"crossings": [[1, 2, 2, 1]], "free_loops": 1}
+
+
+def _walked(seed: int, c: int, mirrored: bool) -> Diagram:
+    d = random_diagram(seed, c, walk_steps=30)
+    return d.mirror() if mirrored else d
+
+
+walked_diagrams = st.builds(_walked, st.integers(0, 10**6), st.integers(1, 10), st.booleans())
+
+
+class TestParseBoundaryProperties:
+    @settings(max_examples=60, deadline=None)
+    @given(walked_diagrams)
+    def test_pd_text_round_trips(self, d):
+        # a parsed diagram has every over flag true, so it equals ``d``
+        # itself only when ``d`` does too; its text and table must match
+        text = d.to_pd()
+        reparsed = parse_pd(text)
+        assert reparsed.to_pd() == text
+        assert coeff_table(reparsed) == coeff_table(d)
+
+    @settings(max_examples=60, deadline=None)
+    @given(walked_diagrams, st.data())
+    def test_a_lone_label_is_rejected(self, d, data):
+        assume(d.c > 0)
+        text = d.to_pd()
+        m = data.draw(st.sampled_from(list(re.finditer(r"\d+", text))))
+        fresh = max(d.edge_labels()) + 1
+        with pytest.raises(PDSyntaxError):
+            parse_pd(text[: m.start()] + str(fresh) + text[m.end() :])
 
 
 class TestDeltaAndSplice:

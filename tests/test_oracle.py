@@ -5,7 +5,7 @@ import itertools
 import pytest
 
 from kauffpoly.coeffs import BudgetExceededError
-from kauffpoly.diagram import Diagram, parse_pd
+from kauffpoly.diagram import Diagram, connected_sum, parse_pd
 from kauffpoly.laurent import BivariatePoly
 from kauffpoly.moves import r1_add, random_diagram
 from kauffpoly.oracle import (
@@ -16,6 +16,14 @@ from kauffpoly.oracle import (
 )
 from kauffpoly.series import unlink_factor
 from kauffpoly.warping import enumerate_bases
+
+
+class NeverHits(dict):
+    """A memo that stores but never answers: the unmemoised recursion."""
+
+    def get(self, key, default=None):
+        return None
+
 
 KINK = "X(1,2,2,1)"
 HOPF = "X(1,4,2,3) X(3,2,4,1)"
@@ -93,4 +101,14 @@ class TestUniqueness:
     def test_cache_matches_reference_path(self):
         for seed in range(10):
             d = random_diagram(seed, 6)
-            assert oracle_L(d, cache={}) == oracle_L(d)
+            expected = oracle_L(d, cache=NeverHits())
+            assert oracle_L(d, cache={}) == expected
+            assert oracle_L(d) == expected
+
+    def test_a_call_without_cache_expands_each_diagram_once(self):
+        f8 = parse_pd(FIGURE8)
+        d = connected_sum(f8, f8)
+        # 269 distinct labelled diagrams; without a memo the tree needs 349
+        assert oracle_L(d, budget=269) == oracle_L(d, cache=NeverHits())
+        with pytest.raises(BudgetExceededError):
+            oracle_L(d, budget=268)
