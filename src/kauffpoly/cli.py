@@ -184,7 +184,8 @@ def _cmd_fuzz(args) -> int:
         L_start = kauffman_L(start, budget=budget, cache=cache)
         L_end = kauffman_L(end, budget=budget, cache=cache)
         scaling_ok = L_end == L_start.shift_y(trace.net_r1)
-        walk_ok = replay_ok and scaling_ok and end.is_planar()
+        planar_ok = end.is_planar()
+        walk_ok = replay_ok and scaling_ok and planar_ok
         ok = ok and walk_ok
         reports.append(
             {
@@ -195,7 +196,7 @@ def _cmd_fuzz(args) -> int:
                 "end_c": end.c,
                 "replay_ok": replay_ok,
                 "L_scaling_ok": scaling_ok,
-                "planar_ok": end.is_planar(),
+                "planar_ok": planar_ok,
                 "trace": trace.to_json_obj(),
             }
         )

@@ -276,6 +276,7 @@ def skein_check(
     the tables of the diagram and its flip sum to the shifted tables of
     the two splices."""
     d._check_crossing(p)
+    cache = {} if cache is None else cache
 
     def table(x: Diagram) -> CoeffTable:
         return coeff_table(x, budget=budget, cache=cache)

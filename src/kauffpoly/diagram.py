@@ -13,8 +13,8 @@ unchanged, and a splice names each merged edge after the smallest label
 it absorbed, which keeps derived diagrams deterministic.
 
 Diagrams that differ only in over flags share their projection data:
-the edge and port maps, the components and strand arrivals, and (filled
-in by :mod:`kauffpoly.warping`) the canonical base.  There is no
+the edge and port maps, the components and strand arrivals, the faces,
+and (filled in by :mod:`kauffpoly.warping`) the canonical base.  There is no
 first-encounter memo: the canonical base is each component's own
 traversal start, so its first-encounter order is read off the orbits.
 ``crossing_change`` and ``mirror`` reuse the validated edges and this
@@ -78,8 +78,9 @@ class _Projection:
     """The data of a diagram that its over flags do not touch.
 
     Every diagram that ``crossing_change`` or ``mirror`` derives from
-    another holds the same instance, so each value here is computed once
-    per projection.  ``base`` is the canonical base, a memo that
+    another holds the same instance, so each value here (the edge and
+    port maps, the components, the faces) is computed once per
+    projection.  ``base`` is the canonical base, a memo that
     :mod:`kauffpoly.warping` fills in; it is each component's
     ``orbit[0]``, valid by construction.
     """
@@ -118,6 +119,28 @@ class _Projection:
             ci, pi = cur[1]
             cur = port_map[(ci, (pi + 2) % 4)]
         return tuple(orbit)
+
+    @cached_property
+    def faces(self) -> tuple[tuple[tuple[int, Port], ...], ...]:
+        port_map = self.port_map
+        out: list[tuple[tuple[int, Port], ...]] = []
+        visited: set[tuple[int, Port]] = set()
+        # edges are sorted by label with a < b, so the darts come out sorted
+        for label, a, b in self.edges:
+            for start in ((label, a), (label, b)):
+                if start in visited:
+                    continue
+                face = []
+                cur = start
+                while True:
+                    face.append(cur)
+                    visited.add(cur)
+                    ci, pi = cur[1]
+                    cur = port_map[(ci, (pi + 1) % 4)]
+                    if cur == start:
+                        break
+                out.append(tuple(face))
+        return tuple(out)
 
     @cached_property
     def components(self) -> tuple[Component, ...]:
@@ -382,26 +405,10 @@ class Diagram:
 
         A face is a cyclic dart sequence; from a dart arriving at port
         (c, i) the face continues along the edge at port (c, i+1 mod 4).
+        Faces are traced once per projection and shared with every
+        crossing change and mirror image.
         """
-        port_map = self.port_map
-        darts = [(label, head) for label, a, b in self.edges for head in (a, b)]
-        darts.sort()
-        out: list[tuple[tuple[int, Port], ...]] = []
-        visited: set[tuple[int, Port]] = set()
-        for start in darts:
-            if start in visited:
-                continue
-            face = []
-            cur = start
-            while True:
-                face.append(cur)
-                visited.add(cur)
-                ci, pi = cur[1]
-                cur = port_map[(ci, (pi + 1) % 4)]
-                if cur == start:
-                    break
-            out.append(tuple(face))
-        return tuple(out)
+        return self._proj.faces
 
     def connected_pieces(self) -> tuple[frozenset[int], ...]:
         """Crossing sets of the connected pieces of the 4-valent graph."""
@@ -514,7 +521,6 @@ class Diagram:
         """Euler check V - E + F = 2 on every connected piece."""
         if self.c == 0:
             return True
-        face_piece: dict[int, int] = {}
         pieces = self.connected_pieces()
         where = {ci: k for k, piece in enumerate(pieces) for ci in piece}
         counts = [0] * len(pieces)

@@ -7,6 +7,13 @@ matching, planarity of the rotation system), every add/remove pair is an
 exact inverse, and walks are fully determined by (start, steps, seed,
 max crossings), so failures replay bit-exactly.
 
+Each walk step draws a move kind among those with a site, then an index
+below that kind's count, and builds only the step at that index.  The
+index draw, ``rng.choice(range(count))``, takes from the seeded stream
+exactly what a draw from the list of that kind's steps would, so walks,
+their traces and every input built from them depend only on the order
+in which each kind's steps are indexed.
+
 Site conventions (ports counterclockwise, face tracing as in
 :meth:`kauffpoly.diagram.Diagram.faces`):
 
@@ -24,7 +31,8 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from itertools import islice
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .diagram import Crossing, Diagram, DiagramError, EdgeRef, Port
 
@@ -348,35 +356,50 @@ def replay(d: Diagram, steps: Iterable[MoveStep]) -> Diagram:
     return d
 
 
-def _candidate_steps(d: Diagram, max_c: int) -> dict[str, list[MoveStep]]:
-    out: dict[str, list[MoveStep]] = {}
+def _r2_add_step(faces: tuple[tuple[Dart, ...], ...], counts: list[int], i: int) -> MoveStep:
+    """Step ``i`` of the R2 additions: dart pair ``i // 2`` in
+    ``cofacial_dart_pairs`` order, sent across on top when ``i`` is even."""
+    j = i >> 1
+    for face, n in zip(faces, counts):
+        if j < n:
+            break
+        j -= n
+    pairs = ((d1, d2) for d1 in face for d2 in face if d1[0] != d2[0])
+    d1, d2 = next(islice(pairs, j, None))
+    return MoveStep("r2_add", (d1, d2, i & 1 == 0))
+
+
+def _move_kinds(d: Diagram, max_c: int) -> dict[str, tuple[int, Callable[[int], MoveStep]]]:
+    """(count, index -> step) for each move kind with at least one site."""
+    out: dict[str, tuple[int, Callable[[int], MoveStep]]] = {}
     if d.c + 1 <= max_c:
         refs: list[EdgeRef] = list(d.edge_labels())
         if d.free_loops:
             refs.append(None)
-        out["r1_add"] = [
-            MoveStep("r1_add", (e, ch, side))
-            for e in refs
-            for ch in ("+", "-")
-            for side in ("L", "R")
-        ]
+        if refs:  # per ref: chirality '+', '-', each on side 'L', 'R'
+            out["r1_add"] = (
+                4 * len(refs),
+                lambda i: MoveStep("r1_add", (refs[i >> 2], "+-"[i >> 1 & 1], "LR"[i & 1])),
+            )
     kinks = kink_sites(d)
     if kinks:
-        out["r1_remove"] = [MoveStep("r1_remove", (ci,)) for ci, _, _ in kinks]
+        out["r1_remove"] = (len(kinks), lambda i: MoveStep("r1_remove", (kinks[i][0],)))
     if d.c + 2 <= max_c:
-        pairs = cofacial_dart_pairs(d)
-        if pairs:
-            out["r2_add"] = [
-                MoveStep("r2_add", (d1, d2, over))
-                for d1, d2 in pairs
-                for over in (True, False)
-            ]
+        faces = d.faces()
+        # a face of m darts on u distinct edges has m^2 - sum of mult(e)^2
+        # ordered pairs of distinct edges; mult(e) is 1 or 2, so that is
+        # m^2 - m - 2 (m - u)
+        counts = [
+            len(face) * (len(face) - 3) + 2 * len({e for e, _ in face}) for face in faces
+        ]
+        if any(counts):
+            out["r2_add"] = (2 * sum(counts), lambda i: _r2_add_step(faces, counts, i))
     bigons = bigon_sites(d)
     if bigons:
-        out["r2_remove"] = [MoveStep("r2_remove", (u, v)) for u, v in bigons]
+        out["r2_remove"] = (len(bigons), lambda i: MoveStep("r2_remove", bigons[i]))
     triangles = r3_sites(d)
     if triangles:
-        out["r3"] = [MoveStep("r3", (face, k)) for face, k in triangles]
+        out["r3"] = (len(triangles), lambda i: MoveStep("r3", triangles[i]))
     return out
 
 
@@ -395,16 +418,19 @@ def random_move_walk(
     crossings; returns the end diagram and a bit-exact replayable trace."""
     if steps < 0:
         raise ValueError("steps must be nonnegative")
+    if not d.c and not d.free_loops:
+        raise DiagramError("cannot walk on an empty diagram")
     rng = random.Random(seed)
     taken: list[MoveStep] = []
     net_r1 = 0
     cur = d
     for _ in range(steps):
-        cands = _candidate_steps(cur, max_c)
-        if not cands:
+        kinds = _move_kinds(cur, max_c)
+        if not kinds:
             continue
-        kind = rng.choice(sorted(cands))
-        step = rng.choice(cands[kind])
+        kind = rng.choice(sorted(kinds))
+        count, step_at = kinds[kind]
+        step = step_at(rng.choice(range(count)))
         net_r1 += _step_r1_delta(cur, step)
         cur = apply_step(cur, step)
         taken.append(step)

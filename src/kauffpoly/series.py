@@ -70,6 +70,7 @@ def check_L_skein(
     bookkeeping, so it exercises that bookkeeping independently.
     """
     d._check_crossing(p)
+    cache = {} if cache is None else cache
     lhs = kauffman_L(d, budget=budget, cache=cache) + kauffman_L(
         d.crossing_change(p), budget=budget, cache=cache
     )

@@ -32,7 +32,7 @@ from kauffpoly.moves import (
     random_move_walk,
 )
 from kauffpoly.oracle import oracle_L
-from kauffpoly.series import kauffman_L
+from kauffpoly.series import check_L_skein, kauffman_L
 from kauffpoly.warping import (
     BaseSequence,
     canonical_base,
@@ -396,6 +396,30 @@ class TestBudgetAndCache:
         assert coeff_table(d, budget=7) == coeff_table(d, cache=NeverHits())
         with pytest.raises(BudgetExceededError):
             coeff_table(d, budget=6)
+
+    @pytest.mark.parametrize("check", [skein_check, check_L_skein])
+    def test_a_skein_check_without_cache_shares_one_memo(self, check, monkeypatch):
+        import kauffpoly.coeffs as coeffs_mod
+
+        calls = [0]
+        real = coeffs_mod._expand
+
+        def counting(*args):
+            calls[0] += 1
+            return real(*args)
+
+        monkeypatch.setattr(coeffs_mod, "_expand", counting)
+        d = CATALOG["figure8_figure8"].diagram()
+        assert check(d, 0, cache={})
+        shared = calls[0]
+        calls[0] = 0
+        assert check(d, 0)
+        assert calls[0] == shared
+        # the four diagrams of the relation share cores: one memo each expands more
+        calls[0] = 0
+        for x in (d, d.crossing_change(0), d.splice(0, "A"), d.splice(0, "B")):
+            coeff_table(x)
+        assert shared < calls[0]
 
     def test_relabelled_cores_are_not_expanded_again(self):
         cache: dict = {}

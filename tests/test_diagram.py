@@ -331,11 +331,56 @@ class TestFaces:
         for seed in range(20):
             assert random_diagram(seed, 7).is_planar()
 
+    def test_faces_shared_by_crossing_changes_and_mirror(self):
+        d = parse_pd(FIGURE8)
+        assert d.faces() is d.crossing_change(0).faces() is d.mirror().faces()
+
+    def test_faces_match_the_dart_loop_reference(self):
+        diagrams = [entry.diagram() for entry in CATALOG.values()]
+        diagrams += [random_diagram(seed, 10, walk_steps=30) for seed in range(60)]
+        for d in diagrams:
+            assert d.faces() == reference_faces(d), d.to_pd()
+
+    def test_is_planar_on_a_non_planar_rotation_system(self):
+        # the rotation system of "X(1,1,2,2) X(4,3,4,3)", which parse_pd rejects
+        edges = [
+            (1, (0, 0), (0, 1)),
+            (2, (0, 2), (0, 3)),
+            (3, (1, 1), (1, 3)),
+            (4, (1, 0), (1, 2)),
+        ]
+        d = Diagram((Crossing(True), Crossing(True)), edges)
+        assert d.faces() == reference_faces(d)
+        assert not d.is_planar()
+        assert not d.crossing_change(1).is_planar()
+
     def test_face_darts_partition(self):
         d = parse_pd(TREFOIL)
         darts = [dart for face in d.faces() for dart in face]
         assert len(darts) == 2 * len(d.edges)
         assert len(set(darts)) == len(darts)
+
+
+def reference_faces(d: Diagram) -> tuple:
+    """Faces traced dart by dart from the sorted dart list: the reference
+    for the face trace shared by a projection."""
+    darts = sorted((label, head) for label, a, b in d.edges for head in (a, b))
+    out = []
+    visited = set()
+    for start in darts:
+        if start in visited:
+            continue
+        face = []
+        cur = start
+        while True:
+            face.append(cur)
+            visited.add(cur)
+            ci, pi = cur[1]
+            cur = d.port_map[(ci, (pi + 1) % 4)]
+            if cur == start:
+                break
+        out.append(tuple(face))
+    return tuple(out)
 
 
 class TestValidation:

@@ -5,7 +5,7 @@ import itertools
 import pytest
 
 from kauffpoly.coeffs import coeff_table
-from kauffpoly.diagram import Diagram, parse_pd
+from kauffpoly.diagram import Diagram, DiagramError, parse_pd
 from kauffpoly.laurent import BivariatePoly
 from kauffpoly.moves import (
     MoveSiteError,
@@ -242,6 +242,10 @@ class TestWalks:
         assert end == parse_pd(TREFOIL)
         assert trace.steps == ()
         assert trace.net_r1 == 0
+
+    def test_empty_diagram_rejected(self):
+        with pytest.raises(DiagramError, match="empty diagram"):
+            random_move_walk(Diagram((), (), 0), 3, 1, 5)
 
     def test_deterministic(self):
         tre = parse_pd(TREFOIL)
