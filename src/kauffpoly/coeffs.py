@@ -68,13 +68,7 @@ from typing import Mapping, MutableMapping
 from .diagram import Diagram, DiagramError
 from .laurent import BivariatePoly, LaurentPoly, monotone_coeff
 from .moves import first_bigon, kink_rule, kink_sites
-from .warping import (
-    BaseSequence,
-    base_orientation,
-    canonical_base,
-    validate_base,
-    warping_order,
-)
+from .warping import BaseSequence, _warping, base_orientation, first_encounter, validate_base
 
 logger = logging.getLogger(__name__)
 
@@ -154,18 +148,22 @@ class CoeffTable(BivariatePoly):
         return "; ".join(f"{n}: {self[n]}" for n in self.z_support()) or "(zero)"
 
 
-def _monotone_table(d: Diagram, base: BaseSequence) -> CoeffTable:
-    w = d.writhe(base_orientation(d, base))
-    r = d.r
-    return CoeffTable.from_dict({n: monotone_coeff(w, n, r) for n in range(r)})
-
-
-def _expand(d: Diagram, base: BaseSequence, pick: int | None, run: _Run) -> CoeffTable:
-    warping = warping_order(d, base)
+def _expand(
+    d: Diagram,
+    encounters: tuple[tuple[int, int], ...],
+    orientation: tuple[int, ...],
+    pick: int | None,
+    run: _Run,
+) -> CoeffTable:
+    """One node under a traversal: its first-encounter order and the
+    component directions it induces."""
+    warping = _warping(d, encounters)
     if pick is not None and pick not in warping:
         raise DiagramError(f"crossing {pick} is not a warping crossing of this base")
     if not warping:
-        return _monotone_table(d, base)
+        w = d.writhe(orientation)
+        r = d.r
+        return CoeffTable.from_dict({n: monotone_coeff(w, n, r) for n in range(r)})
     p = warping[0] if pick is None else pick
 
     flipped = _table(d.crossing_change(p), run)
@@ -208,7 +206,8 @@ def _core_table(d: Diagram, run: _Run) -> CoeffTable:
     table = run.memo.get(key)
     if table is None:
         run.spend(d)
-        table = run.memo[key] = _expand(d, canonical_base(d), None, run)
+        walk = d._proj.walk
+        table = run.memo[key] = _expand(d, walk.encounters, (1,) * walk.r, None, run)
     return table
 
 
@@ -262,7 +261,8 @@ def coeff_table_with_base(
     validate_base(d, base)
     run = _Run(d, budget, cache)
     run.spend(d)
-    return _expand(d, base, warping_crossing, run)
+    orientation = base_orientation(d, base)
+    return _expand(d, first_encounter(d, base), orientation, warping_crossing, run)
 
 
 def skein_check(

@@ -32,6 +32,7 @@ orientations are supplied separately, one direction per component.
 from __future__ import annotations
 
 import re
+from bisect import insort
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, NamedTuple, Sequence
@@ -74,26 +75,50 @@ _B_BRIDGE = (3, 2, 1, 0)
 _STRAIGHT_BRIDGE = (2, 3, 0, 1)
 
 
+class _Walk(NamedTuple):
+    """One pass of the canonical traversal of a projection.
+
+    Each component with crossings is traversed from its lowest edge,
+    heading at that edge's lower port, in the order of those edges.
+    ``encounters`` lists each crossing once, in order of first visit,
+    with the parity of the strand met first (0 for U, 1 for V).
+    ``strands[2c + k]`` is the component of the strand of parity ``k``
+    at crossing ``c``.  ``signs[c]`` is the sign of crossing ``c`` under
+    this traversal's orientation if strand V were over; the actual sign
+    is its negation when U is over, and reversing one of the two
+    strands negates it again.
+    """
+
+    r: int
+    encounters: tuple[tuple[int, int], ...]
+    strands: tuple[int, ...]
+    signs: tuple[int, ...]
+
+
 class _Projection:
     """The data of a diagram that its over flags do not touch.
 
     Every diagram that ``crossing_change`` or ``mirror`` derives from
-    another holds the same instance, so each value here (the edge and
-    port maps, the components, the faces) is computed once per
-    projection.  ``base`` is the canonical base, a memo that
-    :mod:`kauffpoly.warping` fills in; it is each component's
-    ``orbit[0]``, valid by construction.
+    another holds the same instance, so each value here (the port
+    arrays, the canonical traversal, the components, the faces) is
+    computed once per projection.  Port ``(c, i)`` is index ``4c + i``
+    of the flat arrays: ``far_ports`` holds the port at the other end of
+    its edge and ``port_labels`` that edge's label.  ``base`` is the
+    canonical base, a memo that :mod:`kauffpoly.warping` fills in; it is
+    each component's ``orbit[0]``, valid by construction.
     """
 
     def __init__(
         self,
         edges: tuple[tuple[int, Port, Port], ...],
         free_loops: int,
-        port_map: dict[Port, tuple[int, Port]],
+        far_ports: list[int],
+        port_labels: list[int],
     ):
         self.edges = edges
         self.free_loops = free_loops
-        self.port_map = port_map
+        self.far_ports = far_ports
+        self.port_labels = port_labels
         self.base = None
 
     @cached_property
@@ -101,45 +126,69 @@ class _Projection:
         return {label: (a, b) for label, a, b in self.edges}
 
     @cached_property
-    def far_ports(self) -> list[int]:
-        """Port ``(c, i)`` as ``4c + i`` -> the port at the other end of its edge."""
-        far = [0] * len(self.port_map)
-        for (ci, pi), (_, (cj, pj)) in self.port_map.items():
-            far[4 * ci + pi] = 4 * cj + pj
-        return far
+    def port_map(self) -> dict[Port, tuple[int, Port]]:
+        far, labels = self.far_ports, self.port_labels
+        return {(x >> 2, x & 3): (labels[x], (y >> 2, y & 3)) for x, y in enumerate(far)}
 
     def orbit_from(self, edge: int, toward: Port) -> tuple[tuple[int, Port], ...]:
-        port_map = self.port_map
-        start = (edge, toward)
-        orbit = [start]
-        ci, pi = toward
-        cur = port_map[(ci, (pi + 2) % 4)]
-        while cur != start:
-            orbit.append(cur)
-            ci, pi = cur[1]
-            cur = port_map[(ci, (pi + 2) % 4)]
+        far, labels = self.far_ports, self.port_labels
+        start = 4 * toward[0] + toward[1]
+        orbit = [(edge, toward)]
+        x = far[start ^ 2]  # leave through the opposite port of the crossing
+        while x != start:
+            orbit.append((labels[x], (x >> 2, x & 3)))
+            x = far[x ^ 2]
         return tuple(orbit)
 
     @cached_property
+    def walk(self) -> _Walk:
+        far = self.far_ports
+        n = len(far) >> 2
+        passed = [False] * len(far)
+        met = [False] * n
+        encounters: list[tuple[int, int]] = []
+        strands = [0] * (2 * n)
+        arrivals = [0] * (2 * n)
+        k = 0
+        for _, (ca, pa), _ in self.edges:  # sorted by label, a < b: discovery is canonical
+            start = x = 4 * ca + pa
+            if passed[x]:
+                continue
+            while True:
+                passed[x] = passed[x ^ 2] = True
+                ci = x >> 2
+                s = 2 * ci + (x & 1)
+                strands[s] = k
+                arrivals[s] = x
+                if not met[ci]:
+                    met[ci] = True
+                    encounters.append((ci, x & 1))
+                x = far[x ^ 2]
+                if x == start:
+                    break
+            k += 1
+        # V over: +1 when V arrives a counterclockwise quarter turn after U
+        signs = tuple(
+            1 if (arrivals[2 * c + 1] - arrivals[2 * c]) & 3 == 1 else -1 for c in range(n)
+        )
+        return _Walk(k + self.free_loops, tuple(encounters), tuple(strands), signs)
+
+    @cached_property
     def faces(self) -> tuple[tuple[tuple[int, Port], ...], ...]:
-        port_map = self.port_map
+        far, labels = self.far_ports, self.port_labels
         out: list[tuple[tuple[int, Port], ...]] = []
-        visited: set[tuple[int, Port]] = set()
+        visited = [False] * len(far)
         # edges are sorted by label with a < b, so the darts come out sorted
-        for label, a, b in self.edges:
-            for start in ((label, a), (label, b)):
-                if start in visited:
-                    continue
+        for _, a, b in self.edges:
+            for head in (4 * a[0] + a[1], 4 * b[0] + b[1]):
                 face = []
-                cur = start
-                while True:
-                    face.append(cur)
-                    visited.add(cur)
-                    ci, pi = cur[1]
-                    cur = port_map[(ci, (pi + 1) % 4)]
-                    if cur == start:
-                        break
-                out.append(tuple(face))
+                x = head
+                while not visited[x]:  # the face closes at its first dart
+                    visited[x] = True
+                    face.append((labels[x], (x >> 2, x & 3)))
+                    x = far[x + 1 if x & 3 != 3 else x - 3]
+                if face:
+                    out.append(tuple(face))
         return tuple(out)
 
     @cached_property
@@ -156,14 +205,6 @@ class _Projection:
         for i in range(self.free_loops):
             comps.append(Component(edges=(), orbit=(), loop_index=i))
         return tuple(comps)
-
-    @cached_property
-    def strand_arrivals(self) -> dict[tuple[int, int], tuple[int, Port]]:
-        out: dict[tuple[int, int], tuple[int, Port]] = {}
-        for k, comp in enumerate(self.components):
-            for _, (ci, pi) in comp.orbit:
-                out[(ci, pi % 2)] = (k, (ci, pi))
-        return out
 
 
 @dataclass(frozen=True)
@@ -187,33 +228,72 @@ class Diagram:
             sorted((label, a, b) if a < b else (label, b, a) for label, a, b in self.edges)
         )
         object.__setattr__(self, "edges", edges)
+        self._check_and_project()
+
+    @classmethod
+    def _from_sorted(
+        cls, crossings: tuple[Crossing, ...], edges: tuple[tuple[int, Port, Port], ...], loops: int
+    ) -> "Diagram":
+        """A diagram from edges that are already in the canonical storage
+        order, each port pair sorted and the triples sorted by label.
+        Nothing is sorted again, but every check of ``__post_init__``
+        runs."""
+        d = object.__new__(cls)
+        vars(d).update(crossings=crossings, edges=edges, free_loops=loops)
+        d._check_and_project()
+        return d
+
+    def _check_and_project(self) -> None:
+        """Check the canonically stored edges and attach their projection."""
         n = len(self.crossings)
-        port_map: dict[Port, tuple[int, Port]] = {}
+        far = [-1] * (4 * n)
+        labels = [0] * (4 * n)
         last = None
-        for label, a, b in edges:
+        for label, a, b in self.edges:
             if label == last:  # edges are sorted by label
                 raise DiagramError(f"duplicate edge label {label}")
             last = label
-            for p, other in ((a, b), (b, a)):
-                ci, pi = p
-                if not (0 <= ci < n and 0 <= pi < 4):
-                    raise DiagramError(f"edge {label} references missing port {p}")
-                if p in port_map:
-                    raise DiagramError(f"port {p} used by two edges")
-                port_map[p] = (label, other)
-        if len(port_map) != 4 * n:
+            ca, pa = a
+            if not (0 <= ca < n and 0 <= pa < 4):
+                raise DiagramError(f"edge {label} references missing port {a}")
+            x = 4 * ca + pa
+            if far[x] >= 0:
+                raise DiagramError(f"port {a} used by two edges")
+            cb, pb = b
+            if not (0 <= cb < n and 0 <= pb < 4):
+                raise DiagramError(f"edge {label} references missing port {b}")
+            y = 4 * cb + pb
+            far[x] = y
+            if far[y] >= 0:
+                raise DiagramError(f"port {b} used by two edges")
+            far[y] = x
+            labels[x] = labels[y] = label
+        if -1 in far:
             raise DiagramError("some crossing port is not matched by any edge")
         if self.free_loops < 0:
             raise DiagramError("free_loops must be nonnegative")
-        object.__setattr__(self, "_proj", _Projection(edges, self.free_loops, port_map))
+        object.__setattr__(self, "_proj", _Projection(self.edges, self.free_loops, far, labels))
 
     def _with_crossings(self, crossings: tuple[Crossing, ...]) -> "Diagram":
         """This diagram with other over flags.  The edges are the same
-        validated tuple, so there is nothing to check again; the
-        projection and whatever the diagram has cached come along."""
+        validated tuple, so there is nothing to check again, and the
+        projection is shared; nothing the diagram caches for itself,
+        such as its hash, comes along."""
         d = object.__new__(Diagram)
-        vars(d).update(vars(self), crossings=crossings)
+        vars(d).update(
+            crossings=crossings, edges=self.edges, free_loops=self.free_loops, _proj=self._proj
+        )
         return d
+
+    def __hash__(self) -> int:
+        # a memo keyed by diagrams hashes each one on lookup and on store,
+        # and the nested edge tuples are the bulk of that work
+        try:
+            return self._hash
+        except AttributeError:
+            h = hash((self.crossings, self.edges, self.free_loops))
+            object.__setattr__(self, "_hash", h)
+            return h
 
     # ------------------------------------------------------------------
     # basic data
@@ -226,7 +306,7 @@ class Diagram:
     @property
     def r(self) -> int:
         """Number of link components, free loops included."""
-        return len(self.components)
+        return self._proj.walk.r
 
     @property
     def edge_map(self) -> dict[int, tuple[Port, Port]]:
@@ -256,19 +336,18 @@ class Diagram:
 
     @cached_property
     def components(self) -> tuple[Component, ...]:
-        # read on every recursion node (``r``), so the diagram keeps its own
-        # reference besides the projection's
-        return self._proj.components
+        """The components in canonical traversal order, free loops last.
 
-    @property
-    def strand_arrivals(self) -> dict[tuple[int, int], tuple[int, Port]]:
-        """(crossing, strand parity) -> (component index, canonical arrival port)."""
-        return self._proj.strand_arrivals
+        Built on first request and shared by the whole projection; the
+        recursions read only the canonical traversal and never build them.
+        """
+        return self._proj.components
 
     def delta_p(self, p: int) -> int:
         """1 if the two strands at crossing ``p`` lie on different components."""
         self._check_crossing(p)
-        return 0 if self.strand_arrivals[(p, 0)][0] == self.strand_arrivals[(p, 1)][0] else 1
+        strands = self._proj.walk.strands
+        return 0 if strands[2 * p] == strands[2 * p + 1] else 1
 
     # ------------------------------------------------------------------
     # local operations
@@ -318,34 +397,35 @@ class Diagram:
         ``p`` becomes a free loop.
         """
 
-        def moved(port: Port) -> Port:
-            return (port[0] - 1, port[1]) if port[0] > p else port
-
         edges = []
-        for label, a, b in self.edges:
+        for label, a, b in self.edges:  # the kept edges stay sorted and normalised
             ca, cb = a[0], b[0]
             if ca != p and cb != p:
                 edges.append(
                     (label, a if ca < p else (ca - 1, a[1]), b if cb < p else (cb - 1, b[1]))
                 )
-        port_map = self.port_map
+        proj = self._proj
+        far, port_labels = proj.far_ports, proj.port_labels
+        at = 4 * p
         done = [False] * 4
         for i in range(4):  # open chains, each from a port whose edge leaves p
-            label, start = port_map[(p, i)]
-            if done[i] or start[0] == p:
+            start = far[at + i]
+            if done[i] or start >> 2 == p:
                 continue
-            labels = [label]
+            low = port_labels[at + i]
             j = i
             while True:
                 done[j] = True
                 j = bridge[j]
                 done[j] = True
-                label, end = port_map[(p, j)]
-                labels.append(label)
-                if end[0] != p:
+                low = min(low, port_labels[at + j])
+                end = far[at + j]
+                if end >> 2 != p:
                     break
-                j = end[1]
-            edges.append((min(labels), moved(start), moved(end)))
+                j = end & 3
+            ends = sorted((start - 4 if start > at else start, end - 4 if end > at else end))
+            merged = (low, (ends[0] >> 2, ends[0] & 3), (ends[1] >> 2, ends[1] & 3))
+            insort(edges, merged)  # its label is new to the kept edges
         loops = self.free_loops
         for i in range(4):  # whatever is left closes up inside p
             if done[i]:
@@ -354,10 +434,12 @@ class Diagram:
             j = i
             while not done[j]:
                 done[j] = True
-                j = port_map[(p, j)][1][1]
+                j = far[at + j] & 3
                 done[j] = True
                 j = bridge[j]
-        return Diagram(self.crossings[:p] + self.crossings[p + 1 :], tuple(edges), loops)
+        return Diagram._from_sorted(
+            self.crossings[:p] + self.crossings[p + 1 :], tuple(edges), loops
+        )
 
     def delta_shift(self, p: int, kind: str) -> int:
         """Signed component-count change ``r(splice) - r``; always in {-1, 0, +1}."""
@@ -365,12 +447,6 @@ class Diagram:
 
     # ------------------------------------------------------------------
     # orientations and writhe
-
-    def _arrival(self, p: int, parity: int, orientation: Sequence[int]) -> Port:
-        comp, arr = self.strand_arrivals[(p, parity)]
-        if orientation[comp] == 1:
-            return arr
-        return (arr[0], (arr[1] + 2) % 4)
 
     def _check_orientation(self, orientation: Sequence[int]) -> None:
         if len(orientation) != self.r:
@@ -388,14 +464,20 @@ class Diagram:
         return self._sign(p, orientation)
 
     def _sign(self, p: int, orientation: Sequence[int]) -> int:
-        over_parity = 1 if self.crossings[p].over_v else 0
-        out_over = (self._arrival(p, over_parity, orientation)[1] + 2) % 4
-        out_under = (self._arrival(p, 1 - over_parity, orientation)[1] + 2) % 4
-        return 1 if out_over == (out_under + 1) % 4 else -1
+        walk = self._proj.walk
+        sign = walk.signs[p] if self.crossings[p].over_v else -walk.signs[p]
+        return sign * orientation[walk.strands[2 * p]] * orientation[walk.strands[2 * p + 1]]
 
     def writhe(self, orientation: Sequence[int]) -> int:
         self._check_orientation(orientation)
-        return sum(self._sign(p, orientation) for p in range(self.c))
+        walk = self._proj.walk
+        strands = walk.strands
+        total = 0
+        for p, (x, sign) in enumerate(zip(self.crossings, walk.signs)):
+            if orientation[strands[2 * p]] != orientation[strands[2 * p + 1]]:
+                sign = -sign
+            total += sign if x.over_v else -sign
+        return total
 
     # ------------------------------------------------------------------
     # faces
@@ -412,7 +494,7 @@ class Diagram:
 
     def connected_pieces(self) -> tuple[frozenset[int], ...]:
         """Crossing sets of the connected pieces of the 4-valent graph."""
-        port_map = self.port_map
+        far = self._proj.far_ports
         seen: set[int] = set()
         pieces: list[frozenset[int]] = []
         for start in range(self.c):
@@ -422,8 +504,8 @@ class Diagram:
             stack = [start]
             while stack:
                 ci = stack.pop()
-                for pi in range(4):
-                    nb = port_map[(ci, pi)][1][0]
+                for x in range(4 * ci, 4 * ci + 4):
+                    nb = far[x] >> 2
                     if nb not in piece:
                         piece.add(nb)
                         stack.append(nb)
@@ -535,7 +617,7 @@ class Diagram:
     def pd_quadruple(self, p: int) -> tuple[int, int, int, int]:
         """Edge labels at ports 0..3, rotated so the under-strand sits at
         entries 1 and 3 (the PD text convention)."""
-        labels = [self.port_map[(p, i)][0] for i in range(4)]
+        labels = self._proj.port_labels[4 * p : 4 * p + 4]
         if self.crossings[p].over_v:
             return tuple(labels)  # type: ignore[return-value]
         return (labels[1], labels[2], labels[3], labels[0])

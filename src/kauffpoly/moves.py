@@ -8,7 +8,8 @@ exact inverse, and walks are fully determined by (start, steps, seed,
 max crossings), so failures replay bit-exactly.
 
 Each walk step draws a move kind among those with a site, then an index
-below that kind's count, and builds only the step at that index.  The
+below that kind's count, and builds only the step at that index, which
+it applies at the site it found without looking the site up again.  The
 index draw, ``rng.choice(range(count))``, takes from the seeded stream
 exactly what a draw from the list of that kind's steps would, so walks,
 their traces and every input built from them depend only on the order
@@ -251,6 +252,11 @@ def r3_apply(d: Diagram, face: Sequence[Dart], slider: int) -> Diagram:
     """
     if (tuple(face), slider) not in r3_sites(d):
         raise MoveSiteError("not an applicable R3 site")
+    return _r3_slide(d, face, slider)
+
+
+def _r3_slide(d: Diagram, face: Sequence[Dart], slider: int) -> Diagram:
+    """``r3_apply`` at a site already known to be one of ``r3_sites``."""
     hy = face[(slider - 1) % 3][1]
     hz = face[slider][1]
     hx = face[(slider + 1) % 3][1]
@@ -356,7 +362,26 @@ def replay(d: Diagram, steps: Iterable[MoveStep]) -> Diagram:
     return d
 
 
-def _r2_add_step(faces: tuple[tuple[Dart, ...], ...], counts: list[int], i: int) -> MoveStep:
+#: A walk step taken: the step, its signed R1 count and the diagram after it.
+Taken = tuple[MoveStep, int, Diagram]
+
+
+def _r1_add_step(d: Diagram, refs: list[EdgeRef], i: int) -> Taken:
+    """Step ``i`` of the R1 additions: per ref, chirality '+', '-', each
+    on side 'L', 'R'."""
+    e, chirality, side = refs[i >> 2], "+-"[i >> 1 & 1], "LR"[i & 1]
+    step = MoveStep("r1_add", (e, chirality, side))
+    return step, (1 if chirality == "+" else -1), r1_add(d, e, chirality, side)
+
+
+def _r1_remove_step(d: Diagram, site: tuple[int, int, tuple[int, int]]) -> Taken:
+    sign, kind = kink_rule(d, site)
+    return MoveStep("r1_remove", (site[0],)), -sign, d.splice(site[0], kind)
+
+
+def _r2_add_step(
+    d: Diagram, faces: tuple[tuple[Dart, ...], ...], counts: list[int], i: int
+) -> Taken:
     """Step ``i`` of the R2 additions: dart pair ``i // 2`` in
     ``cofacial_dart_pairs`` order, sent across on top when ``i`` is even."""
     j = i >> 1
@@ -366,24 +391,24 @@ def _r2_add_step(faces: tuple[tuple[Dart, ...], ...], counts: list[int], i: int)
         j -= n
     pairs = ((d1, d2) for d1 in face for d2 in face if d1[0] != d2[0])
     d1, d2 = next(islice(pairs, j, None))
-    return MoveStep("r2_add", (d1, d2, i & 1 == 0))
+    over_first = i & 1 == 0
+    return MoveStep("r2_add", (d1, d2, over_first)), 0, r2_add_at(d, d1, d2, over_first)
 
 
-def _move_kinds(d: Diagram, max_c: int) -> dict[str, tuple[int, Callable[[int], MoveStep]]]:
-    """(count, index -> step) for each move kind with at least one site."""
-    out: dict[str, tuple[int, Callable[[int], MoveStep]]] = {}
+def _move_kinds(d: Diagram, max_c: int) -> dict[str, tuple[int, Callable[[int], Taken]]]:
+    """(count, index -> step taken) for each move kind with at least one
+    site.  A step is applied at the site found here, which is not looked
+    up again."""
+    out: dict[str, tuple[int, Callable[[int], Taken]]] = {}
     if d.c + 1 <= max_c:
         refs: list[EdgeRef] = list(d.edge_labels())
         if d.free_loops:
             refs.append(None)
-        if refs:  # per ref: chirality '+', '-', each on side 'L', 'R'
-            out["r1_add"] = (
-                4 * len(refs),
-                lambda i: MoveStep("r1_add", (refs[i >> 2], "+-"[i >> 1 & 1], "LR"[i & 1])),
-            )
+        if refs:
+            out["r1_add"] = (4 * len(refs), lambda i: _r1_add_step(d, refs, i))
     kinks = kink_sites(d)
     if kinks:
-        out["r1_remove"] = (len(kinks), lambda i: MoveStep("r1_remove", (kinks[i][0],)))
+        out["r1_remove"] = (len(kinks), lambda i: _r1_remove_step(d, kinks[i]))
     if d.c + 2 <= max_c:
         faces = d.faces()
         # a face of m darts on u distinct edges has m^2 - sum of mult(e)^2
@@ -393,22 +418,20 @@ def _move_kinds(d: Diagram, max_c: int) -> dict[str, tuple[int, Callable[[int], 
             len(face) * (len(face) - 3) + 2 * len({e for e, _ in face}) for face in faces
         ]
         if any(counts):
-            out["r2_add"] = (2 * sum(counts), lambda i: _r2_add_step(faces, counts, i))
+            out["r2_add"] = (2 * sum(counts), lambda i: _r2_add_step(d, faces, counts, i))
     bigons = bigon_sites(d)
     if bigons:
-        out["r2_remove"] = (len(bigons), lambda i: MoveStep("r2_remove", bigons[i]))
+        out["r2_remove"] = (
+            len(bigons),
+            lambda i: (MoveStep("r2_remove", bigons[i]), 0, d.erase_crossings(bigons[i])),
+        )
     triangles = r3_sites(d)
     if triangles:
-        out["r3"] = (len(triangles), lambda i: MoveStep("r3", triangles[i]))
+        out["r3"] = (
+            len(triangles),
+            lambda i: (MoveStep("r3", triangles[i]), 0, _r3_slide(d, *triangles[i])),
+        )
     return out
-
-
-def _step_r1_delta(d: Diagram, step: MoveStep) -> int:
-    if step.kind == "r1_add":
-        return 1 if step.data[1] == "+" else -1
-    if step.kind == "r1_remove":
-        return -kink_sign(d, step.data[0])
-    return 0
 
 
 def random_move_walk(
@@ -429,10 +452,9 @@ def random_move_walk(
         if not kinds:
             continue
         kind = rng.choice(sorted(kinds))
-        count, step_at = kinds[kind]
-        step = step_at(rng.choice(range(count)))
-        net_r1 += _step_r1_delta(cur, step)
-        cur = apply_step(cur, step)
+        count, take = kinds[kind]
+        step, r1, cur = take(rng.choice(range(count)))
+        net_r1 += r1
         taken.append(step)
     return cur, MoveTrace(d.to_pd(), tuple(taken), net_r1)
 

@@ -35,13 +35,7 @@ from .coeffs import _Run
 from .diagram import Diagram
 from .laurent import BivariatePoly
 from .series import kauffman_L, unlink_factor
-from .warping import (
-    BaseSequence,
-    base_orientation,
-    canonical_base,
-    validate_base,
-    warping_order,
-)
+from .warping import BaseSequence, _warping, base_orientation, first_encounter, validate_base
 
 OracleCache = MutableMapping[Diagram, BivariatePoly]
 
@@ -63,11 +57,17 @@ class _OracleRun(_Run):
         return powers[k]
 
 
-def _oracle_step(d: Diagram, base: BaseSequence, run: _OracleRun) -> BivariatePoly:
-    warping = warping_order(d, base)
+def _oracle_step(
+    d: Diagram,
+    encounters: tuple[tuple[int, int], ...],
+    orientation: tuple[int, ...],
+    run: _OracleRun,
+) -> BivariatePoly:
+    """One node under a traversal: its first-encounter order and the
+    component directions it induces."""
+    warping = _warping(d, encounters)
     if not warping:
-        w = d.writhe(base_orientation(d, base))
-        return run.d_power(d.r - 1).shift_y(w)
+        return run.d_power(d.r - 1).shift_y(d.writhe(orientation))
     p = warping[0]
     return (
         -_oracle(d.crossing_change(p), run)
@@ -79,7 +79,8 @@ def _oracle(d: Diagram, run: _OracleRun) -> BivariatePoly:
     value = run.memo.get(d)
     if value is None:
         run.spend(d)
-        value = run.memo[d] = _oracle_step(d, canonical_base(d), run)
+        walk = d._proj.walk
+        value = run.memo[d] = _oracle_step(d, walk.encounters, (1,) * walk.r, run)
     return value
 
 
@@ -105,7 +106,7 @@ def oracle_L_with_base(
     validate_base(d, base)
     run = _OracleRun(d, budget, cache)
     run.spend(d)
-    return _oracle_step(d, base, run)
+    return _oracle_step(d, first_encounter(d, base), base_orientation(d, base), run)
 
 
 def uniqueness_check(

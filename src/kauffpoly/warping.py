@@ -14,10 +14,11 @@ diagram has no finer positions.  Free-loop components carry a single
 trivial base choice.
 
 The canonical base starts each component where its own traversal
-starts, so it is valid by construction: under it the traversal is the
-components' orbits as they are, and it is never validated.  There is
-no first-encounter memo; a base a caller hands in is validated and
-walked on every call.
+starts, so it is valid by construction: under it the first-encounter
+order is the one the projection's canonical traversal records, and it
+is never validated.  The recursions of :mod:`kauffpoly.coeffs` and
+:mod:`kauffpoly.oracle` read that traversal directly and never build a
+base; a base a caller hands in is validated and walked on every call.
 """
 
 from __future__ import annotations
@@ -105,14 +106,14 @@ def first_encounter(d: Diagram, base: BaseSequence) -> tuple[tuple[int, int], ..
     """Crossings in order of first visit, with the parity of the strand
     (0 for U, 1 for V) met first.
 
-    Under the canonical base this walks each component's own orbit;
-    any other base is validated and walked afresh.
+    Under the canonical base this is the order the projection's
+    canonical traversal recorded; any other base is validated and
+    walked afresh.
     """
     if base == d._proj.base:
-        orbits = [comp.orbit for comp in d.components]
-    else:
-        validate_base(d, base)
-        orbits = [d.orbit_from(e.edge, e.toward) for e in base if e.edge is not None]
+        return d._proj.walk.encounters
+    validate_base(d, base)
+    orbits = [d.orbit_from(e.edge, e.toward) for e in base if e.edge is not None]
     seen: set[int] = set()
     found: list[tuple[int, int]] = []
     for orbit in orbits:
@@ -125,10 +126,14 @@ def first_encounter(d: Diagram, base: BaseSequence) -> tuple[tuple[int, int], ..
 
 def warping_order(d: Diagram, base: BaseSequence) -> tuple[int, ...]:
     """Warping crossings in first-encounter order."""
+    return _warping(d, first_encounter(d, base))
+
+
+def _warping(d: Diagram, encounters: tuple[tuple[int, int], ...]) -> tuple[int, ...]:
+    """The crossings of a first-encounter order whose strand met first
+    passes under."""
     crossings = d.crossings
-    return tuple(
-        ci for ci, parity in first_encounter(d, base) if (parity == 1) != crossings[ci].over_v
-    )
+    return tuple(ci for ci, parity in encounters if (parity == 1) != crossings[ci].over_v)
 
 
 def warping_degree(d: Diagram, base: BaseSequence) -> int:
@@ -142,10 +147,10 @@ def is_monotone(d: Diagram, base: BaseSequence) -> bool:
 def base_orientation(d: Diagram, base: BaseSequence) -> tuple[int, ...]:
     """Per-component direction signs induced by the base directions,
     relative to each component's canonical traversal."""
-    signs = [1] * len(d.components)
     if base == d._proj.base:
-        return tuple(signs)
+        return (1,) * d.r
     validate_base(d, base)
+    signs = [1] * d.r
     for entry in base:
         if entry.edge is None:
             continue

@@ -24,7 +24,7 @@ from kauffpoly.diagram import (
 )
 from kauffpoly.catalog import CATALOG
 from kauffpoly.coeffs import coeff_table
-from kauffpoly.moves import random_diagram
+from kauffpoly.moves import random_diagram, random_move_walk
 from kauffpoly.verification import verify_diagram
 from kauffpoly.warping import canonical_base, enumerate_bases, first_encounter
 
@@ -538,6 +538,167 @@ class TestSharedProjection:
         trefoil_base = canonical_base(parse_pd(TREFOIL))
         with pytest.raises(DiagramError):
             first_encounter(hopf.crossing_change(0), trefoil_base)
+
+
+    def test_hash_is_equal_exactly_when_the_diagrams_are(self):
+        # each diagram is hashed before anything is derived from it, so a
+        # hash cached on one diagram and carried to a flip would show
+        for seed in range(20):
+            d = random_diagram(seed, 8)
+            hash(d)
+            mirror = d.mirror()
+            hash(mirror)
+            family = [d, mirror, mirror.mirror(), Diagram(d.crossings, d.edges, d.free_loops)]
+            for p in range(d.c):
+                flipped = d.crossing_change(p)
+                hash(flipped)
+                family += [
+                    flipped,
+                    flipped.crossing_change(p),
+                    mirror.crossing_change(p),
+                    Diagram(flipped.crossings, flipped.edges, flipped.free_loops),
+                ]
+            for x, y in itertools.product(family, repeat=2):
+                assert (x == y) == (hash(x) == hash(y))
+
+
+def reference_orbits(d: Diagram) -> list[tuple[tuple[int, tuple[int, int]], ...]]:
+    """The canonical traversal as the package derived it before it became
+    one walk over the port array: per component, in order of its lowest
+    edge, the (edge label, arrival port) orbit traced through ``port_map``
+    from that edge's lower port.  Kept as the reference for ``r``, the
+    canonical first-encounter order and ``writhe``."""
+    port_map = d.port_map
+    orbits = []
+    seen = set()
+    for label, a, _ in d.edges:
+        if label in seen:
+            continue
+        start = (label, a)
+        orbit = [start]
+        ci, pi = a
+        cur = port_map[(ci, (pi + 2) % 4)]
+        while cur != start:
+            orbit.append(cur)
+            ci, pi = cur[1]
+            cur = port_map[(ci, (pi + 2) % 4)]
+        seen.update(e for e, _ in orbit)
+        orbits.append(tuple(orbit))
+    return orbits
+
+
+def reference_strand_arrivals(orbits) -> dict:
+    """(crossing, strand parity) -> (component index, canonical arrival port)."""
+    return {(ci, pi % 2): (k, (ci, pi)) for k, orbit in enumerate(orbits) for _, (ci, pi) in orbit}
+
+
+def reference_first_encounter(orbits) -> tuple:
+    seen = set()
+    found = []
+    for orbit in orbits:
+        for _, (ci, pi) in orbit:
+            if ci not in seen:
+                seen.add(ci)
+                found.append((ci, pi % 2))
+    return tuple(found)
+
+
+def reference_writhe(d: Diagram, arrivals: dict, orientation) -> int:
+    def arrival(p, parity):
+        comp, (ci, pi) = arrivals[(p, parity)]
+        return pi if orientation[comp] == 1 else (pi + 2) % 4
+
+    total = 0
+    for p, x in enumerate(d.crossings):
+        over = 1 if x.over_v else 0
+        out_over = (arrival(p, over) + 2) % 4
+        out_under = (arrival(p, 1 - over) + 2) % 4
+        total += 1 if out_over == (out_under + 1) % 4 else -1
+    return total
+
+
+def _spliced_down(d: Diagram, rng: random.Random) -> list[Diagram]:
+    """``d`` and every diagram on one random path of splices down to no
+    crossings, as the oracle meets them on the way to its leaves."""
+    out = [d]
+    while d.c:
+        d = d.splice(rng.randrange(d.c), rng.choice("AB"))
+        out.append(d)
+    return out
+
+
+@pytest.fixture(scope="module")
+def random_set():
+    """``random_diagram(s, 12, walk_steps=30)`` for s < 60, their mirror
+    images, and every single crossing change of each."""
+    out = []
+    for seed in range(60):
+        d = random_diagram(seed, 12, walk_steps=30)
+        out += [d, d.mirror()] + [d.crossing_change(p) for p in range(d.c)]
+    return out
+
+
+@pytest.fixture(scope="module")
+def walk_cases(random_set):
+    """The random set, the catalog, 3-component links walked from three
+    free loops, and diagrams with free loops from splicing random
+    diagrams down."""
+    out = list(random_set) + [entry.diagram() for entry in CATALOG.values()]
+    for seed in range(40):
+        link, _ = random_move_walk(parse_pd("O O O"), 30, seed, 10)
+        out += [link, link.mirror()]
+    rng = random.Random(11)
+    for seed in range(60):
+        out += _spliced_down(random_diagram(seed, 10, walk_steps=30), rng)
+    return out
+
+
+class TestCanonicalWalk:
+    def test_cases_cover_links_and_free_loops(self, walk_cases):
+        assert sum(d.r == 3 and d.c > 0 for d in walk_cases) >= 20
+        assert sum(d.free_loops >= 2 and d.c > 0 for d in walk_cases) >= 20
+
+    def test_component_count_matches_reference(self, walk_cases):
+        for d in walk_cases:
+            orbits = reference_orbits(d)
+            assert d.r == len(orbits) + d.free_loops
+            assert [comp.orbit for comp in d.components if comp.orbit] == orbits
+
+    def test_canonical_first_encounter_matches_reference(self, walk_cases):
+        for d in walk_cases:
+            expected = reference_first_encounter(reference_orbits(d))
+            assert first_encounter(d, canonical_base(d)) == expected
+
+    def test_writhe_and_delta_match_reference_under_every_orientation(self, walk_cases):
+        checked = 0
+        for d in walk_cases:
+            arrivals = reference_strand_arrivals(reference_orbits(d))
+            if d.r <= 3:
+                orientations = list(itertools.product((1, -1), repeat=d.r))
+            else:
+                orientations = [(1,) * d.r, (-1,) + (1,) * (d.r - 1)]
+            for o in orientations:
+                assert d.writhe(o) == reference_writhe(d, arrivals, o)
+                checked += 1
+            for p in range(d.c):
+                assert d.delta_p(p) == int(arrivals[(p, 0)][0] != arrivals[(p, 1)][0])
+        assert checked > 3000
+
+
+class TestRemovalKeepsCanonicalStorage:
+    def test_removal_stores_edges_as_the_constructor_does(self, random_set):
+        cases = 0
+        for d in random_set:
+            for p in range(d.c):
+                outs = [d.splice(p, "A"), d.splice(p, "B"), d.erase_crossings({p})]
+                if d.c > 1:
+                    outs.append(d.erase_crossings({p, (p + 1) % d.c}))
+                for out in outs:
+                    rebuilt = Diagram(out.crossings, out.edges, out.free_loops)
+                    assert out.edges == rebuilt.edges
+                    assert hash(out) == hash(rebuilt)
+                    cases += 1
+        assert cases > 10000
 
 
 def relabelled(d: Diagram, rng: random.Random) -> Diagram:

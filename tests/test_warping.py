@@ -49,10 +49,14 @@ class TestFirstEncounter:
 
     def test_hopf_first_component_always_first(self):
         hopf = parse_pd(HOPF)
+        strand_component = {
+            (ci, pi % 2): k
+            for k, comp in enumerate(hopf.components)
+            for _, (ci, pi) in comp.orbit
+        }
         for base in enumerate_bases(hopf):
             for ci, parity in first_encounter(hopf, base):
-                comp, _ = hopf.strand_arrivals[(ci, parity)]
-                assert comp == 0  # traversal order follows the tuple order
+                assert strand_component[(ci, parity)] == 0  # traversal follows tuple order
 
     def test_unchanged_by_crossing_change(self):
         for seed in range(10):
