@@ -12,15 +12,20 @@ Edge labels are positive integers.  Labels survive crossing changes
 unchanged, and a splice names each merged edge after the smallest label
 it absorbed, which keeps derived diagrams deterministic.
 
-Diagrams that differ only in over flags share their projection data:
-the edge and port maps, the components and strand arrivals, the faces,
-and (filled in by :mod:`kauffpoly.warping`) the canonical base.  There is no
-first-encounter memo: the canonical base is each component's own
-traversal start, so its first-encounter order is read off the orbits.
-``crossing_change`` and ``mirror`` reuse the validated edges and this
-shared data as they are, so a flip costs one tuple and one dict copy.
-Removing a crossing is a local edit: only the chains of edges through
-it are merged.
+Diagrams that differ only in over flags share their projection data: the
+flat port arrays the constructor's checks build and, each computed on
+first use, one walk of the canonical traversal, the faces, the edge and
+port maps, the components and (filled in by :mod:`kauffpoly.warping`)
+the canonical base.  The walk starts each component at its lowest edge
+and, in one pass over the port array, records the component count ``r``,
+the first-encounter order and each crossing's sign with V over; ``r``,
+``writhe`` and the canonical first-encounter order read it, so the
+recursions never build ``Component`` objects.  ``crossing_change`` and
+``mirror`` reuse the validated edges and this shared data as they are,
+so a flip costs one tuple and one dict copy.  Removing a crossing is a
+local edit: the kept edges stay in order, only the chains of edges
+through it are merged and inserted in place, and every structural check
+runs on the result without sorting again.
 
 PD text input: whitespace-separated tokens ``X(a,b,c,d)`` listing the
 edge labels at ports 0..3 counterclockwise with the under-strand
@@ -461,15 +466,13 @@ class Diagram:
         over-strand direction by a counterclockwise quarter turn."""
         self._check_crossing(p)
         self._check_orientation(orientation)
-        return self._sign(p, orientation)
-
-    def _sign(self, p: int, orientation: Sequence[int]) -> int:
         walk = self._proj.walk
         sign = walk.signs[p] if self.crossings[p].over_v else -walk.signs[p]
         return sign * orientation[walk.strands[2 * p]] * orientation[walk.strands[2 * p + 1]]
 
     def writhe(self, orientation: Sequence[int]) -> int:
         self._check_orientation(orientation)
+        # sign_of's rule in one loop: every leaf of both recursions reads it
         walk = self._proj.walk
         strands = walk.strands
         total = 0
@@ -617,6 +620,7 @@ class Diagram:
     def pd_quadruple(self, p: int) -> tuple[int, int, int, int]:
         """Edge labels at ports 0..3, rotated so the under-strand sits at
         entries 1 and 3 (the PD text convention)."""
+        self._check_crossing(p)
         labels = self._proj.port_labels[4 * p : 4 * p + 4]
         if self.crossings[p].over_v:
             return tuple(labels)  # type: ignore[return-value]

@@ -363,10 +363,10 @@ def replay(d: Diagram, steps: Iterable[MoveStep]) -> Diagram:
 
 
 #: A walk step taken: the step, its signed R1 count and the diagram after it.
-Taken = tuple[MoveStep, int, Diagram]
+_Taken = tuple[MoveStep, int, Diagram]
 
 
-def _r1_add_step(d: Diagram, refs: list[EdgeRef], i: int) -> Taken:
+def _r1_add_step(d: Diagram, refs: list[EdgeRef], i: int) -> _Taken:
     """Step ``i`` of the R1 additions: per ref, chirality '+', '-', each
     on side 'L', 'R'."""
     e, chirality, side = refs[i >> 2], "+-"[i >> 1 & 1], "LR"[i & 1]
@@ -374,14 +374,14 @@ def _r1_add_step(d: Diagram, refs: list[EdgeRef], i: int) -> Taken:
     return step, (1 if chirality == "+" else -1), r1_add(d, e, chirality, side)
 
 
-def _r1_remove_step(d: Diagram, site: tuple[int, int, tuple[int, int]]) -> Taken:
+def _r1_remove_step(d: Diagram, site: tuple[int, int, tuple[int, int]]) -> _Taken:
     sign, kind = kink_rule(d, site)
     return MoveStep("r1_remove", (site[0],)), -sign, d.splice(site[0], kind)
 
 
 def _r2_add_step(
     d: Diagram, faces: tuple[tuple[Dart, ...], ...], counts: list[int], i: int
-) -> Taken:
+) -> _Taken:
     """Step ``i`` of the R2 additions: dart pair ``i // 2`` in
     ``cofacial_dart_pairs`` order, sent across on top when ``i`` is even."""
     j = i >> 1
@@ -395,11 +395,11 @@ def _r2_add_step(
     return MoveStep("r2_add", (d1, d2, over_first)), 0, r2_add_at(d, d1, d2, over_first)
 
 
-def _move_kinds(d: Diagram, max_c: int) -> dict[str, tuple[int, Callable[[int], Taken]]]:
+def _move_kinds(d: Diagram, max_c: int) -> dict[str, tuple[int, Callable[[int], _Taken]]]:
     """(count, index -> step taken) for each move kind with at least one
     site.  A step is applied at the site found here, which is not looked
     up again."""
-    out: dict[str, tuple[int, Callable[[int], Taken]]] = {}
+    out: dict[str, tuple[int, Callable[[int], _Taken]]] = {}
     if d.c + 1 <= max_c:
         refs: list[EdgeRef] = list(d.edge_labels())
         if d.free_loops:

@@ -24,7 +24,10 @@ the kink, bigon and disjoint-union laws do not depend on either.
 
 The diagram and warping plumbing is shared with the rest of the package:
 duplicating it would add risk without adding independence where it
-matters.
+matters.  Like the table engine, each node reads the warping crossings,
+``r`` and the writhe from the projection's canonical walk
+(:class:`kauffpoly.diagram.Diagram`), and builds no base object; only a
+base passed to :func:`oracle_L_with_base` is validated and walked.
 """
 
 from __future__ import annotations

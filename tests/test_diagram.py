@@ -393,6 +393,11 @@ class TestValidation:
         with pytest.raises(DiagramError):
             Diagram(parse_pd(KINK).crossings, (), 0)
 
+    @pytest.mark.parametrize("p", [-1, 3])
+    def test_pd_quadruple_of_a_missing_crossing_rejected(self, p):
+        with pytest.raises(DiagramError):
+            parse_pd(TREFOIL).pd_quadruple(p)
+
 
 def reference_eliminate(d: Diagram, removed: set, bridges: dict) -> Diagram:
     """Crossing removal as the package did it before removal became a
