@@ -15,9 +15,9 @@ byte-deterministic for fixed inputs, flags, and seeds.
 
 Exit codes: 0 ok, 1 verification failure, 2 usage or parse error
 (an unknown catalog name, an unreadable PD file, an empty or non-planar
-diagram included),
-3 recursion budget exceeded.  The budget defaults to
-``KAUFFPOLY_BUDGET`` when that environment variable is set.
+diagram, a negative budget and a negative ``--steps``, ``--walks`` or
+``--max-crossings`` included), 3 recursion budget exceeded.  The budget
+defaults to ``KAUFFPOLY_BUDGET`` when that environment variable is set.
 """
 
 from __future__ import annotations
@@ -168,8 +168,13 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_fuzz(args) -> int:
-    if args.steps < 0:
-        raise _UsageError(f"--steps must be nonnegative, got {args.steps}")
+    for flag, value in (
+        ("--steps", args.steps),
+        ("--walks", args.walks),
+        ("--max-crossings", args.max_crossings),
+    ):
+        if value < 0:
+            raise _UsageError(f"{flag} must be nonnegative, got {value}")
     budget = args.budget
     cache = {}
     start_name = args.start

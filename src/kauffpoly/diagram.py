@@ -14,9 +14,8 @@ it absorbed, which keeps derived diagrams deterministic.
 
 Diagrams that differ only in over flags share their projection data: the
 flat port arrays the constructor's checks build and, each computed on
-first use, one walk of the canonical traversal, the faces, the edge and
-port maps, the components and (filled in by :mod:`kauffpoly.warping`)
-the canonical base.  The walk starts each component at its lowest edge
+first use, one walk of the canonical traversal, the faces, the edge map
+and the components.  The walk starts each component at its lowest edge
 and, in one pass over the port array, records the component count ``r``,
 the first-encounter order and each crossing's sign with V over; ``r``,
 ``writhe`` and the canonical first-encounter order read it, so the
@@ -65,13 +64,11 @@ class Component:
     """A closed strand: its edge labels and one traversal direction.
 
     ``orbit`` lists (edge label, arrival port) pairs in the canonical
-    direction; it is empty for a crossing-free loop, which is identified
-    by ``loop_index`` instead.
+    direction; it is empty exactly for a crossing-free loop.
     """
 
     edges: tuple[int, ...]
     orbit: tuple[tuple[int, Port], ...]
-    loop_index: int | None = None
 
 
 #: Bridges through a removed crossing: port ``i`` is joined to port ``bridge[i]``.
@@ -108,9 +105,9 @@ class _Projection:
     arrays, the canonical traversal, the components, the faces) is
     computed once per projection.  Port ``(c, i)`` is index ``4c + i``
     of the flat arrays: ``far_ports`` holds the port at the other end of
-    its edge and ``port_labels`` that edge's label.  ``base`` is the
-    canonical base, a memo that :mod:`kauffpoly.warping` fills in; it is
-    each component's ``orbit[0]``, valid by construction.
+    its edge and ``port_labels`` that edge's label.  Only this module
+    writes any of it; the recursions read its canonical traversal and
+    the bigon search of :mod:`kauffpoly.moves` its port array.
     """
 
     def __init__(
@@ -124,16 +121,10 @@ class _Projection:
         self.free_loops = free_loops
         self.far_ports = far_ports
         self.port_labels = port_labels
-        self.base = None
 
     @cached_property
     def edge_map(self) -> dict[int, tuple[Port, Port]]:
         return {label: (a, b) for label, a, b in self.edges}
-
-    @cached_property
-    def port_map(self) -> dict[Port, tuple[int, Port]]:
-        far, labels = self.far_ports, self.port_labels
-        return {(x >> 2, x & 3): (labels[x], (y >> 2, y & 3)) for x, y in enumerate(far)}
 
     def orbit_from(self, edge: int, toward: Port) -> tuple[tuple[int, Port], ...]:
         far, labels = self.far_ports, self.port_labels
@@ -207,8 +198,8 @@ class _Projection:
             labels = [e for e, _ in orbit]
             seen.update(labels)
             comps.append(Component(edges=tuple(sorted(labels)), orbit=orbit))
-        for i in range(self.free_loops):
-            comps.append(Component(edges=(), orbit=(), loop_index=i))
+        for _ in range(self.free_loops):
+            comps.append(Component(edges=(), orbit=()))
         return tuple(comps)
 
 
@@ -316,11 +307,6 @@ class Diagram:
     @property
     def edge_map(self) -> dict[int, tuple[Port, Port]]:
         return self._proj.edge_map
-
-    @property
-    def port_map(self) -> dict[Port, tuple[int, Port]]:
-        """port -> (edge label, opposite endpoint of that edge)."""
-        return self._proj.port_map
 
     def edge_labels(self) -> tuple[int, ...]:
         return tuple(label for label, _, _ in self.edges)
@@ -630,12 +616,6 @@ class Diagram:
         tokens = ["X(%d,%d,%d,%d)" % self.pd_quadruple(p) for p in range(self.c)]
         tokens.extend(["O"] * self.free_loops)
         return " ".join(tokens) if tokens else ""
-
-    def to_json_obj(self) -> dict:
-        return {
-            "crossings": [list(self.pd_quadruple(p)) for p in range(self.c)],
-            "free_loops": self.free_loops,
-        }
 
     def __str__(self) -> str:
         return self.to_pd() or "(empty)"

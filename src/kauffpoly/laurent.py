@@ -88,15 +88,6 @@ class LaurentPoly:
     def items(self) -> Iterator[tuple[int, int]]:
         return iter(self._terms.items())
 
-    def get(self, exp: int) -> int:
-        return self._terms.get(exp, 0)
-
-    def support(self) -> tuple[int, ...]:
-        return tuple(sorted(self._terms))
-
-    def is_zero(self) -> bool:
-        return not self._terms
-
     def __bool__(self) -> bool:
         return bool(self._terms)
 
@@ -237,9 +228,6 @@ class BivariatePoly:
 
     def items(self) -> Iterator[tuple[tuple[int, int], int]]:
         return iter(self._terms.items())
-
-    def is_zero(self) -> bool:
-        return not self._terms
 
     def __bool__(self) -> bool:
         return bool(self._terms)

@@ -15,7 +15,6 @@ from typing import Mapping
 from .catalog import CATALOG, CatalogEntry
 from .coeffs import Cache, CoeffTable, coeff_table, coeff_table_with_base, skein_check
 from .diagram import Diagram, DiagramError, parse_pd
-from .laurent import LaurentPoly
 from .moves import r1_add
 from .oracle import OracleCache, agree_at_y_one, oracle_L, uniqueness_check
 from .series import check_L_skein, check_product_laws, kauffman_F, kauffman_L

@@ -14,11 +14,13 @@ diagram has no finer positions.  Free-loop components carry a single
 trivial base choice.
 
 The canonical base starts each component where its own traversal
-starts, so it is valid by construction: under it the first-encounter
-order is the one the projection's canonical traversal records, and it
-is never validated.  The recursions of :mod:`kauffpoly.coeffs` and
-:mod:`kauffpoly.oracle` read that traversal directly and never build a
-base; a base a caller hands in is validated and walked on every call.
+starts, so under it the first-encounter order is the one the
+projection's canonical traversal records.  The recursions of
+:mod:`kauffpoly.coeffs` and :mod:`kauffpoly.oracle` read that traversal
+directly and never build a base.  Every base passed to the functions
+here, the canonical one included, is validated and walked on every
+call; only the public API of :class:`~kauffpoly.diagram.Diagram` is
+used.
 """
 
 from __future__ import annotations
@@ -56,7 +58,7 @@ def validate_base(d: Diagram, base: BaseSequence) -> None:
         raise DiagramError("base sequence must name every component exactly once")
     for entry in base:
         comp = comps[entry.component]
-        if comp.loop_index is not None:
+        if not comp.orbit:
             if entry.edge is not None or entry.toward is not None:
                 raise DiagramError("free-loop base entries carry no edge")
             continue
@@ -72,24 +74,20 @@ def canonical_base(d: Diagram) -> BaseSequence:
     """Deterministic base: per component, where its own traversal starts
     (its lowest edge heading at the lower endpoint).  Depends only on the
     underlying projection, never on over/under data, so crossing changes
-    preserve it; it is computed once per projection.  It is valid by
-    construction, so the functions below never validate it."""
-    proj = d._proj
-    if proj.base is None:
-        proj.base = BaseSequence(
-            tuple(
-                BaseEntry(k, *comp.orbit[0]) if comp.orbit else BaseEntry(k, None, None)
-                for k, comp in enumerate(d.components)
-            )
+    preserve it."""
+    return BaseSequence(
+        tuple(
+            BaseEntry(k, *comp.orbit[0]) if comp.orbit else BaseEntry(k, None, None)
+            for k, comp in enumerate(d.components)
         )
-    return proj.base
+    )
 
 
 def enumerate_bases(d: Diagram) -> Iterator[BaseSequence]:
     """All (edge, direction) choices per component, in component order."""
     per_comp: list[list[BaseEntry]] = []
     for k, comp in enumerate(d.components):
-        if comp.loop_index is not None:
+        if not comp.orbit:
             per_comp.append([BaseEntry(k, None, None)])
         else:
             choices = []
@@ -104,14 +102,9 @@ def enumerate_bases(d: Diagram) -> Iterator[BaseSequence]:
 
 def first_encounter(d: Diagram, base: BaseSequence) -> tuple[tuple[int, int], ...]:
     """Crossings in order of first visit, with the parity of the strand
-    (0 for U, 1 for V) met first.
-
-    Under the canonical base this is the order the projection's
-    canonical traversal recorded; any other base is validated and
-    walked afresh.
+    (0 for U, 1 for V) met first.  The base is validated, and each of
+    its components is walked from its start edge.
     """
-    if base == d._proj.base:
-        return d._proj.walk.encounters
     validate_base(d, base)
     orbits = [d.orbit_from(e.edge, e.toward) for e in base if e.edge is not None]
     seen: set[int] = set()
@@ -147,8 +140,6 @@ def is_monotone(d: Diagram, base: BaseSequence) -> bool:
 def base_orientation(d: Diagram, base: BaseSequence) -> tuple[int, ...]:
     """Per-component direction signs induced by the base directions,
     relative to each component's canonical traversal."""
-    if base == d._proj.base:
-        return (1,) * d.r
     validate_base(d, base)
     signs = [1] * d.r
     for entry in base:

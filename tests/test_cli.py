@@ -195,6 +195,20 @@ class TestErrors:
         assert out == ""
         assert err.strip().splitlines() == ["error: --steps must be nonnegative, got -1"]
 
+    def test_negative_fuzz_walks(self, capsys):
+        code, out, err = run(capsys, "fuzz", "--walks", "-3")
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err.strip().splitlines() == ["error: --walks must be nonnegative, got -3"]
+
+    def test_negative_fuzz_max_crossings(self, capsys):
+        code, out, err = run(capsys, "fuzz", "--max-crossings", "-2")
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err.strip().splitlines() == [
+            "error: --max-crossings must be nonnegative, got -2"
+        ]
+
     @pytest.mark.parametrize("command", ["coeffs", "kauffman", "verify"])
     @pytest.mark.parametrize("pd", ["", "   "])
     def test_empty_diagram_rejected(self, capsys, command, pd):

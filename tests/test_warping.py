@@ -155,8 +155,8 @@ class TestBases:
 
 
 class TestValidationAtTheBoundary:
-    """The canonical base is valid by construction; only a base a caller
-    hands in is validated."""
+    """The recursions read the canonical walk and build no base, so they
+    validate nothing; every base a caller hands in is validated."""
 
     @pytest.fixture
     def calls(self, monkeypatch):
