@@ -16,8 +16,10 @@ byte-deterministic for fixed inputs, flags, and seeds.
 Exit codes: 0 ok, 1 verification failure, 2 usage or parse error
 (an unknown catalog name, an unreadable PD file, an empty or non-planar
 diagram, a negative budget and a negative ``--steps``, ``--walks`` or
-``--max-crossings`` included), 3 recursion budget exceeded.  The budget
-defaults to ``KAUFFPOLY_BUDGET`` when that environment variable is set.
+``--max-crossings`` included, and a fuzz start to which no move applies
+under ``--max-crossings`` while ``--steps`` is positive), 3 recursion
+budget exceeded.  The budget defaults to ``KAUFFPOLY_BUDGET`` when that
+environment variable is set.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ import sys
 from . import catalog as _catalog
 from .coeffs import DEFAULT_BUDGET, BudgetExceededError, coeff_table
 from .diagram import Diagram, DiagramError, parse_pd
-from .moves import random_move_walk, replay
+from .moves import has_move, random_move_walk, replay
 from .oracle import oracle_L
 from .series import kauffman_F, kauffman_L
 from .verification import verify_catalog, verify_diagram
@@ -180,6 +182,10 @@ def _cmd_fuzz(args) -> int:
     start_name = args.start
     entry = _catalog.get(start_name)
     start = entry.diagram()
+    if args.steps and not has_move(start, args.max_crossings):
+        raise _UsageError(
+            f"no move applies to {entry.name} under --max-crossings {args.max_crossings}"
+        )
     ok = True
     reports = []
     for i in range(args.walks):

@@ -68,7 +68,7 @@ from typing import Mapping, MutableMapping
 from .diagram import Diagram, DiagramError
 from .laurent import BivariatePoly, LaurentPoly, monotone_coeff
 from .moves import first_bigon, kink_rule, kink_sites
-from .warping import BaseSequence, _warping, base_orientation, first_encounter, validate_base
+from .warping import BaseSequence, _base_walk, _warping
 
 logger = logging.getLogger(__name__)
 
@@ -258,11 +258,10 @@ def coeff_table_with_base(
     ``warping_crossing`` overrides the default earliest-first choice,
     which lets tests confirm that every choice yields the same table.
     """
-    validate_base(d, base)
+    encounters, orientation = _base_walk(d, base)
     run = _Run(d, budget, cache)
     run.spend(d)
-    orientation = base_orientation(d, base)
-    return _expand(d, first_encounter(d, base), orientation, warping_crossing, run)
+    return _expand(d, encounters, orientation, warping_crossing, run)
 
 
 def skein_check(

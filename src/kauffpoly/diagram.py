@@ -17,14 +17,16 @@ flat port arrays the constructor's checks build and, each computed on
 first use, one walk of the canonical traversal, the faces, the edge map
 and the components.  The walk starts each component at its lowest edge
 and, in one pass over the port array, records the component count ``r``,
-the first-encounter order and each crossing's sign with V over; ``r``,
-``writhe`` and the canonical first-encounter order read it, so the
-recursions never build ``Component`` objects.  ``crossing_change`` and
-``mirror`` reuse the validated edges and this shared data as they are,
-so a flip costs one tuple and one dict copy.  Removing a crossing is a
-local edit: the kept edges stay in order, only the chains of edges
-through it are merged and inserted in place, and every structural check
-runs on the result without sorting again.
+the first-encounter order, each component's arrival ports in order and
+each crossing's sign with V over; ``r``, ``writhe``, the canonical
+first-encounter order and the oracle's search for a base of least
+warping degree read it, so the recursions never build ``Component``
+objects.  ``crossing_change`` and ``mirror`` reuse the validated edges
+and this shared data as they are, so a flip costs one tuple and one
+dict copy.  Removing a crossing is a local edit: the kept edges stay in
+order, only the chains of edges through it are merged and inserted in
+place, and every structural check runs on the result without sorting
+again.
 
 PD text input: whitespace-separated tokens ``X(a,b,c,d)`` listing the
 edge labels at ports 0..3 counterclockwise with the under-strand
@@ -84,6 +86,8 @@ class _Walk(NamedTuple):
     heading at that edge's lower port, in the order of those edges.
     ``encounters`` lists each crossing once, in order of first visit,
     with the parity of the strand met first (0 for U, 1 for V).
+    ``visits[k]`` lists the flat arrival ports (``4c + i``) of the
+    ``k``-th component with crossings, in traversal order.
     ``strands[2c + k]`` is the component of the strand of parity ``k``
     at crossing ``c``.  ``signs[c]`` is the sign of crossing ``c`` under
     this traversal's orientation if strand V were over; the actual sign
@@ -93,6 +97,7 @@ class _Walk(NamedTuple):
 
     r: int
     encounters: tuple[tuple[int, int], ...]
+    visits: tuple[tuple[int, ...], ...]
     strands: tuple[int, ...]
     signs: tuple[int, ...]
 
@@ -106,8 +111,9 @@ class _Projection:
     computed once per projection.  Port ``(c, i)`` is index ``4c + i``
     of the flat arrays: ``far_ports`` holds the port at the other end of
     its edge and ``port_labels`` that edge's label.  Only this module
-    writes any of it; the recursions read its canonical traversal and
-    the bigon search of :mod:`kauffpoly.moves` its port array.
+    writes any of it; the recursions read its canonical traversal, and
+    the oracle's base search and the bigon search of
+    :mod:`kauffpoly.moves` its port array.
     """
 
     def __init__(
@@ -140,18 +146,20 @@ class _Projection:
     def walk(self) -> _Walk:
         far = self.far_ports
         n = len(far) >> 2
-        passed = [False] * len(far)
         met = [False] * n
         encounters: list[tuple[int, int]] = []
-        strands = [0] * (2 * n)
+        strands = [-1] * (2 * n)
         arrivals = [0] * (2 * n)
-        k = 0
+        visits: list[tuple[int, ...]] = []
         for _, (ca, pa), _ in self.edges:  # sorted by label, a < b: discovery is canonical
-            start = x = 4 * ca + pa
-            if passed[x]:
+            if strands[2 * ca + (pa & 1)] >= 0:  # this edge's component is walked
                 continue
+            k = len(visits)
+            start = x = 4 * ca + pa
+            orbit: list[int] = []
+            visit = orbit.append
             while True:
-                passed[x] = passed[x ^ 2] = True
+                visit(x)
                 ci = x >> 2
                 s = 2 * ci + (x & 1)
                 strands[s] = k
@@ -162,12 +170,14 @@ class _Projection:
                 x = far[x ^ 2]
                 if x == start:
                     break
-            k += 1
+            visits.append(tuple(orbit))
         # V over: +1 when V arrives a counterclockwise quarter turn after U
         signs = tuple(
             1 if (arrivals[2 * c + 1] - arrivals[2 * c]) & 3 == 1 else -1 for c in range(n)
         )
-        return _Walk(k + self.free_loops, tuple(encounters), tuple(strands), signs)
+        return _Walk(
+            len(visits) + self.free_loops, tuple(encounters), tuple(visits), tuple(strands), signs
+        )
 
     @cached_property
     def faces(self) -> tuple[tuple[tuple[int, Port], ...], ...]:

@@ -12,6 +12,22 @@ machinery, which is exactly the part most likely to harbor bugs.  Both
 pipelines satisfy the same skein axioms and normalization, so they must
 agree on every diagram; ``uniqueness_check`` asserts that equality.
 
+Each node expands from a base of least warping degree (Shimizu, "The
+warping degree of a knot diagram", J. Knot Theory Ramifications 19,
+2010), not from the canonical base the table engine uses.  The
+coefficient polynomials do not depend on the base points, so the
+relation holds at a warping crossing of any base, and a diagram with
+no warping crossing under some base is a descending diagram of an
+unlink, worth ``y^w * d^(r-1)`` (Kauffman, "An invariant of regular
+isotopy", Trans. AMS 318, 1990).  Its components are pairwise
+unlinked, so its writhe is the same under every orientation and the
+leaf reads it under the traversal's.  The least degree splits into
+parts that are found exactly in one pass over the crossings
+(:func:`_least_warping`): each component's start and direction decide
+only its self-crossings, and the component order only the crossings
+between components.  A flip drops the least degree by at least one and
+a splice drops the crossing count, so the recursion ends.
+
 Each ``oracle_L`` call carries one run object down the recursion: its
 node budget, its memo and the powers of ``d`` its leaves share.  The
 memo maps each labelled diagram to its value, so a call expands each
@@ -24,21 +40,23 @@ the kink, bigon and disjoint-union laws do not depend on either.
 
 The diagram and warping plumbing is shared with the rest of the package:
 duplicating it would add risk without adding independence where it
-matters.  Like the table engine, each node reads the warping crossings,
-``r`` and the writhe from the projection's canonical walk
+matters.  Like the table engine, each node reads ``r``, the writhe and
+its traversals from the projection's canonical walk
 (:class:`kauffpoly.diagram.Diagram`), and builds no base object; only a
-base passed to :func:`oracle_L_with_base` is validated and walked.
+base passed to :func:`oracle_L_with_base` is validated and walked, and
+only that call's top level uses it.
 """
 
 from __future__ import annotations
 
+import itertools
 from typing import MutableMapping
 
 from .coeffs import _Run
 from .diagram import Diagram
 from .laurent import BivariatePoly
 from .series import kauffman_L, unlink_factor
-from .warping import BaseSequence, _warping, base_orientation, first_encounter, validate_base
+from .warping import BaseSequence, _base_walk, _warping
 
 OracleCache = MutableMapping[Diagram, BivariatePoly]
 
@@ -60,15 +78,85 @@ class _OracleRun(_Run):
         return powers[k]
 
 
+#: Up to this many components with crossings, every component order is tried.
+_MAX_PERMUTED = 6
+
+
+def _least_warping(d: Diagram) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """A base of least warping degree and its warping crossings.
+
+    The base is the flat port (``4c + i``) at which each component's
+    traversal arrives first, in traversal order; the warping crossings
+    are listed in first-encounter order under it.  Per component, one
+    sweep of the canonical visits finds the start of fewest warping
+    self-crossings: moving the start past a visit to a self-crossing
+    toggles whether that crossing warps, and reversing the direction
+    from the same edge warps exactly the other self-crossings.  A
+    crossing between two components warps when the one traversed first
+    passes under, so the component order only has to minimise those.
+    Ties go to the first minimum: the earliest start, forward before
+    reversed, and the earliest order in ``itertools.permutations``.
+    """
+    walk = d._proj.walk
+    far = d._proj.far_ports
+    crossings = d.crossings
+    strands = walk.strands
+    m = len(walk.visits)
+    under = [[0] * m for _ in range(m)]  # under[i][j]: i passes under j
+    met = [False] * len(crossings)
+    starts = []
+    for k, visits in enumerate(walk.visits):
+        # level: warping self-crossings from start t minus those from start 0
+        warps = level = low = high = t_low = t_high = selfs = 0
+        for t, x in enumerate(visits):
+            if level < low:
+                low, t_low = level, t
+            elif level > high:
+                high, t_high = level, t
+            ci = x >> 2
+            is_under = (x & 1) != crossings[ci].over_v
+            other = strands[(2 * ci + (x & 1)) ^ 1]
+            if other != k:
+                under[k][other] += is_under
+                continue
+            if not met[ci]:
+                met[ci] = True
+                selfs += 1
+                warps += is_under
+            level += -1 if is_under else 1
+        forward = warps + low
+        backward = selfs - warps - high
+        if backward < forward or (backward == forward and t_high < t_low):
+            starts.append(far[visits[t_high]])  # the same edge, walked back
+        else:
+            starts.append(visits[t_low])
+    if 1 < m <= _MAX_PERMUTED:
+        order = min(
+            itertools.permutations(range(m)),
+            key=lambda perm: sum(under[i][j] for n, i in enumerate(perm) for j in perm[n + 1 :]),
+        )
+        starts = [starts[k] for k in order]
+    met = [False] * len(crossings)
+    warping = []
+    for start in starts:
+        x = start
+        while True:
+            ci = x >> 2
+            if not met[ci]:
+                met[ci] = True
+                if (x & 1) != crossings[ci].over_v:
+                    warping.append(ci)
+            x = far[x ^ 2]
+            if x == start:
+                break
+    return tuple(starts), tuple(warping)
+
+
 def _oracle_step(
-    d: Diagram,
-    encounters: tuple[tuple[int, int], ...],
-    orientation: tuple[int, ...],
-    run: _OracleRun,
+    d: Diagram, warping: tuple[int, ...], orientation: tuple[int, ...], run: _OracleRun
 ) -> BivariatePoly:
-    """One node under a traversal: its first-encounter order and the
-    component directions it induces."""
-    warping = _warping(d, encounters)
+    """One node: its warping crossings under some base and the
+    component directions that base induces."""
     if not warping:
         return run.d_power(d.r - 1).shift_y(d.writhe(orientation))
     p = warping[0]
@@ -82,8 +170,7 @@ def _oracle(d: Diagram, run: _OracleRun) -> BivariatePoly:
     value = run.memo.get(d)
     if value is None:
         run.spend(d)
-        walk = d._proj.walk
-        value = run.memo[d] = _oracle_step(d, walk.encounters, (1,) * walk.r, run)
+        value = run.memo[d] = _oracle_step(d, _least_warping(d)[1], (1,) * d.r, run)
     return value
 
 
@@ -106,10 +193,10 @@ def oracle_L_with_base(
 ) -> BivariatePoly:
     """Oracle value with the top-level monotone test and warping choice
     driven by a caller-supplied base; must equal :func:`oracle_L`."""
-    validate_base(d, base)
+    encounters, orientation = _base_walk(d, base)
     run = _OracleRun(d, budget, cache)
     run.spend(d)
-    return _oracle_step(d, first_encounter(d, base), base_orientation(d, base), run)
+    return _oracle_step(d, _warping(d, encounters), orientation, run)
 
 
 def uniqueness_check(

@@ -18,9 +18,9 @@ starts, so under it the first-encounter order is the one the
 projection's canonical traversal records.  The recursions of
 :mod:`kauffpoly.coeffs` and :mod:`kauffpoly.oracle` read that traversal
 directly and never build a base.  Every base passed to the functions
-here, the canonical one included, is validated and walked on every
-call; only the public API of :class:`~kauffpoly.diagram.Diagram` is
-used.
+here, the canonical one included, is validated once and walked once on
+every call; only the public API of :class:`~kauffpoly.diagram.Diagram`
+is used.
 """
 
 from __future__ import annotations
@@ -100,21 +100,33 @@ def enumerate_bases(d: Diagram) -> Iterator[BaseSequence]:
         yield BaseSequence(tuple(combo))
 
 
-def first_encounter(d: Diagram, base: BaseSequence) -> tuple[tuple[int, int], ...]:
-    """Crossings in order of first visit, with the parity of the strand
-    (0 for U, 1 for V) met first.  The base is validated, and each of
-    its components is walked from its start edge.
-    """
+def _base_walk(
+    d: Diagram, base: BaseSequence
+) -> tuple[tuple[tuple[int, int], ...], tuple[int, ...]]:
+    """The first-encounter order of a base and the component directions
+    it induces.  The base is validated once, and each of its components
+    is walked once from its start edge."""
     validate_base(d, base)
-    orbits = [d.orbit_from(e.edge, e.toward) for e in base if e.edge is not None]
+    comps = d.components
+    signs = [1] * d.r
     seen: set[int] = set()
     found: list[tuple[int, int]] = []
-    for orbit in orbits:
-        for _, (ci, pi) in orbit:
+    for entry in base:
+        if entry.edge is None:
+            continue
+        start = (entry.edge, entry.toward)
+        signs[entry.component] = 1 if start in comps[entry.component].orbit else -1
+        for _, (ci, pi) in d.orbit_from(*start):
             if ci not in seen:
                 seen.add(ci)
                 found.append((ci, pi % 2))
-    return tuple(found)
+    return tuple(found), tuple(signs)
+
+
+def first_encounter(d: Diagram, base: BaseSequence) -> tuple[tuple[int, int], ...]:
+    """Crossings in order of first visit, with the parity of the strand
+    (0 for U, 1 for V) met first."""
+    return _base_walk(d, base)[0]
 
 
 def warping_order(d: Diagram, base: BaseSequence) -> tuple[int, ...]:
@@ -140,14 +152,7 @@ def is_monotone(d: Diagram, base: BaseSequence) -> bool:
 def base_orientation(d: Diagram, base: BaseSequence) -> tuple[int, ...]:
     """Per-component direction signs induced by the base directions,
     relative to each component's canonical traversal."""
-    validate_base(d, base)
-    signs = [1] * d.r
-    for entry in base:
-        if entry.edge is None:
-            continue
-        comp = d.components[entry.component]
-        signs[entry.component] = 1 if (entry.edge, entry.toward) in comp.orbit else -1
-    return tuple(signs)
+    return _base_walk(d, base)[1]
 
 
 def induced_writhe(d: Diagram, base: BaseSequence) -> int:

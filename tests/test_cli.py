@@ -209,6 +209,21 @@ class TestErrors:
             "error: --max-crossings must be nonnegative, got -2"
         ]
 
+    @pytest.mark.parametrize("start,bound", [("unknot", "0"), ("trefoil", "1")])
+    def test_fuzz_start_without_moves(self, capsys, start, bound):
+        args = ("fuzz", "--start", start, "--max-crossings", bound, "--walks", "2", "--steps", "5")
+        code, out, err = run(capsys, *args)
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err.strip().splitlines() == [
+            f"error: no move applies to {start} under --max-crossings {bound}"
+        ]
+
+    def test_fuzz_without_steps_needs_no_move(self, capsys):
+        code, out, _ = run(capsys, "fuzz", "--max-crossings", "0", "--walks", "1", "--steps", "0")
+        assert code == EXIT_OK
+        assert json.loads(out)["steps"] == 0
+
     @pytest.mark.parametrize("command", ["coeffs", "kauffman", "verify"])
     @pytest.mark.parametrize("pd", ["", "   "])
     def test_empty_diagram_rejected(self, capsys, command, pd):

@@ -677,6 +677,11 @@ class TestCanonicalWalk:
             assert d.r == len(orbits) + d.free_loops
             assert [comp.orbit for comp in d.components if comp.orbit] == orbits
 
+    def test_visits_match_reference_orbits(self, walk_cases):
+        for d in walk_cases:
+            expected = [tuple(4 * ci + pi for _, (ci, pi) in orbit) for orbit in reference_orbits(d)]
+            assert list(d._proj.walk.visits) == expected
+
     def test_canonical_first_encounter_matches_reference(self, walk_cases):
         for d in walk_cases:
             expected = reference_first_encounter(reference_orbits(d))

@@ -4,18 +4,28 @@ import itertools
 
 import pytest
 
+from test_coeffs import braid_closure
+
+from kauffpoly.catalog import CATALOG
 from kauffpoly.coeffs import BudgetExceededError
 from kauffpoly.diagram import Diagram, connected_sum, parse_pd
 from kauffpoly.laurent import BivariatePoly
-from kauffpoly.moves import r1_add, random_diagram
+from kauffpoly.moves import r1_add, random_diagram, random_move_walk
 from kauffpoly.oracle import (
+    _least_warping,
     agree_at_y_one,
     oracle_L,
     oracle_L_with_base,
     uniqueness_check,
 )
-from kauffpoly.series import unlink_factor
-from kauffpoly.warping import enumerate_bases
+from kauffpoly.series import kauffman_L, unlink_factor
+from kauffpoly.warping import (
+    BaseEntry,
+    BaseSequence,
+    enumerate_bases,
+    warping_degree,
+    warping_order,
+)
 
 
 class NeverHits(dict):
@@ -108,7 +118,66 @@ class TestUniqueness:
     def test_a_call_without_cache_expands_each_diagram_once(self):
         f8 = parse_pd(FIGURE8)
         d = connected_sum(f8, f8)
-        # 269 distinct labelled diagrams; without a memo the tree needs 349
-        assert oracle_L(d, budget=269) == oracle_L(d, cache=NeverHits())
+        cache = {}
+        expected = oracle_L(d, cache=cache)
+        n = len(cache)  # the distinct labelled diagrams the call expanded
+        assert oracle_L(d, budget=n) == expected == oracle_L(d, cache=NeverHits())
         with pytest.raises(BudgetExceededError):
-            oracle_L(d, budget=268)
+            oracle_L(d, budget=n - 1)
+
+    def test_torus_knot_beyond_twelve_crossings(self):
+        d = braid_closure(3, [1, 2] * 7)  # T(3,7), 14 crossings
+        assert oracle_L(d) == kauffman_L(d)
+
+
+def least_degree(d: Diagram) -> int:
+    """The least warping degree by brute force: every base, in every
+    order of its entries."""
+    return min(
+        warping_degree(d, BaseSequence(entries))
+        for base in enumerate_bases(d)
+        for entries in itertools.permutations(base.entries)
+    )
+
+
+def base_from_starts(d: Diagram, starts) -> BaseSequence:
+    """The base whose components are traversed from the given flat
+    arrival ports, in that order, with the free loops after them."""
+    entries = []
+    for x in starts:
+        port = (x >> 2, x & 3)
+        edge = next(label for label, ends in d.edge_map.items() if port in ends)
+        k = next(k for k, comp in enumerate(d.components) if edge in comp.edges)
+        entries.append(BaseEntry(k, edge, port))
+    entries += [BaseEntry(k, None, None) for k in range(len(starts), d.r)]
+    return BaseSequence(tuple(entries))
+
+
+@pytest.fixture(scope="module")
+def least_cases():
+    """The catalog with every crossing change of its links, seeded
+    random knots, and 3-component links walked from three free loops
+    with every crossing change of each."""
+    out = []
+    for entry in CATALOG.values():
+        d = entry.diagram()
+        out += [d] + [d.crossing_change(p) for p in range(d.c) if d.r > 1]
+    out += [random_diagram(seed, 7, walk_steps=25) for seed in range(40)]
+    for seed in range(20):
+        link, _ = random_move_walk(parse_pd("O O O"), 25, seed, 7)
+        out += [link] + [link.crossing_change(p) for p in range(link.c)]
+    return out
+
+
+class TestLeastWarping:
+    def test_cases_cover_three_component_links(self, least_cases):
+        assert sum(d.r == 3 and d.c >= 5 for d in least_cases) >= 20
+
+    def test_degree_is_the_least_over_all_bases_and_orders(self, least_cases):
+        for d in least_cases:
+            assert len(_least_warping(d)[1]) == least_degree(d), d.to_pd()
+
+    def test_crossings_are_the_warping_order_of_their_base(self, least_cases):
+        for d in least_cases:
+            starts, warping = _least_warping(d)
+            assert warping_order(d, base_from_starts(d, starts)) == warping, d.to_pd()
