@@ -32,7 +32,7 @@ import sys
 from . import catalog as _catalog
 from .coeffs import DEFAULT_BUDGET, BudgetExceededError, coeff_table
 from .diagram import Diagram, DiagramError, parse_pd
-from .moves import has_move, random_move_walk, replay
+from .moves import _move_kinds, random_move_walk, replay
 from .oracle import oracle_L
 from .series import kauffman_F, kauffman_L
 from .verification import verify_catalog, verify_diagram
@@ -182,7 +182,7 @@ def _cmd_fuzz(args) -> int:
     start_name = args.start
     entry = _catalog.get(start_name)
     start = entry.diagram()
-    if args.steps and not has_move(start, args.max_crossings):
+    if args.steps and not _move_kinds(start, args.max_crossings):
         raise _UsageError(
             f"no move applies to {entry.name} under --max-crossings {args.max_crossings}"
         )

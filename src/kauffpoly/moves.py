@@ -434,12 +434,6 @@ def _move_kinds(d: Diagram, max_c: int) -> dict[str, tuple[int, Callable[[int], 
     return out
 
 
-def has_move(d: Diagram, max_c: int) -> bool:
-    """Whether any move applies to ``d`` without exceeding ``max_c``
-    crossings; a walk from a diagram with none takes no step."""
-    return bool(_move_kinds(d, max_c))
-
-
 def random_move_walk(
     d: Diagram, steps: int, seed: int, max_c: int
 ) -> tuple[Diagram, MoveTrace]:

@@ -25,8 +25,11 @@ leaf reads it under the traversal's.  The least degree splits into
 parts that are found exactly in one pass over the crossings
 (:func:`_least_warping`): each component's start and direction decide
 only its self-crossings, and the component order only the crossings
-between components.  A flip drops the least degree by at least one and
-a splice drops the crossing count, so the recursion ends.
+between components.  Past a few components the order is not searched
+and the canonical one is kept; that base is then least among bases in
+the canonical order.  Either way a flip drops the chosen base's degree
+by at least one, as a crossing change keeps the canonical order, and a
+splice drops the crossing count, so the recursion ends.
 
 Each ``oracle_L`` call carries one run object down the recursion: its
 node budget, its memo and the powers of ``d`` its leaves share.  The
@@ -56,7 +59,7 @@ from .coeffs import _Run
 from .diagram import Diagram
 from .laurent import BivariatePoly
 from .series import kauffman_L, unlink_factor
-from .warping import BaseSequence, _base_walk, _warping
+from .warping import BaseSequence, warping_order
 
 OracleCache = MutableMapping[Diagram, BivariatePoly]
 
@@ -78,7 +81,12 @@ class _OracleRun(_Run):
         return powers[k]
 
 
-#: Up to this many components with crossings, every component order is tried.
+#: Up to this many components with crossings, every component order is
+#: tried; beyond it the canonical order is kept.  The search costs about
+#: 0.3 ms per node at 5 components, 2.3 ms at 6, 17 ms at 7 and 170 ms
+#: at 8 (CPython 3.11 on a 2-vCPU VM).  On braid-closure chains it cut
+#: the oracle's time by 18 % at 5 components and by 30 % at 6; at 7 it
+#: saved no node.
 _MAX_PERMUTED = 6
 
 
@@ -93,7 +101,9 @@ def _least_warping(d: Diagram) -> tuple[tuple[int, ...], tuple[int, ...]]:
     toggles whether that crossing warps, and reversing the direction
     from the same edge warps exactly the other self-crossings.  A
     crossing between two components warps when the one traversed first
-    passes under, so the component order only has to minimise those.
+    passes under, so the component order only has to minimise those;
+    beyond ``_MAX_PERMUTED`` components with crossings the canonical
+    order is kept, and the base is least only among bases in that order.
     Ties go to the first minimum: the earliest start, forward before
     reversed, and the earliest order in ``itertools.permutations``.
     """
@@ -152,13 +162,10 @@ def _least_warping(d: Diagram) -> tuple[tuple[int, ...], tuple[int, ...]]:
     return tuple(starts), tuple(warping)
 
 
-def _oracle_step(
-    d: Diagram, warping: tuple[int, ...], orientation: tuple[int, ...], run: _OracleRun
-) -> BivariatePoly:
-    """One node: its warping crossings under some base and the
-    component directions that base induces."""
+def _oracle_step(d: Diagram, warping: tuple[int, ...], run: _OracleRun) -> BivariatePoly:
+    """One node, given its warping crossings under some base."""
     if not warping:
-        return run.d_power(d.r - 1).shift_y(d.writhe(orientation))
+        return run.d_power(d.r - 1).shift_y(d.writhe((1,) * d.r))
     p = warping[0]
     return (
         -_oracle(d.crossing_change(p), run)
@@ -170,7 +177,7 @@ def _oracle(d: Diagram, run: _OracleRun) -> BivariatePoly:
     value = run.memo.get(d)
     if value is None:
         run.spend(d)
-        value = run.memo[d] = _oracle_step(d, _least_warping(d)[1], (1,) * d.r, run)
+        value = run.memo[d] = _oracle_step(d, _least_warping(d)[1], run)
     return value
 
 
@@ -193,10 +200,10 @@ def oracle_L_with_base(
 ) -> BivariatePoly:
     """Oracle value with the top-level monotone test and warping choice
     driven by a caller-supplied base; must equal :func:`oracle_L`."""
-    encounters, orientation = _base_walk(d, base)
+    warping = warping_order(d, base)
     run = _OracleRun(d, budget, cache)
     run.spend(d)
-    return _oracle_step(d, _warping(d, encounters), orientation, run)
+    return _oracle_step(d, warping, run)
 
 
 def uniqueness_check(

@@ -6,6 +6,7 @@ import pytest
 
 from test_coeffs import braid_closure
 
+from kauffpoly import oracle
 from kauffpoly.catalog import CATALOG
 from kauffpoly.coeffs import BudgetExceededError
 from kauffpoly.diagram import Diagram, connected_sum, parse_pd
@@ -181,3 +182,18 @@ class TestLeastWarping:
         for d in least_cases:
             starts, warping = _least_warping(d)
             assert warping_order(d, base_from_starts(d, starts)) == warping, d.to_pd()
+
+    def test_beyond_the_order_search_keeps_the_canonical_order(self, monkeypatch):
+        # seven components, each passing over the next twice, so the
+        # canonical order warps all twelve crossings and the reverse none
+        d = braid_closure(7, [1, -1, 2, -2, 3, -3, 4, -4, 5, -5, 6, -6])
+        starts, warping = _least_warping(d)
+        assert len(starts) == 7 > oracle._MAX_PERMUTED
+        base = base_from_starts(d, starts)
+        assert [entry.component for entry in base] == list(range(7))
+        assert warping_order(d, base) == warping
+        assert len(warping) == 12
+        for link in [d] + [d.crossing_change(p) for p in range(d.c)]:
+            assert oracle_L(link) == kauffman_L(link), link.to_pd()
+        monkeypatch.setattr(oracle, "_MAX_PERMUTED", 7)
+        assert _least_warping(d)[1] == ()
