@@ -17,8 +17,11 @@ Exit codes: 0 ok, 1 verification failure, 2 usage or parse error
 (an unknown catalog name, an unreadable PD file, an empty or non-planar
 diagram, a negative budget and a negative ``--steps``, ``--walks`` or
 ``--max-crossings`` included, and a fuzz start to which no move applies
-under ``--max-crossings`` while ``--steps`` is positive), 3 recursion
-budget exceeded.  The budget defaults to ``KAUFFPOLY_BUDGET`` when that
+under ``--max-crossings`` while ``--steps`` is positive), 3 a resource
+limit: the recursion budget ran out, or the recursion went deeper than
+Python's stack allows (``RecursionError``); either way one ``error:``
+line names the crossing and component counts of the diagram being
+worked on.  The budget defaults to ``KAUFFPOLY_BUDGET`` when that
 environment variable is set.
 """
 
@@ -28,6 +31,7 @@ import argparse
 import json
 import os
 import sys
+from contextlib import contextmanager
 
 from . import catalog as _catalog
 from .coeffs import DEFAULT_BUDGET, BudgetExceededError, coeff_table
@@ -100,11 +104,25 @@ def _emit(obj) -> None:
     sys.stdout.write(json.dumps(obj) + "\n")
 
 
+@contextmanager
+def _on(d: Diagram):
+    """Name ``d`` in a ``RecursionError`` raised while working on it."""
+    try:
+        yield
+    except RecursionError:
+        raise RecursionError(
+            f"the recursion went deeper than Python's stack allows "
+            f"(recursion limit {sys.getrecursionlimit()}) on a diagram with "
+            f"{d.c} crossings and {d.r} components"
+        ) from None
+
+
 def _cmd_coeffs(args) -> int:
     budget = args.budget
     cache = {}
     for _, d in _gather_inputs(args):
-        table = coeff_table(d, budget=budget, cache=cache)
+        with _on(d):
+            table = coeff_table(d, budget=budget, cache=cache)
         base = canonical_base(d)
         _emit(
             {
@@ -124,9 +142,10 @@ def _cmd_kauffman(args) -> int:
     oracle_cache = {}
     for _, d in _gather_inputs(args):
         orientation = _parse_orientation(args.orient, d.r)
-        L = kauffman_L(d, budget=budget, cache=cache)
-        F = kauffman_F(d, orientation, budget=budget, cache=cache)
-        L_ind = oracle_L(d, budget=budget, cache=oracle_cache)
+        with _on(d):
+            L = kauffman_L(d, budget=budget, cache=cache)
+            F = kauffman_F(d, orientation, budget=budget, cache=cache)
+            L_ind = oracle_L(d, budget=budget, cache=oracle_cache)
         _emit(
             {
                 "L": str(L),
@@ -156,14 +175,15 @@ def _cmd_verify(args) -> int:
             tags = ()
             if name in _catalog.CATALOG:
                 tags = _catalog.CATALOG[name].known_properties
-            rep = verify_diagram(
-                d,
-                name=name,
-                tags=tags,
-                budget=budget,
-                cache=cache,
-                oracle_cache=oracle_cache,
-            )
+            with _on(d):
+                rep = verify_diagram(
+                    d,
+                    name=name,
+                    tags=tags,
+                    budget=budget,
+                    cache=cache,
+                    oracle_cache=oracle_cache,
+                )
             _emit(rep)
             ok = ok and rep["ok"]
     return EXIT_OK if ok else EXIT_FAIL
@@ -192,8 +212,10 @@ def _cmd_fuzz(args) -> int:
         seed = args.seed + i
         end, trace = random_move_walk(start, args.steps, seed, args.max_crossings)
         replay_ok = replay(start, trace.steps) == end
-        L_start = kauffman_L(start, budget=budget, cache=cache)
-        L_end = kauffman_L(end, budget=budget, cache=cache)
+        with _on(start):
+            L_start = kauffman_L(start, budget=budget, cache=cache)
+        with _on(end):
+            L_end = kauffman_L(end, budget=budget, cache=cache)
         scaling_ok = L_end == L_start.shift_y(trace.net_r1)
         planar_ok = end.is_planar()
         walk_ok = replay_ok and scaling_ok and planar_ok
@@ -296,7 +318,7 @@ def main(argv: list[str] | None = None) -> int:
     except _catalog.CatalogError as exc:
         print(f"error: {exc.args[0]}", file=sys.stderr)
         return EXIT_USAGE
-    except BudgetExceededError as exc:
+    except (BudgetExceededError, RecursionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET
 

@@ -48,6 +48,13 @@ assembled from theirs.  A caller-supplied base
 The independent evaluator in :mod:`kauffpoly.oracle` deliberately uses
 none of the three laws.
 
+Every lookup runs on a port state (``diagram._PortState``): the flip
+and the two splices of a node, the kink removals, the bigon erasures,
+the split into pieces, the component count and the shape codes are
+edits and scans of one flat port array, checked as the constructor
+checks a diagram before any code is looked up.  A ``Diagram`` is built
+only for a core the memo misses, which is the only core expanded.
+
 All functions are pure.  Every call memoises: the memo maps the shape
 code of each core (:meth:`kauffpoly.diagram.Diagram.shape_code`) to its
 finished table, so a call expands each distinct core once and the
@@ -65,9 +72,9 @@ from __future__ import annotations
 import logging
 from typing import Mapping, MutableMapping
 
-from .diagram import Diagram, DiagramError
+from .diagram import Diagram, DiagramError, _PortState
 from .laurent import BivariatePoly, LaurentPoly, monotone_coeff
-from .moves import first_bigon, kink_rule, kink_sites
+from .moves import kink_rule
 from .warping import BaseSequence, _base_walk, _warping
 
 logger = logging.getLogger(__name__)
@@ -156,7 +163,8 @@ def _expand(
     run: _Run,
 ) -> CoeffTable:
     """One node under a traversal: its first-encounter order and the
-    component directions it induces."""
+    component directions it induces.  The flip and the two splices are
+    edited on port states of ``d``, in that order."""
     warping = _warping(d, encounters)
     if pick is not None and pick not in warping:
         raise DiagramError(f"crossing {pick} is not a warping crossing of this base")
@@ -166,14 +174,15 @@ def _expand(
         return CoeffTable.from_dict({n: monotone_coeff(w, n, r) for n in range(r)})
     p = warping[0] if pick is None else pick
 
-    flipped = _table(d.crossing_change(p), run)
-    da = d.splice(p, "A")
-    db = d.splice(p, "B")
-    shift_a = 1 - (da.r - d.r)
-    shift_b = 1 - (db.r - d.r)
-    ta = _table(da, run)
-    tb = _table(db, run)
-    return -flipped + ta.shift_z(shift_a) + tb.shift_z(shift_b)
+    flipped = _PortState(d)
+    flipped.flip(p)
+    table = -_table(flipped, run)
+    for kind in "AB":
+        spliced = _PortState(d)
+        spliced.splice(p, kind)
+        t = _table(spliced, run)  # reduces the state, which keeps its r
+        table = table + t.shift_z(1 - (spliced.r() - d.r))
+    return table
 
 
 _FREE_LOOP = CoeffTable.one()
@@ -182,38 +191,43 @@ _FREE_LOOP = CoeffTable.one()
 _SPLIT_FACTOR = BivariatePoly({(1, 0): 1, (-1, 0): 1, (0, 1): -1})
 
 
-def _cores(d: Diagram) -> tuple[int, int, tuple[Diagram, ...]]:
+def _cores(s: _PortState) -> tuple[int, int, list[tuple[tuple[int, ...], int]]]:
     """(sum of the kink signs, free loops split off, cores) once every
-    R1 kink and removable R2 bigon of ``d`` is removed; a diagram with at
-    most one connected piece or free loop is its own single core."""
+    R1 kink and removable R2 bigon of ``s`` is removed, in place; a core
+    is its crossings and free loops.  A state with at most one connected
+    piece or free loop is its own single core.  Kinks come off first,
+    lowest loop edge label first; then the first bigon in port order is
+    erased, and the two steps repeat until neither applies."""
     kinks = 0
     while True:
-        if sites := kink_sites(d):
-            sign, kind = kink_rule(d, sites[0])
+        if site := s.kink():
+            sign, kind = kink_rule(s, site)
             kinks += sign
-            d = d.splice(sites[0][0], kind)
-        elif bigon := first_bigon(d):
-            d = d.erase_crossings(bigon)
+            s.splice(site[0], kind)
+        elif bigon := s.bigon():
+            s.erase(*bigon)
         else:
             break
-    if len(d.connected_pieces()) + d.free_loops <= 1:
-        return kinks, 0, (d,)
-    return kinks, d.free_loops, d.piece_diagrams()
+    pieces = s.pieces()  # after the constructor's checks on the state
+    if len(pieces) + s.loops <= 1:
+        return kinks, 0, [(pieces[0] if pieces else (), s.loops)]
+    return kinks, s.loops, [(piece, 0) for piece in pieces]
 
 
-def _core_table(d: Diagram, run: _Run) -> CoeffTable:
-    key = d.shape_code()
+def _core_table(s: _PortState, piece: tuple[int, ...], loops: int, run: _Run) -> CoeffTable:
+    key = s.shape_code(piece, loops)
     table = run.memo.get(key)
     if table is None:
+        d = s.diagram(piece, loops)  # the only diagram a lookup builds
         run.spend(d)
         walk = d._proj.walk
         table = run.memo[key] = _expand(d, walk.encounters, (1,) * walk.r, None, run)
     return table
 
 
-def _table(d: Diagram, run: _Run) -> CoeffTable:
-    kinks, loops, cores = _cores(d)
-    tables = [_core_table(core, run) for core in cores] + [_FREE_LOOP] * loops
+def _table(s: _PortState, run: _Run) -> CoeffTable:
+    kinks, loops, cores = _cores(s)
+    tables = [_core_table(s, *core, run) for core in cores] + [_FREE_LOOP] * loops
     table = tables[0]
     for other in tables[1:]:
         table = table * other * _SPLIT_FACTOR
@@ -240,7 +254,7 @@ def coeff_table(
         Relabelled copies of a core share its entry, which is sound
         because the table is a link invariant.
     """
-    return _table(d, _Run(d, budget, cache))
+    return _table(_PortState(d), _Run(d, budget, cache))
 
 
 def coeff_table_with_base(

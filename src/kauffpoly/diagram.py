@@ -28,6 +28,15 @@ order, only the chains of edges through it are merged and inserted in
 place, and every structural check runs on the result without sorting
 again.
 
+The coefficient engine edits its sub-diagrams without building them: a
+``_PortState`` holds the over flags, the flat port arrays and the free
+loops of a diagram and changes them in place.  It flips, splices,
+strips kinks, erases bigons, splits into pieces, counts components and
+computes shape codes on those arrays, with the same chain merge, kink
+scan, bigon scan and shape code as :class:`Diagram`, and checks its
+arrays as the constructor checks a diagram's.  It builds a
+:class:`Diagram` only for a core it is asked for.
+
 PD text input: whitespace-separated tokens ``X(a,b,c,d)`` listing the
 edge labels at ports 0..3 counterclockwise with the under-strand
 through entries 1 and 3 (ports 0 and 2), plus ``O`` tokens for free
@@ -41,7 +50,7 @@ import re
 from bisect import insort
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 Port = tuple[int, int]  # (crossing index, port index 0..3)
 EdgeRef = int | None  # an edge label, or None meaning "a free loop"
@@ -79,6 +88,55 @@ _B_BRIDGE = (3, 2, 1, 0)
 _STRAIGHT_BRIDGE = (2, 3, 0, 1)
 
 
+def _splice_bridge(kind: str) -> tuple[int, int, int, int]:
+    if kind == "A":
+        return _A_BRIDGE
+    if kind == "B":
+        return _B_BRIDGE
+    raise DiagramError(f"splice kind must be 'A' or 'B', not {kind!r}")
+
+
+def _merge_chains(
+    far: list[int], labels: list[int], p: int, bridge: tuple[int, int, int, int]
+) -> tuple[list[tuple[int, int, int]], int]:
+    """The chains of edges through crossing ``p`` once each of its ports
+    ``i`` is joined to ``bridge[i]``, on flat port arrays: ``(smallest
+    label, end port, end port)`` for each chain that leaves ``p``, and
+    the number of chains that close up inside ``p``."""
+    at = 4 * p
+    done = [False] * 4
+    chains = []
+    for i in range(4):  # open chains, each from a port whose edge leaves p
+        start = far[at + i]
+        if done[i] or start >> 2 == p:
+            continue
+        low = labels[at + i]
+        j = i
+        while True:
+            done[j] = True
+            j = bridge[j]
+            done[j] = True
+            if labels[at + j] < low:
+                low = labels[at + j]
+            end = far[at + j]
+            if end >> 2 != p:
+                break
+            j = end & 3
+        chains.append((low, start, end))
+    closed = 0
+    for i in range(4):  # whatever is left closes up inside p
+        if done[i]:
+            continue
+        closed += 1
+        j = i
+        while not done[j]:
+            done[j] = True
+            j = far[at + j] & 3
+            done[j] = True
+            j = bridge[j]
+    return chains, closed
+
+
 class _Walk(NamedTuple):
     """One pass of the canonical traversal of a projection.
 
@@ -110,11 +168,18 @@ class _Projection:
     arrays, the canonical traversal, the components, the faces) is
     computed once per projection.  Port ``(c, i)`` is index ``4c + i``
     of the flat arrays: ``far_ports`` holds the port at the other end of
-    its edge and ``port_labels`` that edge's label.  Only this module
-    writes any of it; the recursions read its canonical traversal, and
-    the oracle's base search and the bigon search of
-    :mod:`kauffpoly.moves` its port array.
+    its edge and ``port_labels`` that edge's label.  ``walk``, ``faces``,
+    ``components``, ``edge_map``, ``kinks`` (the lower ports of the R1
+    kinks' loop edges) and ``pieces`` (the crossings of each connected
+    piece) are built on first use and then read as plain attributes.
+    Only this module writes any of it; the recursions read its canonical
+    traversal, and the oracle's base search and the move site searches
+    of :mod:`kauffpoly.moves` its port array.
     """
+
+    #: filled on first use by the method named with a leading underscore
+    _LAZY = ("walk", "faces", "components", "edge_map", "kinks", "pieces")
+    __slots__ = ("edges", "free_loops", "far_ports", "port_labels") + _LAZY
 
     def __init__(
         self,
@@ -128,9 +193,23 @@ class _Projection:
         self.far_ports = far_ports
         self.port_labels = port_labels
 
-    @cached_property
-    def edge_map(self) -> dict[int, tuple[Port, Port]]:
+    def __getattr__(self, name: str):
+        # only an unset slot gets here: fill it once from its builder
+        if name not in _Projection._LAZY:
+            raise AttributeError(name)
+        value = getattr(self, "_" + name)()
+        setattr(self, name, value)
+        return value
+
+    def _edge_map(self) -> dict[int, tuple[Port, Port]]:
         return {label: (a, b) for label, a, b in self.edges}
+
+    def _kinks(self) -> tuple[int, ...]:
+        far = self.far_ports
+        return tuple(_kink_ports(far, range(len(far))))
+
+    def _pieces(self) -> tuple[tuple[int, ...], ...]:
+        return _piece_crossings(self.far_ports, self.port_labels)
 
     def orbit_from(self, edge: int, toward: Port) -> tuple[tuple[int, Port], ...]:
         far, labels = self.far_ports, self.port_labels
@@ -142,8 +221,7 @@ class _Projection:
             x = far[x ^ 2]
         return tuple(orbit)
 
-    @cached_property
-    def walk(self) -> _Walk:
+    def _walk(self) -> _Walk:
         far = self.far_ports
         n = len(far) >> 2
         met = [False] * n
@@ -179,8 +257,7 @@ class _Projection:
             len(visits) + self.free_loops, tuple(encounters), tuple(visits), tuple(strands), signs
         )
 
-    @cached_property
-    def faces(self) -> tuple[tuple[tuple[int, Port], ...], ...]:
+    def _faces(self) -> tuple[tuple[tuple[int, Port], ...], ...]:
         far, labels = self.far_ports, self.port_labels
         out: list[tuple[tuple[int, Port], ...]] = []
         visited = [False] * len(far)
@@ -197,8 +274,7 @@ class _Projection:
                     out.append(tuple(face))
         return tuple(out)
 
-    @cached_property
-    def components(self) -> tuple[Component, ...]:
+    def _components(self) -> tuple[Component, ...]:
         comps: list[Component] = []
         seen: set[int] = set()
         for label, a, _ in self.edges:  # sorted by label, a < b: discovery is canonical
@@ -373,11 +449,7 @@ class Diagram:
         closes off a crossing-free circle increments ``free_loops``.
         """
         self._check_crossing(p)
-        if kind == "A":
-            return self._remove(p, _A_BRIDGE)
-        if kind == "B":
-            return self._remove(p, _B_BRIDGE)
-        raise DiagramError(f"splice kind must be 'A' or 'B', not {kind!r}")
+        return self._remove(p, _splice_bridge(kind))
 
     def erase_crossings(self, which: Iterable[int]) -> "Diagram":
         """Remove crossings by letting both strands pass straight through."""
@@ -406,40 +478,14 @@ class Diagram:
                     (label, a if ca < p else (ca - 1, a[1]), b if cb < p else (cb - 1, b[1]))
                 )
         proj = self._proj
-        far, port_labels = proj.far_ports, proj.port_labels
+        chains, closed = _merge_chains(proj.far_ports, proj.port_labels, p, bridge)
         at = 4 * p
-        done = [False] * 4
-        for i in range(4):  # open chains, each from a port whose edge leaves p
-            start = far[at + i]
-            if done[i] or start >> 2 == p:
-                continue
-            low = port_labels[at + i]
-            j = i
-            while True:
-                done[j] = True
-                j = bridge[j]
-                done[j] = True
-                low = min(low, port_labels[at + j])
-                end = far[at + j]
-                if end >> 2 != p:
-                    break
-                j = end & 3
+        for low, start, end in chains:
             ends = sorted((start - 4 if start > at else start, end - 4 if end > at else end))
             merged = (low, (ends[0] >> 2, ends[0] & 3), (ends[1] >> 2, ends[1] & 3))
             insort(edges, merged)  # its label is new to the kept edges
-        loops = self.free_loops
-        for i in range(4):  # whatever is left closes up inside p
-            if done[i]:
-                continue
-            loops += 1
-            j = i
-            while not done[j]:
-                done[j] = True
-                j = far[at + j] & 3
-                done[j] = True
-                j = bridge[j]
         return Diagram._from_sorted(
-            self.crossings[:p] + self.crossings[p + 1 :], tuple(edges), loops
+            self.crossings[:p] + self.crossings[p + 1 :], tuple(edges), self.free_loops + closed
         )
 
     def delta_shift(self, p: int, kind: str) -> int:
@@ -493,24 +539,7 @@ class Diagram:
 
     def connected_pieces(self) -> tuple[frozenset[int], ...]:
         """Crossing sets of the connected pieces of the 4-valent graph."""
-        far = self._proj.far_ports
-        seen: set[int] = set()
-        pieces: list[frozenset[int]] = []
-        for start in range(self.c):
-            if start in seen:
-                continue
-            piece = {start}
-            stack = [start]
-            while stack:
-                ci = stack.pop()
-                for x in range(4 * ci, 4 * ci + 4):
-                    nb = far[x] >> 2
-                    if nb not in piece:
-                        piece.add(nb)
-                        stack.append(nb)
-            seen |= piece
-            pieces.append(frozenset(piece))
-        return tuple(pieces)
+        return tuple(frozenset(piece) for piece in self._proj.pieces)
 
     def piece_diagrams(self) -> tuple["Diagram", ...]:
         """The connected pieces as diagrams of their own, free loops left out.
@@ -552,51 +581,17 @@ class Diagram:
         tried, which is exact because the least code begins with 0.  The
         starts advance together one crossing at a time, and a start is
         dropped at the first crossing whose entries compare above those
-        of another start still in the running.
+        of another start still in the running.  The code is computed once
+        per diagram, like its hash.
         """
-        n = len(self.crossings)
-        loops = self.free_loops
-        if loops > (n == 0):
-            raise DiagramError("shape codes exist only for connected diagrams")
-        if n == 0:
-            return (loops,)
-        far = self._proj.far_ports
-        over = [int(x.over_v) for x in self.crossings]
-        live = []  # (crossing -> discovery index, crossing -> its port 0, discovery order)
-        for s in range(n):
-            for q in (over[s], over[s] + 2):
-                index = [-1] * n
-                rot = [0] * n
-                index[s] = 0
-                rot[s] = q
-                live.append((index, rot, [s]))
-        code = [loops]
-        for k in range(n):
-            if len(live[0][2]) == k:  # every start in the running has found k crossings
-                raise DiagramError("shape codes exist only for connected diagrams")
-            least = keep = None
-            for state in live:
-                index, rot, order = state
-                c = order[k]
-                r = rot[c]
-                block = [over[c] ^ (r & 1)]
-                for j in (r, (r + 1) & 3, (r + 2) & 3, (r + 3) & 3):
-                    f = far[4 * c + j]
-                    c2 = f >> 2
-                    i = index[c2]
-                    if i < 0:
-                        i = index[c2] = len(order)
-                        rot[c2] = f & 3
-                        order.append(c2)
-                    block.append(4 * i + ((f - rot[c2]) & 3))
-                if least is None or block < least:
-                    least = block
-                    keep = [state]
-                elif block == least:
-                    keep.append(state)
-            live = keep
-            code += least
-        return tuple(code)
+        try:
+            return self._code
+        except AttributeError:
+            code = _shape_code(
+                self._proj.far_ports, self.crossings, self.free_loops, range(len(self.crossings))
+            )
+            object.__setattr__(self, "_code", code)
+            return code
 
     def is_planar(self) -> bool:
         """Euler check V - E + F = 2 on every connected piece."""
@@ -629,6 +624,265 @@ class Diagram:
 
     def __str__(self) -> str:
         return self.to_pd() or "(empty)"
+
+
+# ----------------------------------------------------------------------
+# the coefficient engine's kernel: sub-diagrams on one port array
+
+
+def _kink_ports(far: list[int], ports: Iterable[int]) -> list[int]:
+    """The ports among ``ports`` at the lower end of an R1 kink's loop
+    edge: an edge joining two cyclically adjacent ports of one crossing.
+    A removed crossing's ports hold -1 and are never met."""
+    # x ^ y < 4: one crossing; odd x ^ y: adjacent ports
+    return [x for x in ports if x < (y := far[x]) and x ^ y < 4 and (x ^ y) & 1]
+
+
+def _piece_crossings(far: list[int], labels: list[int]) -> tuple[tuple[int, ...], ...]:
+    """Crossings of each connected piece, ascending, in order of their
+    lowest crossing; a removed crossing, whose ports hold -1, is in none.
+
+    The search makes the constructor's structural checks on every port
+    it passes: each port is matched exactly once, by a port of a crossing
+    not removed; both ends of an edge carry one label; no label is used
+    twice.
+    """
+    seen = [False] * (len(far) >> 2)
+    used: set[int] = set()
+    out = []
+    for start, done in enumerate(seen):
+        if done or far[4 * start] < 0:
+            continue
+        seen[start] = True
+        piece = [start]
+        for c in piece:  # grows while it is read
+            for x in range(4 * c, 4 * c + 4):
+                y = far[x]
+                if y < 0 or y == x or far[y] != x:
+                    raise DiagramError(f"port {(c, x & 3)} is not matched by exactly one other port")
+                if x < y:
+                    label = labels[x]
+                    if labels[y] != label:
+                        raise DiagramError(f"the two ends of edge {label} carry different labels")
+                    if label in used:
+                        raise DiagramError(f"duplicate edge label {label}")
+                    used.add(label)
+                if not seen[y >> 2]:
+                    seen[y >> 2] = True
+                    piece.append(y >> 2)
+        piece.sort()
+        out.append(tuple(piece))
+    return tuple(out)
+
+
+def _kink_site(far: list[int], labels: list[int], x: int) -> tuple[int, int, tuple[int, int]]:
+    """(crossing, loop edge label, loop port pair) of the kink whose loop
+    edge leaves port ``x``; the pair runs counterclockwise, so ports 3
+    and 0 give ``(3, 0)``."""
+    i, j = x & 3, far[x] & 3
+    return x >> 2, labels[x], ((i, j) if j - i == 1 else (j, i))
+
+
+def _bigon_scan(far: list[int], crossings: Sequence[Crossing]) -> Iterator[tuple[int, int]]:
+    """Crossing pairs (u, v), u < v, of removable R2 bigons, each met
+    once per bounding port, in port order, without tracing any face.
+
+    Port ``i`` of ``u`` bounds a 2-gon face when the edge at port
+    ``i + 1`` ends at port ``j`` of another crossing ``v`` and the edge
+    at port ``i`` ends at port ``j + 1`` of ``v``; the bigon is
+    removable when that side strand is over (or under) at both ends.
+    A removed crossing's ports hold -1, which bounds no 2-gon.
+    """
+    for x, fx in enumerate(far):  # x = 4u + i, and x - 3 or x + 1 is 4u + (i + 1) % 4
+        u = x >> 2
+        y = far[x - 3 if x & 3 == 3 else x + 1]
+        v = y >> 2
+        if v == u or fx != (y - 3 if y & 3 == 3 else y + 1):
+            continue
+        # the side strand is over at u through port i and at v through port j + 1
+        if ((x & 1) == crossings[u].over_v) == ((y & 1) != crossings[v].over_v):
+            yield (u, v) if u < v else (v, u)
+
+
+def _shape_code(
+    far: list[int], crossings: Sequence[Crossing], loops: int, piece: Sequence[int]
+) -> tuple[int, ...]:
+    """:meth:`Diagram.shape_code` of the crossings ``piece`` of flat far
+    ports ``far`` with over flags ``crossings``, plus ``loops`` free
+    loops; crossings outside ``piece`` are never read."""
+    n = len(piece)
+    if loops > (n == 0):
+        raise DiagramError("shape codes exist only for connected diagrams")
+    if n == 0:
+        return (loops,)
+    size = len(crossings)
+    over = [int(x.over_v) for x in crossings]
+    live = []  # (crossing -> discovery index, crossing -> its port 0, discovery order)
+    for s in piece:
+        for q in (over[s], over[s] + 2):
+            index = [-1] * size
+            rot = [0] * size
+            index[s] = 0
+            rot[s] = q
+            live.append((index, rot, [s]))
+    code = [loops]
+    for k in range(n):
+        if len(live[0][2]) == k:  # every start in the running has found k crossings
+            raise DiagramError("shape codes exist only for connected diagrams")
+        least = keep = None
+        for state in live:
+            index, rot, order = state
+            c = order[k]
+            r = rot[c]
+            block = [over[c] ^ (r & 1)]
+            for j in (r, (r + 1) & 3, (r + 2) & 3, (r + 3) & 3):
+                f = far[4 * c + j]
+                c2 = f >> 2
+                i = index[c2]
+                if i < 0:
+                    i = index[c2] = len(order)
+                    rot[c2] = f & 3
+                    order.append(c2)
+                block.append(4 * i + ((f - rot[c2]) & 3))
+            if least is None or block < least:
+                least = block
+                keep = [state]
+            elif block == least:
+                keep.append(state)
+        live = keep
+        code += least
+    return tuple(code)
+
+
+class _PortState:
+    """A diagram under edit by the coefficient engine: over flags, flat
+    far ports and labels (the layout of :class:`_Projection`) and free
+    loops, changed in place.
+
+    The state reads the projection arrays of the diagram it starts
+    from and copies them at its first removal, so a state that only
+    flips crossings copies nothing and reads what the projection has
+    cached.  A removal writes a few array entries; a removed crossing
+    keeps its index and its ports hold -1, so no crossing is renumbered
+    until :meth:`diagram` cuts out a core.  Removal merges chains with
+    :meth:`Diagram._remove`'s routine, so a state and the diagrams the
+    same edits would build agree on every label.  The lower ports of
+    the kinks' loop edges are kept up to date: a removal can only make
+    a kink of a chain it merges.
+    """
+
+    __slots__ = ("crossings", "far", "labels", "loops", "kinks", "source")
+
+    def __init__(self, d: Diagram):
+        proj = d._proj
+        self.crossings = d.crossings
+        self.far = proj.far_ports
+        self.labels = proj.port_labels
+        self.loops = d.free_loops
+        self.kinks = proj.kinks
+        #: the diagram whose checked arrays the state reads, until its first removal
+        self.source: Diagram | None = d
+
+    def flip(self, p: int) -> None:
+        crossings = self.crossings
+        self.crossings = crossings[:p] + (Crossing(not crossings[p].over_v),) + crossings[p + 1 :]
+
+    def splice(self, p: int, kind: str) -> None:
+        self._remove(p, _splice_bridge(kind))
+
+    def erase(self, u: int, v: int) -> None:
+        """Let both strands pass straight through ``u`` and ``v``."""
+        self._remove(v, _STRAIGHT_BRIDGE)
+        self._remove(u, _STRAIGHT_BRIDGE)
+
+    def _remove(self, p: int, bridge: tuple[int, int, int, int]) -> None:
+        if self.source is not None:
+            self.far = self.far[:]
+            self.labels = self.labels[:]
+            self.source = None
+        far, labels = self.far, self.labels
+        chains, closed = _merge_chains(far, labels, p, bridge)
+        ends = []
+        for low, x, y in chains:
+            far[x] = y
+            far[y] = x
+            labels[x] = labels[y] = low
+            ends += (x, y)
+        at = 4 * p
+        far[at : at + 4] = (-1, -1, -1, -1)
+        self.loops += closed
+        kinks = self.kinks
+        if kinks:
+            kinks = [x for x in kinks if x >> 2 != p]
+        made = _kink_ports(far, ends)
+        self.kinks = [*kinks, *made] if made else kinks
+
+    def kink(self) -> tuple[int, int, tuple[int, int]] | None:
+        """The ``kink_sites`` entry of the R1 kink of lowest loop edge
+        label, or None."""
+        if not self.kinks:
+            return None
+        return _kink_site(self.far, self.labels, min(self.kinks, key=self.labels.__getitem__))
+
+    def bigon(self) -> tuple[int, int] | None:
+        """The first removable R2 bigon in port order, or None."""
+        return next(_bigon_scan(self.far, self.crossings), None)
+
+    def r(self) -> int:
+        """Number of link components, free loops included."""
+        far = self.far
+        seen = [False] * len(far)
+        r = self.loops
+        for x, fx in enumerate(far):
+            if fx < 0 or seen[x]:
+                continue
+            r += 1
+            y = x
+            while not seen[y]:  # arrive at y, leave through y ^ 2
+                seen[y] = seen[y ^ 2] = True
+                y = far[y ^ 2]
+        return r
+
+    def pieces(self) -> tuple[tuple[int, ...], ...]:
+        """Crossings of each connected piece, ascending, in order of
+        their lowest crossing, once the constructor's structural checks
+        pass on the state: on every port of a crossing not removed (see
+        :func:`_piece_crossings`), and the free-loop count is not
+        negative.  A state that no removal touched holds the arrays of a
+        checked diagram and reads its projection's pieces."""
+        if self.loops < 0:
+            raise DiagramError("free_loops must be nonnegative")
+        if self.source is not None:
+            return self.source._proj.pieces
+        return _piece_crossings(self.far, self.labels)
+
+    def _source_is(self, piece: Sequence[int], loops: int) -> bool:
+        d = self.source
+        return d is not None and len(piece) == d.c and loops == d.free_loops
+
+    def shape_code(self, piece: Sequence[int], loops: int) -> tuple[int, ...]:
+        if self._source_is(piece, loops) and self.crossings is self.source.crossings:
+            return self.source.shape_code()
+        return _shape_code(self.far, self.crossings, loops, piece)
+
+    def diagram(self, piece: Sequence[int], loops: int) -> Diagram:
+        """The crossings ``piece`` with ``loops`` free loops as a diagram,
+        renumbered in order; every check of the constructor runs, unless
+        it is the whole diagram the state started from, with its over
+        flags as they now are, as a crossing change gives it."""
+        if self._source_is(piece, loops):
+            d = self.source
+            return d if self.crossings is d.crossings else d._with_crossings(self.crossings)
+        far, labels = self.far, self.labels
+        index = {c: k for k, c in enumerate(piece)}
+        edges = sorted(
+            (labels[x], (index[c], x & 3), (index[y >> 2], y & 3))
+            for c in piece
+            for x in range(4 * c, 4 * c + 4)
+            if x < (y := far[x])
+        )
+        crossings = self.crossings
+        return Diagram._from_sorted(tuple([crossings[c] for c in piece]), tuple(edges), loops)
 
 
 _X_TOKEN = re.compile(r"^X\((\d+),(\d+),(\d+),(\d+)\)$")

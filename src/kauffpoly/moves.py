@@ -33,9 +33,18 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from itertools import islice
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Sequence
 
-from .diagram import Crossing, Diagram, DiagramError, EdgeRef, Port
+from .diagram import (
+    Crossing,
+    Diagram,
+    DiagramError,
+    EdgeRef,
+    Port,
+    _bigon_scan,
+    _kink_site,
+    _PortState,
+)
 
 
 class MoveSiteError(DiagramError):
@@ -53,18 +62,18 @@ def _is_over(d: Diagram, ci: int, pi: int) -> bool:
 # R1
 
 def kink_sites(d: Diagram) -> tuple[tuple[int, int, tuple[int, int]], ...]:
-    """(crossing, loop edge label, loop port pair) for every removable kink."""
-    out = []
-    for label, a, b in d.edges:
-        if a[0] == b[0] and (a[1] - b[1]) % 4 in (1, 3):
-            lo, hi = sorted((a[1], b[1]))
-            pair = (lo, hi) if hi - lo == 1 else (hi, lo)  # (3, 0) wraps
-            out.append((a[0], label, pair))
-    return tuple(out)
+    """(crossing, loop edge label, loop port pair) for every removable
+    kink, by loop edge label."""
+    proj = d._proj
+    far, labels = proj.far_ports, proj.port_labels
+    return tuple(_kink_site(far, labels, x) for x in sorted(proj.kinks, key=labels.__getitem__))
 
 
-def kink_rule(d: Diagram, site: tuple[int, int, tuple[int, int]]) -> tuple[int, str]:
-    """(sign, splice kind that undoes it) of one ``kink_sites`` entry."""
+def kink_rule(
+    d: Diagram | _PortState, site: tuple[int, int, tuple[int, int]]
+) -> tuple[int, str]:
+    """(sign, splice kind that undoes it) of one ``kink_sites`` entry,
+    of a diagram or of the coefficient engine's port state."""
     p, _, pair = site
     over_v = d.crossings[p].over_v
     if pair in ((1, 2), (3, 0)):
@@ -182,35 +191,9 @@ def r2_add(d: Diagram, e1: int, e2: int, over_first: bool = True) -> Diagram:
     raise MoveSiteError(f"edges {e1} and {e2} do not share a face")
 
 
-def _bigon_scan(d: Diagram) -> Iterator[tuple[int, int]]:
-    """Crossing pairs (u, v), u < v, of removable R2 bigons, each met
-    once per bounding port, found in one pass over the port array
-    without tracing any face.
-
-    Port ``i`` of ``u`` bounds a 2-gon face when the edge at port
-    ``i + 1`` ends at port ``j`` of another crossing ``v`` and the edge
-    at port ``i`` ends at port ``j + 1`` of ``v``; the bigon is
-    removable when that side strand is over (or under) at both ends.
-    """
-    far = d._proj.far_ports
-    for x, fx in enumerate(far):  # x = 4u + i, and x - 3 or x + 1 is 4u + (i + 1) % 4
-        u = x >> 2
-        y = far[x - 3 if x & 3 == 3 else x + 1]
-        v = y >> 2
-        if v == u or fx != (y - 3 if y & 3 == 3 else y + 1):
-            continue
-        if _is_over(d, u, x & 3) == _is_over(d, v, (y + 1) & 3):
-            yield (min(u, v), max(u, v))
-
-
 def bigon_sites(d: Diagram) -> tuple[tuple[int, int], ...]:
     """Crossing pairs (u, v) of removable R2 bigons."""
-    return tuple(sorted(set(_bigon_scan(d))))
-
-
-def first_bigon(d: Diagram) -> tuple[int, int] | None:
-    """The first ``bigon_sites`` pair the port scan meets, or None."""
-    return next(_bigon_scan(d), None)
+    return tuple(sorted(set(_bigon_scan(d._proj.far_ports, d.crossings))))
 
 
 def r2_remove(d: Diagram, u: int, v: int) -> Diagram:

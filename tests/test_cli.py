@@ -1,8 +1,14 @@
 """Command-line interface: fixtures, file input, exit codes, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import kauffpoly
 
 from kauffpoly.cli import EXIT_BUDGET, EXIT_FAIL, EXIT_OK, EXIT_USAGE, main
 
@@ -261,6 +267,31 @@ class TestErrors:
         lines = err.strip().splitlines()
         assert len(lines) == 1
         assert lines[0].startswith(f"error: cannot read PD file {str(path)!r}")
+
+    def test_recursion_too_deep_is_a_resource_limit(self):
+        # T(2, 81) needs a recursion deeper than a limit of 100 frames; the
+        # CLI must name the diagram and exit 3, not print a traceback and
+        # exit 1 (a verification failure)
+        n = 81
+        label = lambda k: (k - 1) % (2 * n) + 1  # noqa: E731
+        pd = " ".join(
+            "X(%d,%d,%d,%d)" % (label(2 * i + 1), label(2 * i + 1 + n), label(2 * i + 2),
+                                label(2 * i + 2 + n))
+            for i in range(n)
+        )
+        script = (
+            "import sys; sys.setrecursionlimit(100); from kauffpoly import cli; "
+            "sys.exit(cli.main(['coeffs', '--pd', sys.argv[1]]))"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(kauffpoly.__file__).resolve().parent.parent))
+        proc = subprocess.run(
+            [sys.executable, "-c", script, pd], capture_output=True, text=True, env=env, timeout=120
+        )
+        assert proc.returncode == EXIT_BUDGET
+        assert proc.stdout == ""
+        (line,) = proc.stderr.splitlines()
+        assert line.startswith("error: the recursion went deeper than Python's stack allows")
+        assert line.endswith("on a diagram with 81 crossings and 1 components")
 
     def test_internal_key_error_is_not_a_usage_error(self, capsys, monkeypatch):
         import kauffpoly.cli as cli

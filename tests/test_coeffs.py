@@ -17,6 +17,7 @@ from kauffpoly.catalog import CATALOG
 from kauffpoly.diagram import (
     Diagram,
     DiagramError,
+    _PortState,
     connected_sum,
     disjoint_union,
     parse_pd,
@@ -484,18 +485,6 @@ class TestCoreReduction:
         assert loop.shift_y(-2) == CoeffTable.from_dict({0: LaurentPoly.monomial(-2)})
 
 
-def _kink_only_cores(d: Diagram):
-    """The core reduction without bigon erasure: a reference engine."""
-    kinks = 0
-    while sites := kink_sites(d):
-        sign, kind = kink_rule(d, sites[0])
-        kinks += sign
-        d = d.splice(sites[0][0], kind)
-    if len(d.connected_pieces()) + d.free_loops <= 1:
-        return kinks, 0, (d,)
-    return kinks, d.free_loops, d.piece_diagrams()
-
-
 def _braid_closures():
     yield pytest.param(braid_closure(3, [1, 2] * 7), id="T(3,7)")
     yield pytest.param(parse_pd(BR4X16S2), id="br4x16s2")
@@ -506,13 +495,12 @@ class TestBigonReduction:
 
     @pytest.fixture
     def reference(self, monkeypatch):
-        import kauffpoly.coeffs as coeffs_mod
-
+        # the engine with its bigon search switched off: kinks only
         cache: dict = {}
 
         def table(d: Diagram) -> CoeffTable:
             with monkeypatch.context() as m:
-                m.setattr(coeffs_mod, "_cores", _kink_only_cores)
+                m.setattr(_PortState, "bigon", lambda self: None)
                 return coeff_table(d, cache=cache)
 
         return table
@@ -546,6 +534,173 @@ class TestBigonReduction:
         d = braid_closure(2, [1] * n)
         assert (d.c, d.r) == (n, 2 - n % 2)
         assert nodes(d) <= n
+
+
+def _reference_first_bigon(d: Diagram):
+    """The removable R2 bigon whose first bounding port is least, traced
+    face by face: a 2-gon face's two darts arrive at its bounding ports."""
+    best = None
+    for face in d.faces():
+        if len(face) != 2:
+            continue
+        (ea, ha), (eb, hb) = face
+        u, v = ha[0], hb[0]
+        if u == v or ea == eb:
+            continue
+        if ((ha[1] % 2 == 1) == d.crossings[u].over_v) != (
+            ((hb[1] + 1) % 2 == 1) == d.crossings[v].over_v
+        ):
+            continue
+        first = min(4 * u + ha[1], 4 * v + hb[1])
+        if best is None or first < best[0]:
+            best = (first, (min(u, v), max(u, v)))
+    return None if best is None else best[1]
+
+
+def _reference_kink_sites(d: Diagram):
+    """(crossing, loop edge label, counterclockwise loop port pair) of
+    each kink, by label: an edge on two adjacent ports of one crossing."""
+    out = []
+    for label, a, b in d.edges:  # sorted by label
+        if a[0] == b[0] and (a[1] - b[1]) % 4 in (1, 3):
+            lo, hi = sorted((a[1], b[1]))
+            out.append((a[0], label, (lo, hi) if hi - lo == 1 else (hi, lo)))
+    return out
+
+
+def reference_cores(d: Diagram):
+    """The core reduction on whole diagrams, as the engine ran it before
+    its port state: the kink on the lowest edge label comes off first;
+    else the first removable bigon in port order is erased; then split."""
+    kinks = 0
+    while True:
+        if sites := _reference_kink_sites(d):
+            sign, kind = kink_rule(d, sites[0])
+            kinks += sign
+            d = d.splice(sites[0][0], kind)
+        elif bigon := _reference_first_bigon(d):
+            d = d.erase_crossings(bigon)
+        else:
+            break
+    if len(d.connected_pieces()) + d.free_loops <= 1:
+        return kinks, 0, (d,)
+    return kinks, d.free_loops, d.piece_diagrams()
+
+
+def reference_table(d: Diagram, memo: dict) -> CoeffTable:
+    """The engine on whole diagrams, with ``reference_cores``: every
+    splice and reduction step builds a diagram."""
+    kinks, loops, cores = reference_cores(d)
+    tables = [_reference_core_table(core, memo) for core in cores] + [CoeffTable.one()] * loops
+    table = tables[0]
+    for other in tables[1:]:
+        table = table * other * SPLIT
+    return table.shift_y(kinks) if kinks else table
+
+
+def _reference_core_table(d: Diagram, memo: dict) -> CoeffTable:
+    key = d.shape_code()
+    if key not in memo:
+        base = canonical_base(d)
+        warping = warping_order(d, base)
+        if not warping:
+            w = induced_writhe(d, base)
+            memo[key] = CoeffTable.from_dict({n: monotone_coeff(w, n, d.r) for n in range(d.r)})
+        else:
+            p = warping[0]
+            da, db = d.splice(p, "A"), d.splice(p, "B")
+            memo[key] = (
+                -reference_table(d.crossing_change(p), memo)
+                + reference_table(da, memo).shift_z(1 - (da.r - d.r))
+                + reference_table(db, memo).shift_z(1 - (db.r - d.r))
+            )
+    return memo[key]
+
+
+def _kernel_inputs():
+    def param(d, name):
+        return pytest.param(d, id=name)
+
+    for name, entry in CATALOG.items():
+        d = entry.diagram()
+        yield param(d, name)
+        yield param(d.mirror(), f"{name}:mirror")
+        for p in range(d.c):
+            yield param(d.crossing_change(p), f"{name}:flip{p}")
+    for seed in range(60):
+        yield param(random_diagram(seed, 12, walk_steps=30), f"random:{seed}")
+    for seed in range(20):
+        yield param(random_move_walk(parse_pd("O O O"), 30, seed, 10)[0], f"OOO:{seed}")
+    yield param(braid_closure(3, [1, 2] * 7), "T(3,7)")
+    yield param(braid_closure(4, [1, 2, 3] * 5), "T(4,5)")
+    yield param(parse_pd(BR4X16S2), "br4x16s2")
+
+
+class TestPortStateKernel:
+    """The engine reduces on a port state exactly as it reduced whole
+    diagrams: same kink sums, free loops, cores and component counts on
+    every diagram it looks up, and so the same node count."""
+
+    @staticmethod
+    def assert_same_reduction(s: _PortState, d: Diagram, where: str):
+        import kauffpoly.coeffs as coeffs_mod
+
+        # removals commute, so only the first choice can show the kink rule;
+        # the state has not renumbered its crossings, so compare the edge
+        site, sites = s.kink(), _reference_kink_sites(d)
+        assert (site[1:] if site else None) == (sites[0][1:] if sites else None), where
+        kinks, loops, cores = coeffs_mod._cores(s)
+        ref_kinks, ref_loops, ref_cores = reference_cores(d)
+        assert (kinks, loops) == (ref_kinks, ref_loops), where
+        built = [s.diagram(piece, core_loops) for piece, core_loops in cores]
+        assert built == list(ref_cores), where
+        assert [b.edges for b in built] == [c.edges for c in ref_cores], where
+        assert [s.shape_code(*core) for core in cores] == [c.shape_code() for c in ref_cores]
+        assert s.r() == d.r, where
+
+    @pytest.mark.parametrize("d", list(_kernel_inputs()))
+    def test_cores_and_nodes_match_the_reference(self, d):
+        self.assert_same_reduction(_PortState(d), d, "as given")
+        for p in range(d.c):
+            s = _PortState(d)
+            s.flip(p)
+            self.assert_same_reduction(s, d.crossing_change(p), f"flip {p}")
+            for kind in "AB":
+                s = _PortState(d)
+                s.splice(p, kind)
+                self.assert_same_reduction(s, d.splice(p, kind), f"{kind} at {p}")
+        memo: dict = {}
+        assert coeff_table(d) == reference_table(d, memo)
+        assert nodes(d) == len(memo)
+
+    @staticmethod
+    def spliced_figure8() -> _PortState:
+        s = _PortState(parse_pd(FIGURE8))
+        s.splice(0, "A")  # crossings 1-3 are left, on ports 4-15
+        s.pieces()
+        return s
+
+    def test_structural_checks_run_on_the_state(self):
+        s = self.spliced_figure8()
+        s.labels[s.far[4]] += 100  # the two ends of one edge disagree
+        with pytest.raises(DiagramError, match="different labels"):
+            s.pieces()
+        s = self.spliced_figure8()
+        s.labels[4] = s.labels[s.far[4]] = s.labels[5]  # one label on two edges
+        with pytest.raises(DiagramError, match="duplicate"):
+            s.pieces()
+        s = self.spliced_figure8()
+        s.far[s.far[4]] = -1  # an edge end points nowhere
+        with pytest.raises(DiagramError, match="matched"):
+            s.pieces()
+        s = self.spliced_figure8()
+        s.far[s.far[4]] = 0  # an edge end points into the removed crossing
+        with pytest.raises(DiagramError, match="matched"):
+            s.pieces()
+        s = self.spliced_figure8()
+        s.loops = -1
+        with pytest.raises(DiagramError, match="free_loops"):
+            s.pieces()
 
 
 class TestSplitLaw:
