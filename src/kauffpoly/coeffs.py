@@ -278,26 +278,33 @@ def coeff_table_with_base(
     return _expand(d, encounters, orientation, warping_crossing, run)
 
 
-def skein_check(
+def _skein_terms(
     d: Diagram,
     p: int,
-    *,
-    budget: int | None = None,
-    cache: Cache | None = None,
-) -> bool:
-    """Verify the four-term relation entrywise at crossing ``p``:
-    the tables of the diagram and its flip sum to the shifted tables of
-    the two splices."""
+    budget: int | None,
+    cache: Cache | None,
+    table: CoeffTable | None = None,
+) -> tuple[tuple[CoeffTable, int], ...]:
+    """(table, component count) of ``d``, its flip at ``p``, and its A-
+    and B-splice at ``p``, in that order, from one memo.  Each of the
+    three terms is built and looked up once; ``d``'s own table is looked
+    up too unless the caller passes it."""
     d._check_crossing(p)
     cache = {} if cache is None else cache
 
-    def table(x: Diagram) -> CoeffTable:
-        return coeff_table(x, budget=budget, cache=cache)
+    def look(x: Diagram) -> tuple[CoeffTable, int]:
+        return coeff_table(x, budget=budget, cache=cache), x.r
 
-    da = d.splice(p, "A")
-    db = d.splice(p, "B")
-    lhs = table(d) + table(d.crossing_change(p))
-    rhs = table(da).shift_z(1 - (da.r - d.r)) + table(db).shift_z(1 - (db.r - d.r))
+    terms = (d.crossing_change(p), d.splice(p, "A"), d.splice(p, "B"))
+    head = look(d) if table is None else (table, d.r)
+    return (head, *map(look, terms))
+
+
+def _skein_holds(d: Diagram, p: int, terms: tuple[tuple[CoeffTable, int], ...]) -> bool:
+    """The four-term relation entrywise on the terms of ``_skein_terms``."""
+    (t, r), (flip, _), (ta, ra), (tb, rb) = terms
+    lhs = t + flip
+    rhs = ta.shift_z(1 - (ra - r)) + tb.shift_z(1 - (rb - r))
     if lhs != rhs:
         logger.warning(
             "four-term relation fails at crossing %d of %s: lhs=%s rhs=%s",
@@ -308,3 +315,16 @@ def skein_check(
         )
         return False
     return True
+
+
+def skein_check(
+    d: Diagram,
+    p: int,
+    *,
+    budget: int | None = None,
+    cache: Cache | None = None,
+) -> bool:
+    """Verify the four-term relation entrywise at crossing ``p``:
+    the tables of the diagram and its flip sum to the shifted tables of
+    the two splices."""
+    return _skein_holds(d, p, _skein_terms(d, p, budget, cache))

@@ -22,7 +22,7 @@ from __future__ import annotations
 import itertools
 from typing import Sequence
 
-from .coeffs import Cache, CoeffTable, coeff_table
+from .coeffs import Cache, CoeffTable, _skein_terms, coeff_table
 from .diagram import Diagram, EdgeRef, connected_sum, disjoint_union
 from .laurent import BivariatePoly
 
@@ -69,16 +69,14 @@ def check_L_skein(
     Equivalent to the entrywise check only after the ``z^(1-r)``
     bookkeeping, so it exercises that bookkeeping independently.
     """
-    d._check_crossing(p)
-    cache = {} if cache is None else cache
-    lhs = kauffman_L(d, budget=budget, cache=cache) + kauffman_L(
-        d.crossing_change(p), budget=budget, cache=cache
-    )
-    rhs = (
-        kauffman_L(d.splice(p, "A"), budget=budget, cache=cache)
-        + kauffman_L(d.splice(p, "B"), budget=budget, cache=cache)
-    ).shift_z(1)
-    return lhs == rhs
+    return _series_skein_holds(_skein_terms(d, p, budget, cache))
+
+
+def _series_skein_holds(terms: tuple[tuple[CoeffTable, int], ...]) -> bool:
+    """The series-level relation on the terms of ``coeffs._skein_terms``,
+    each term taken to ``L`` with its own component count."""
+    own, flip, a, b = (series_from_table(t, r) for t, r in terms)
+    return own + flip == (a + b).shift_z(1)
 
 
 def check_product_laws(

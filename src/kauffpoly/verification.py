@@ -4,20 +4,51 @@ Each check is a named boolean; a diagram report collects them together
 with the basic counts.  The catalog suite additionally runs the product
 laws across diagram pairs.  Everything here is deterministic: sampling
 uses fixed seeds.
+
+``verify_diagram`` asks the engine each question once, and every check
+that needs the answer reads it:
+
+* the diagram's own table, from one ``coeff_table`` call, is what the
+  PD round trip, the support bounds, both skein checks and both
+  independence checks compare against, and it gives ``L`` (and, with
+  the writhe, ``F``) for ``kink_scaling`` and ``mirror_symmetry``;
+* at each crossing the flip and the two splices are built and looked up
+  once (``coeffs._skein_terms``); ``skein_coefficients`` compares those
+  tables entrywise and ``skein_series`` compares their series, each term
+  with its own ``z^(1-r)``;
+* a base with a warping crossing is expanded at its first one, and that
+  table depends on the crossing alone, so ``base_independence`` and
+  ``warping_choice_independence`` share one expansion per crossing.
+  Every base is still validated and walked to find that crossing, and a
+  base with none is always computed, since its closed form reads the
+  writhe under that base's orientation.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
-from typing import Mapping
 
-from .catalog import CATALOG, CatalogEntry
-from .coeffs import Cache, CoeffTable, coeff_table, coeff_table_with_base, skein_check
+from .catalog import CATALOG
+from .coeffs import (
+    Cache,
+    CoeffTable,
+    _skein_holds,
+    _skein_terms,
+    coeff_table,
+    coeff_table_with_base,
+)
 from .diagram import Diagram, DiagramError, parse_pd
+from .laurent import BivariatePoly
 from .moves import r1_add
-from .oracle import OracleCache, agree_at_y_one, oracle_L, uniqueness_check
-from .series import check_L_skein, check_product_laws, kauffman_F, kauffman_L
+from .oracle import OracleCache, agree_at_y_one, uniqueness_check
+from .series import (
+    _series_skein_holds,
+    check_product_laws,
+    kauffman_F,
+    kauffman_L,
+    series_from_table,
+)
 from .warping import (
     canonical_base,
     enumerate_bases,
@@ -84,22 +115,31 @@ def verify_diagram(
     checks["support_lower_bound"] = bounds is None or bounds[0] >= 0
     checks["support_upper_bound"] = bounds is None or bounds[1] <= d.c + d.r - 1
 
-    checks["skein_coefficients"] = all(
-        skein_check(d, p, budget=budget, cache=cache) for p in range(d.c)
-    )
-    checks["skein_series"] = all(
-        check_L_skein(d, p, budget=budget, cache=cache) for p in range(d.c)
-    )
+    terms = [_skein_terms(d, p, budget, cache, table) for p in range(d.c)]
+    checks["skein_coefficients"] = all(_skein_holds(d, p, t) for p, t in enumerate(terms))
+    checks["skein_series"] = all(map(_series_skein_holds, terms))
 
-    checks["base_independence"] = all(
-        coeff_table_with_base(d, base, budget=budget, cache=cache) == table
-        for base in _bases_to_try(d)
-    )
+    # A base with a warping crossing expands d at its first one (or at
+    # the one picked), and that table depends on the crossing alone.
+    expanded: dict[int, CoeffTable] = {}
+
+    def expanded_at(base, p: int) -> CoeffTable:
+        if p not in expanded:
+            expanded[p] = coeff_table_with_base(
+                d, base, warping_crossing=p, budget=budget, cache=cache
+            )
+        return expanded[p]
+
+    def with_base(base) -> CoeffTable:
+        order = warping_order(d, base)  # validates and walks every base
+        if order:
+            return expanded_at(base, order[0])
+        return coeff_table_with_base(d, base, budget=budget, cache=cache)
+
+    checks["base_independence"] = all(with_base(b) == table for b in _bases_to_try(d))
     base = canonical_base(d)
     checks["warping_choice_independence"] = all(
-        coeff_table_with_base(d, base, warping_crossing=p, budget=budget, cache=cache)
-        == table
-        for p in warping_order(d, base)
+        expanded_at(base, p) == table for p in warping_order(d, base)
     )
 
     checks["oracle_equality"] = uniqueness_check(
@@ -109,11 +149,12 @@ def verify_diagram(
         d, budget=budget, cache=oracle_cache, table_cache=cache
     )
 
-    f = kauffman_F(d, (1,) * d.r, budget=budget, cache=cache)
+    kauffman = series_from_table(table, d.r)  # L of d
+    f = kauffman.shift_y(-d.writhe((1,) * d.r))
     f_mirror = kauffman_F(d.mirror(), (1,) * d.r, budget=budget, cache=cache)
     checks["mirror_symmetry"] = f_mirror == f.subst_y_inverse()
 
-    checks["kink_scaling"] = _kink_scaling_ok(d, budget, cache)
+    checks["kink_scaling"] = _kink_scaling_ok(d, kauffman, budget, cache)
 
     for tag in tags:
         checks[f"tag:{tag}"] = check_tag(d, tag, budget=budget, cache=cache)
@@ -141,8 +182,9 @@ def _pd_roundtrip_ok(d: Diagram, table: CoeffTable, budget, cache) -> bool:
     )
 
 
-def _kink_scaling_ok(d: Diagram, budget, cache) -> bool:
-    base = kauffman_L(d, budget=budget, cache=cache)
+def _kink_scaling_ok(d: Diagram, base: BivariatePoly, budget, cache) -> bool:
+    """Adding a kink of either sign to ``d``, whose ``L`` is ``base``,
+    scales ``L`` by ``y`` to the kink's sign."""
     site = d.edge_labels()[0] if d.edge_labels() else None
     for chirality, shift in (("+", 1), ("-", -1)):
         kinked = r1_add(d, site, chirality)

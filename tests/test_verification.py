@@ -1,0 +1,128 @@
+"""``verify_diagram`` asks the engine each question once, and the checks
+that share an answer still see every fault in it."""
+
+import pytest
+
+import kauffpoly.coeffs as coeffs_mod
+import kauffpoly.verification as verification
+from kauffpoly.catalog import CATALOG
+from kauffpoly.coeffs import CoeffTable
+from kauffpoly.laurent import LaurentPoly
+from kauffpoly.moves import random_diagram
+from kauffpoly.verification import _bases_to_try, verify_diagram
+from kauffpoly.warping import canonical_base, warping_order
+
+#: Added to a table to corrupt it; no table of these diagrams reaches z^9.
+WRONG = CoeffTable.from_dict({9: LaurentPoly.one()})
+
+
+def _diagram(name: str):
+    if name.startswith("random "):
+        return random_diagram(int(name.split()[1]), 6)
+    return CATALOG[name].diagram()
+
+
+def _corrupt_with_base(monkeypatch, corrupt_if):
+    """Make ``coeff_table_with_base`` in ``verify_diagram`` return a wrong
+    table for the bases ``corrupt_if(d, base)`` picks; returns the list
+    of corrupted calls."""
+    real = verification.coeff_table_with_base
+    corrupted = []
+
+    def fake(d, base, **kwargs):
+        table = real(d, base, **kwargs)
+        if corrupt_if(d, base):
+            corrupted.append(base)
+            return table + WRONG
+        return table
+
+    monkeypatch.setattr(verification, "coeff_table_with_base", fake)
+    return corrupted
+
+
+class TestSharingHidesNoFault:
+    @pytest.mark.parametrize("name", ["trefoil", "granny", "figure8_figure8"])
+    def test_base_whose_first_warping_crossing_is_the_last(self, name, monkeypatch):
+        d = _diagram(name)
+        order = warping_order(d, canonical_base(d))
+        assert len(order) >= 2
+        last = order[-1]
+        # some tried base warps first at the crossing the canonical base warps last
+        assert any(warping_order(d, b)[:1] == (last,) for b in _bases_to_try(d))
+        corrupted = _corrupt_with_base(
+            monkeypatch, lambda x, b: warping_order(x, b)[:1] == (last,)
+        )
+        report = verify_diagram(d)
+        assert corrupted
+        assert not report["checks"]["base_independence"]
+        assert not report["ok"]
+
+    @pytest.mark.parametrize("name", ["kink_pos", "random 0", "random 3"])
+    def test_bases_with_no_warping_crossing(self, name, monkeypatch):
+        d = _diagram(name)
+        assert any(not warping_order(d, b) for b in _bases_to_try(d))
+        assert warping_order(d, canonical_base(d))
+        corrupted = _corrupt_with_base(monkeypatch, lambda x, b: not warping_order(x, b))
+        report = verify_diagram(d)
+        assert corrupted
+        assert not report["checks"]["base_independence"]
+        assert report["checks"]["warping_choice_independence"]
+
+    @pytest.mark.parametrize("name", ["hopf", "trefoil", "figure8", "granny"])
+    def test_b_splice_at_one_crossing(self, name, monkeypatch):
+        d = _diagram(name)
+        target = d.splice(d.c - 1, "B")
+        real = coeffs_mod.coeff_table
+        corrupted = []
+
+        def fake(x, **kwargs):
+            table = real(x, **kwargs)
+            if x == target:
+                corrupted.append(x)
+                return table + WRONG
+            return table
+
+        monkeypatch.setattr(coeffs_mod, "coeff_table", fake)
+        checks = verify_diagram(d)["checks"]
+        assert corrupted
+        assert not checks["skein_coefficients"]
+        assert not checks["skein_series"]
+        assert checks["base_independence"] and checks["warping_choice_independence"]
+
+
+class TestEachQuestionOnce:
+    @pytest.mark.parametrize("name", ["trefoil", "figure8", "granny"])
+    def test_counts(self, name, monkeypatch):
+        d = _diagram(name)
+        # one top-level expansion per warping crossing met first by a tried
+        # base or picked under the canonical base, and one per base that
+        # has no warping crossing (its closed form reads its own writhe)
+        firsts = [warping_order(d, b)[:1] for b in _bases_to_try(d)]
+        decisions = len(
+            {f[0] for f in firsts if f} | set(warping_order(d, canonical_base(d)))
+        ) + sum(1 for f in firsts if not f)
+
+        with_base_calls = []
+        real_with_base = verification.coeff_table_with_base
+
+        def counting_with_base(x, base, **kwargs):
+            with_base_calls.append(base)
+            return real_with_base(x, base, **kwargs)
+
+        looked_up = []
+        real_table = coeffs_mod.coeff_table
+
+        def counting_table(x, **kwargs):
+            looked_up.append(x)
+            return real_table(x, **kwargs)
+
+        monkeypatch.setattr(verification, "coeff_table_with_base", counting_with_base)
+        monkeypatch.setattr(coeffs_mod, "coeff_table", counting_table)
+        assert verify_diagram(d)["ok"]
+        assert len(with_base_calls) == decisions
+        # the skein pair: the flip and the two splices at each crossing, once
+        assert looked_up == [
+            x
+            for p in range(d.c)
+            for x in (d.crossing_change(p), d.splice(p, "A"), d.splice(p, "B"))
+        ]
