@@ -48,11 +48,13 @@ assembled from theirs.  A caller-supplied base
 The independent evaluator in :mod:`kauffpoly.oracle` deliberately uses
 none of the three laws.
 
-Every lookup runs on a port state (``diagram._PortState``): the flip
-and the two splices of a node, the kink removals, the bigon erasures,
-the split into pieces, the component count and the shape codes are
-edits and scans of one flat port array, checked as the constructor
-checks a diagram before any code is looked up.  A ``Diagram`` is built
+Every lookup runs on a port state (``diagram._PortState``): the two
+splices of a node, the kink removals, the bigon erasures, the split
+into pieces, the component count and the shape codes are edits and
+scans of one flat port array, checked as the constructor checks a
+diagram before any code is looked up.  A node's flip is its
+``crossing_change``, which shares the node's checked arrays, so the
+flip's state copies nothing until a removal.  A ``Diagram`` is built
 only for a core the memo misses, which is the only core expanded.
 
 All functions are pure.  Every call memoises: the memo maps the shape
@@ -163,8 +165,9 @@ def _expand(
     run: _Run,
 ) -> CoeffTable:
     """One node under a traversal: its first-encounter order and the
-    component directions it induces.  The flip and the two splices are
-    edited on port states of ``d``, in that order."""
+    component directions it induces.  The flip (a crossing change of
+    ``d``) and the two splices are looked up on port states, in that
+    order."""
     warping = _warping(d, encounters)
     if pick is not None and pick not in warping:
         raise DiagramError(f"crossing {pick} is not a warping crossing of this base")
@@ -174,9 +177,7 @@ def _expand(
         return CoeffTable.from_dict({n: monotone_coeff(w, n, r) for n in range(r)})
     p = warping[0] if pick is None else pick
 
-    flipped = _PortState(d)
-    flipped.flip(p)
-    table = -_table(flipped, run)
+    table = -_table(_PortState(d.crossing_change(p)), run)
     for kind in "AB":
         spliced = _PortState(d)
         spliced.splice(p, kind)

@@ -30,8 +30,8 @@ again.
 
 The coefficient engine edits its sub-diagrams without building them: a
 ``_PortState`` holds the over flags, the flat port arrays and the free
-loops of a diagram and changes them in place.  It flips, splices,
-strips kinks, erases bigons, splits into pieces, counts components and
+loops of a diagram and edits the arrays in place.  It splices, strips
+kinks, erases bigons, splits into pieces, counts components and
 computes shape codes on those arrays, with the same chain merge, kink
 scan, bigon scan and shape code as :class:`Diagram`, and checks its
 arrays as the constructor checks a diagram's.  It builds a
@@ -760,8 +760,8 @@ class _PortState:
     loops, changed in place.
 
     The state reads the projection arrays of the diagram it starts
-    from and copies them at its first removal, so a state that only
-    flips crossings copies nothing and reads what the projection has
+    from and copies them at its first removal, so a state that no
+    removal touches copies nothing and reads what the projection has
     cached.  A removal writes a few array entries; a removed crossing
     keeps its index and its ports hold -1, so no crossing is renumbered
     until :meth:`diagram` cuts out a core.  Removal merges chains with
@@ -782,10 +782,6 @@ class _PortState:
         self.kinks = proj.kinks
         #: the diagram whose checked arrays the state reads, until its first removal
         self.source: Diagram | None = d
-
-    def flip(self, p: int) -> None:
-        crossings = self.crossings
-        self.crossings = crossings[:p] + (Crossing(not crossings[p].over_v),) + crossings[p + 1 :]
 
     def splice(self, p: int, kind: str) -> None:
         self._remove(p, _splice_bridge(kind))
@@ -861,18 +857,16 @@ class _PortState:
         return d is not None and len(piece) == d.c and loops == d.free_loops
 
     def shape_code(self, piece: Sequence[int], loops: int) -> tuple[int, ...]:
-        if self._source_is(piece, loops) and self.crossings is self.source.crossings:
+        if self._source_is(piece, loops):
             return self.source.shape_code()
         return _shape_code(self.far, self.crossings, loops, piece)
 
     def diagram(self, piece: Sequence[int], loops: int) -> Diagram:
         """The crossings ``piece`` with ``loops`` free loops as a diagram,
         renumbered in order; every check of the constructor runs, unless
-        it is the whole diagram the state started from, with its over
-        flags as they now are, as a crossing change gives it."""
+        it is the whole diagram the state started from."""
         if self._source_is(piece, loops):
-            d = self.source
-            return d if self.crossings is d.crossings else d._with_crossings(self.crossings)
+            return self.source
         far, labels = self.far, self.labels
         index = {c: k for k, c in enumerate(piece)}
         edges = sorted(

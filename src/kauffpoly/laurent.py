@@ -7,9 +7,23 @@ which are the polynomials ``sum_n T[n] z^n`` (a subclass of
 Coefficients are Python ints, so all arithmetic is exact at any size
 and there is no overflow to guard against.
 
-Polynomials are stored sparsely, exponent -> nonzero coefficient, and
-zero coefficients are dropped on construction.  Equal polynomials
-therefore always compare (and hash) equal.
+Polynomials are stored sparsely, exponent key -> nonzero coefficient,
+and zero coefficients are dropped on construction.  Equal polynomials
+therefore always compare (and hash) equal, and a constant polynomial
+equals, and hashes as, the int it holds.
+
+Both types share one implementation, the private base ``_Sparse``: the
+checking constructor, ``zero``, ``one``, ``items``, equality, hashing,
+negation, addition, subtraction, powers and the text form never look
+inside an exponent key.  ``LaurentPoly`` (int keys) and
+``BivariatePoly`` (``(y, z)`` keys) add only their key check, their
+constant key, ``monomial``, the product loop and their own shifts and
+substitutions.  Each class binds the shared operators in its own body
+rather than inheriting them, because the bench tracer
+(``perfbench/tracing.py``) wraps the methods it finds in each class's
+own ``__dict__``.  Results are ``type(self)``, so a subclass keeps its
+type under arithmetic, and the two rings do not mix: ``+``, ``-`` and
+``*`` across them raise ``TypeError``, and ``==`` is false.
 
 Text form: terms sorted by ascending exponent, ``y`` / ``y^k`` with an
 explicit ``*`` between a coefficient and its monomial, e.g.
@@ -23,120 +37,164 @@ from math import comb
 from typing import Iterable, Iterator, Mapping
 
 
-def _as_term_items(terms) -> Iterable[tuple]:
-    if terms is None:
-        return ()
-    if isinstance(terms, Mapping):
-        return terms.items()
-    return terms
-
-
-def _format_terms(items: list[tuple[str, int]]) -> str:
-    """Render (monomial, coefficient) pairs; empty monomial means a constant."""
-    if not items:
-        return "0"
-    parts: list[str] = []
-    for mono, coeff in items:
-        mag = abs(coeff)
-        if mono == "":
-            body = str(mag)
-        elif mag == 1:
-            body = mono
-        else:
-            body = f"{mag}*{mono}"
-        if not parts:
-            parts.append(body if coeff > 0 else f"-{body}")
-        else:
-            parts.append(f" + {body}" if coeff > 0 else f" - {body}")
-    return "".join(parts)
-
-
 def _var_power(var: str, exp: int) -> str:
     return var if exp == 1 else f"{var}^{exp}"
 
 
-class LaurentPoly:
-    """Integer Laurent polynomial in the single variable ``y``."""
+class _Sparse:
+    """Sparse Laurent arithmetic over exponent keys it never looks inside.
+
+    A subclass sets ``_UNIT``, the key of the constant monomial, and
+    ``_ring``, the class whose instances it adds to and compares with;
+    it gives ``_key`` (a checked key, or None) and ``_monomial`` (a
+    key's sort position and text).
+    """
 
     __slots__ = ("_terms", "_hash")
 
-    def __init__(self, terms: Mapping[int, int] | Iterable[tuple[int, int]] | None = None):
-        acc: dict[int, int] = {}
-        for exp, coeff in _as_term_items(terms):
-            if not isinstance(exp, int) or not isinstance(coeff, int):
+    def __init__(self, terms: Mapping | Iterable[tuple] | None = None):
+        if isinstance(terms, Mapping):
+            terms = terms.items()
+        acc: dict = {}
+        for key, coeff in terms or ():
+            key = self._key(key)
+            if key is None or not isinstance(coeff, int):
                 raise TypeError("exponents and coefficients must be ints")
-            c = acc.get(exp, 0) + coeff
+            c = acc.get(key, 0) + coeff
             if c:
-                acc[exp] = c
+                acc[key] = c
             else:
-                acc.pop(exp, None)
+                acc.pop(key, None)
         self._terms = acc
         self._hash: int | None = None
 
     @classmethod
-    def zero(cls) -> "LaurentPoly":
-        return cls()
+    def _new(cls, terms: dict):
+        """A polynomial on checked keys and nonzero coefficients."""
+        out = object.__new__(cls)
+        out._terms = terms
+        out._hash = None
+        return out
 
     @classmethod
-    def one(cls) -> "LaurentPoly":
-        return cls({0: 1})
+    def zero(cls):
+        return cls._new({})
 
     @classmethod
-    def monomial(cls, exp: int, coeff: int = 1) -> "LaurentPoly":
-        return cls({exp: coeff})
+    def one(cls):
+        return cls._new({cls._UNIT: 1})
 
-    def items(self) -> Iterator[tuple[int, int]]:
+    def items(self) -> Iterator[tuple]:
         return iter(self._terms.items())
 
     def __bool__(self) -> bool:
         return bool(self._terms)
 
     def __eq__(self, other) -> bool:
+        if isinstance(other, self._ring):
+            return self._terms == other._terms
         if isinstance(other, int):
-            other = LaurentPoly({0: other})
-        if not isinstance(other, LaurentPoly):
-            return NotImplemented
-        return self._terms == other._terms
+            return self._terms == ({self._UNIT: other} if other else {})
+        return NotImplemented
 
     def __hash__(self) -> int:
         if self._hash is None:
-            self._hash = hash(frozenset(self._terms.items()))
+            terms = self._terms
+            if terms.keys() <= {self._UNIT}:  # a constant hashes as its int
+                self._hash = hash(terms.get(self._UNIT, 0))
+            else:
+                self._hash = hash(frozenset(terms.items()))
         return self._hash
 
-    def __neg__(self) -> "LaurentPoly":
-        out = LaurentPoly()
-        out._terms = {e: -c for e, c in self._terms.items()}
-        return out
+    def _neg(self):
+        return self._new({k: -c for k, c in self._terms.items()})
 
-    def __add__(self, other) -> "LaurentPoly":
+    def _add(self, other):
         if isinstance(other, int):
-            other = LaurentPoly({0: other})
-        if not isinstance(other, LaurentPoly):
+            other_terms = {self._UNIT: other} if other else {}
+        elif isinstance(other, self._ring):
+            other_terms = other._terms
+        else:
             return NotImplemented
         acc = dict(self._terms)
-        for e, c in other._terms.items():
-            s = acc.get(e, 0) + c
+        for k, c in other_terms.items():
+            s = acc.get(k, 0) + c
             if s:
-                acc[e] = s
+                acc[k] = s
             else:
-                acc.pop(e, None)
-        out = LaurentPoly()
-        out._terms = acc
-        return out
+                acc.pop(k, None)
+        return self._new(acc)
 
-    __radd__ = __add__
+    def _sub(self, other):
+        return self + (-other)
 
-    def __sub__(self, other) -> "LaurentPoly":
-        return self + (-other if isinstance(other, LaurentPoly) else -other)
-
-    def __rsub__(self, other) -> "LaurentPoly":
+    def _rsub(self, other):
         return (-self) + other
+
+    def _scale(self, k: int):
+        """Multiply by the int ``k``."""
+        return self._new({e: c * k for e, c in self._terms.items()} if k else {})
+
+    def _pow(self, n: int):
+        if n < 0:
+            raise ValueError("negative powers are only defined for monomials; shift instead")
+        result = self.one()
+        base = self
+        while n:
+            if n & 1:
+                result = result * base
+            base = base * base
+            n >>= 1
+        return result
+
+    def __str__(self) -> str:
+        parts: list[str] = []
+        for _, mono, coeff in sorted(self._monomial(k) + (c,) for k, c in self._terms.items()):
+            mag = abs(coeff)
+            if mono == "":
+                body = str(mag)
+            elif mag == 1:
+                body = mono
+            else:
+                body = f"{mag}*{mono}"
+            if not parts:
+                parts.append(body if coeff > 0 else f"-{body}")
+            else:
+                parts.append(f" + {body}" if coeff > 0 else f" - {body}")
+        return "".join(parts) or "0"
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}('{self}')"
+
+
+class LaurentPoly(_Sparse):
+    """Integer Laurent polynomial in the single variable ``y``."""
+
+    __slots__ = ()
+    _UNIT = 0
+
+    # bound here, not inherited, for the bench tracer (module docstring)
+    __add__ = __radd__ = _Sparse._add
+    __sub__ = _Sparse._sub
+    __rsub__ = _Sparse._rsub
+    __neg__ = _Sparse._neg
+    __pow__ = _Sparse._pow
+
+    @staticmethod
+    def _key(exp):
+        return exp if isinstance(exp, int) else None
+
+    @staticmethod
+    def _monomial(exp: int) -> tuple[int, str]:
+        return exp, "" if exp == 0 else _var_power("y", exp)
+
+    @classmethod
+    def monomial(cls, exp: int, coeff: int = 1) -> "LaurentPoly":
+        return cls({exp: coeff})
 
     def __mul__(self, other) -> "LaurentPoly":
         if isinstance(other, int):
-            if other == 0:
-                return LaurentPoly()
-            return LaurentPoly({e: c * other for e, c in self._terms.items()})
+            return self._scale(other)
         if not isinstance(other, LaurentPoly):
             return NotImplemented
         acc: dict[int, int] = {}
@@ -148,75 +206,42 @@ class LaurentPoly:
                     acc[e] = s
                 else:
                     acc.pop(e, None)
-        out = LaurentPoly()
-        out._terms = acc
-        return out
+        return self._new(acc)
 
     __rmul__ = __mul__
 
-    def __pow__(self, n: int) -> "LaurentPoly":
-        if n < 0:
-            raise ValueError("negative powers are only defined for monomials; shift instead")
-        result = LaurentPoly.one()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
-
     def shift(self, k: int) -> "LaurentPoly":
         """Multiply by the monomial ``y^k``."""
-        out = LaurentPoly()
-        out._terms = {e + k: c for e, c in self._terms.items()}
-        return out
+        return self._new({e + k: c for e, c in self._terms.items()})
 
     def subst_y_inverse(self) -> "LaurentPoly":
         """Apply ``y -> y^-1``."""
-        return LaurentPoly({-e: c for e, c in self._terms.items()})
-
-    def __str__(self) -> str:
-        items = [
-            ("" if e == 0 else _var_power("y", e), c)
-            for e, c in sorted(self._terms.items())
-        ]
-        return _format_terms(items)
-
-    def __repr__(self) -> str:
-        return f"LaurentPoly('{self}')"
+        return self._new({-e: c for e, c in self._terms.items()})
 
 
-class BivariatePoly:
-    """Integer Laurent polynomial in ``y`` and ``z``.
+class BivariatePoly(_Sparse):
+    """Integer Laurent polynomial in ``y`` and ``z``, keyed by
+    ``(y exponent, z exponent)``."""
 
-    Operators return ``type(self)``, so a subclass keeps its type (and
-    its text form) under arithmetic.
-    """
+    __slots__ = ()
+    _UNIT = (0, 0)
 
-    __slots__ = ("_terms", "_hash")
+    # bound here, not inherited, for the bench tracer (module docstring)
+    __add__ = __radd__ = _Sparse._add
+    __sub__ = _Sparse._sub
+    __rsub__ = _Sparse._rsub
+    __neg__ = _Sparse._neg
+    __pow__ = _Sparse._pow
 
-    def __init__(self, terms: Mapping[tuple[int, int], int] | Iterable | None = None):
-        acc: dict[tuple[int, int], int] = {}
-        for key, coeff in _as_term_items(terms):
-            ye, ze = key
-            if not isinstance(ye, int) or not isinstance(ze, int) or not isinstance(coeff, int):
-                raise TypeError("exponents and coefficients must be ints")
-            c = acc.get((ye, ze), 0) + coeff
-            if c:
-                acc[(ye, ze)] = c
-            else:
-                acc.pop((ye, ze), None)
-        self._terms = acc
-        self._hash: int | None = None
+    @staticmethod
+    def _key(key):
+        ye, ze = key
+        return (ye, ze) if isinstance(ye, int) and isinstance(ze, int) else None
 
-    @classmethod
-    def zero(cls) -> "BivariatePoly":
-        return cls()
-
-    @classmethod
-    def one(cls) -> "BivariatePoly":
-        return cls({(0, 0): 1})
+    @staticmethod
+    def _monomial(key: tuple[int, int]) -> tuple[tuple[int, int], str]:
+        a, b = key
+        return (b, a), "*".join(_var_power(v, e) for v, e in (("y", a), ("z", b)) if e)
 
     @classmethod
     def monomial(cls, y_exp: int, z_exp: int, coeff: int = 1) -> "BivariatePoly":
@@ -226,58 +251,9 @@ class BivariatePoly:
     def from_laurent(cls, p: LaurentPoly, z_exp: int = 0) -> "BivariatePoly":
         return cls({(e, z_exp): c for e, c in p.items()})
 
-    def items(self) -> Iterator[tuple[tuple[int, int], int]]:
-        return iter(self._terms.items())
-
-    def __bool__(self) -> bool:
-        return bool(self._terms)
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, int):
-            other = BivariatePoly({(0, 0): other})
-        if not isinstance(other, BivariatePoly):
-            return NotImplemented
-        return self._terms == other._terms
-
-    def __hash__(self) -> int:
-        if self._hash is None:
-            self._hash = hash(frozenset(self._terms.items()))
-        return self._hash
-
-    def __neg__(self) -> "BivariatePoly":
-        out = type(self)()
-        out._terms = {k: -c for k, c in self._terms.items()}
-        return out
-
-    def __add__(self, other) -> "BivariatePoly":
-        if isinstance(other, int):
-            other = BivariatePoly({(0, 0): other})
-        if not isinstance(other, BivariatePoly):
-            return NotImplemented
-        acc = dict(self._terms)
-        for k, c in other._terms.items():
-            s = acc.get(k, 0) + c
-            if s:
-                acc[k] = s
-            else:
-                acc.pop(k, None)
-        out = type(self)()
-        out._terms = acc
-        return out
-
-    __radd__ = __add__
-
-    def __sub__(self, other) -> "BivariatePoly":
-        return self + (-other if isinstance(other, BivariatePoly) else -other)
-
-    def __rsub__(self, other) -> "BivariatePoly":
-        return (-self) + other
-
     def __mul__(self, other) -> "BivariatePoly":
         if isinstance(other, int):
-            if other == 0:
-                return type(self)()
-            return type(self)({k: c * other for k, c in self._terms.items()})
+            return self._scale(other)
         if not isinstance(other, BivariatePoly):
             return NotImplemented
         acc: dict[tuple[int, int], int] = {}
@@ -289,39 +265,21 @@ class BivariatePoly:
                     acc[k] = s
                 else:
                     acc.pop(k, None)
-        out = type(self)()
-        out._terms = acc
-        return out
+        return self._new(acc)
 
     __rmul__ = __mul__
 
-    def __pow__(self, n: int) -> "BivariatePoly":
-        if n < 0:
-            raise ValueError("negative powers are only defined for monomials")
-        result = type(self).one()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
-
     def shift_z(self, k: int) -> "BivariatePoly":
         """Multiply by ``z^k``."""
-        out = type(self)()
-        out._terms = {(a, b + k): c for (a, b), c in self._terms.items()}
-        return out
+        return self._new({(a, b + k): c for (a, b), c in self._terms.items()})
 
     def shift_y(self, k: int) -> "BivariatePoly":
         """Multiply by ``y^k``."""
-        out = type(self)()
-        out._terms = {(a + k, b): c for (a, b), c in self._terms.items()}
-        return out
+        return self._new({(a + k, b): c for (a, b), c in self._terms.items()})
 
     def subst_y_inverse(self) -> "BivariatePoly":
         """Apply ``y -> y^-1`` leaving ``z`` fixed."""
-        return type(self)({(-a, b): c for (a, b), c in self._terms.items()})
+        return self._new({(-a, b): c for (a, b), c in self._terms.items()})
 
     def subst_y_one(self) -> "BivariatePoly":
         """Collapse ``y -> 1``; the result only involves ``z``."""
@@ -329,25 +287,14 @@ class BivariatePoly:
 
     def z_coefficient(self, z_exp: int) -> LaurentPoly:
         """Extract the coefficient of ``z^z_exp`` as a polynomial in ``y``."""
-        return LaurentPoly({a: c for (a, b), c in self._terms.items() if b == z_exp})
+        return LaurentPoly._new({a: c for (a, b), c in self._terms.items() if b == z_exp})
 
     def z_support(self) -> tuple[int, ...]:
         return tuple(sorted({b for (_, b) in self._terms}))
 
-    def __str__(self) -> str:
-        items = []
-        for (a, b), c in sorted(self._terms.items(), key=lambda kv: (kv[0][1], kv[0][0])):
-            mono_parts = []
-            if a != 0:
-                mono_parts.append(_var_power("y", a))
-            if b != 0:
-                mono_parts.append(_var_power("z", b))
-            items.append(("*".join(mono_parts), c))
-        return _format_terms(items)
 
-    def __repr__(self) -> str:
-        return f"{type(self).__name__}('{self}')"
-
+LaurentPoly._ring = LaurentPoly
+BivariatePoly._ring = BivariatePoly
 
 #: The polynomial y + y^-1, the loop value driving the closed formulas.
 Y_PLUS_Y_INV = LaurentPoly({1: 1, -1: 1})

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kauffpoly.coeffs import CoeffTable
 from kauffpoly.laurent import BivariatePoly, LaurentPoly, Y_PLUS_Y_INV, monotone_coeff
 from kauffpoly.series import unlink_factor
 
@@ -53,6 +54,22 @@ class TestLaurentBasics:
         assert Y + 0 == Y
         assert 2 * Y == LaurentPoly({1: 2})
         assert Y - 1 == LaurentPoly({1: 1, 0: -1})
+        z = BivariatePoly.monomial(0, 1)
+        assert z + 0 == z and 0 + z == z
+        assert z + 2 == BivariatePoly({(0, 1): 1, (0, 0): 2})
+        assert z - 1 == BivariatePoly({(0, 1): 1, (0, 0): -1})
+        assert 1 - z == BivariatePoly({(0, 1): -1, (0, 0): 1})
+        assert 3 * z == z * 3 == BivariatePoly({(0, 1): 3})
+        assert z * 0 == BivariatePoly.zero() == 0
+        assert BivariatePoly.one() * -2 == -2 and -2 == BivariatePoly({(0, 0): -2})
+        assert z != 1 and BivariatePoly.one() != 2
+
+    @pytest.mark.parametrize("cls", [LaurentPoly, BivariatePoly, CoeffTable])
+    @pytest.mark.parametrize("c", [0, 1, -3])
+    def test_constant_hashes_as_its_int(self, cls, c):
+        p = cls.one() * c
+        assert p == c and hash(p) == hash(c)
+        assert len({c, p}) == 1
 
     def test_zero_coefficients_dropped(self):
         assert LaurentPoly({3: 0, 1: 2}) == LaurentPoly({1: 2})
@@ -65,9 +82,19 @@ class TestLaurentBasics:
     def test_shift(self):
         assert Y.shift(2) == LaurentPoly.monomial(3)
 
-    def test_requires_ints(self):
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: LaurentPoly({1: 0.5}),
+            lambda: LaurentPoly({1.0: 1}),
+            lambda: BivariatePoly({(1, 0): 0.5}),
+            lambda: BivariatePoly({(1.0, 0): 1}),
+            lambda: BivariatePoly({(1, "z"): 1}),
+        ],
+    )
+    def test_requires_ints(self, make):
         with pytest.raises(TypeError):
-            LaurentPoly({1: 0.5})
+            make()
 
 
 class TestSerialization:
@@ -118,6 +145,25 @@ class TestBivariateOps:
         p = BivariatePoly({(1, 2): 4, (0, 2): -1, (3, 0): 9})
         assert p.z_coefficient(2) == LaurentPoly({1: 4, 0: -1})
         assert p.z_coefficient(5) == LaurentPoly.zero()
+
+    def test_rings_do_not_mix(self):
+        one, two = LaurentPoly.one(), BivariatePoly.one()
+        for a, b in ((one, two), (two, one)):
+            for op in (lambda a, b: a + b, lambda a, b: a - b, lambda a, b: a * b):
+                with pytest.raises(TypeError):
+                    op(a, b)
+            assert a != b and not a == b
+
+    def test_coeff_table_keeps_its_type(self):
+        t = CoeffTable({(1, 0): 2, (-1, 1): -1})
+        results = [
+            t + t, t + 1, 1 + t, t - t, t - 1, 1 - t, -t, t * t, 2 * t, t * 0, t**2,
+            t.shift_y(1), t.shift_z(-1), t.subst_y_inverse(), t.subst_y_one(),
+        ]
+        assert all(type(x) is CoeffTable for x in results)
+        b = BivariatePoly.monomial(1, 1)
+        assert type(b + t) is BivariatePoly
+        assert b + t == t + b
 
 
 class TestRingAxioms:
