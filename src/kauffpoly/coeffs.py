@@ -52,10 +52,11 @@ Every lookup runs on a port state (``diagram._PortState``): the two
 splices of a node, the kink removals, the bigon erasures, the split
 into pieces, the component count and the shape codes are edits and
 scans of one flat port array, checked as the constructor checks a
-diagram before any code is looked up.  A node's flip is its
-``crossing_change``, which shares the node's checked arrays, so the
-flip's state copies nothing until a removal.  A ``Diagram`` is built
-only for a core the memo misses, which is the only core expanded.
+diagram before any code is looked up.  A state copies the arrays of
+the diagram it starts from once, when it is made; a node's flip is its
+``crossing_change``, which shares the node's checked arrays.  A
+``Diagram`` is built only for a core the memo misses, which is the only
+core expanded.
 
 All functions are pure.  Every call memoises: the memo maps the shape
 code of each core (:meth:`kauffpoly.diagram.Diagram.shape_code`) to its

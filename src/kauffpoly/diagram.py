@@ -18,24 +18,26 @@ first use, one walk of the canonical traversal, the faces, the edge map
 and the components.  The walk starts each component at its lowest edge
 and, in one pass over the port array, records the component count ``r``,
 the first-encounter order, each component's arrival ports in order and
-each crossing's sign with V over; ``r``, ``writhe``, the canonical
-first-encounter order and the oracle's search for a base of least
-warping degree read it, so the recursions never build ``Component``
-objects.  ``crossing_change`` and ``mirror`` reuse the validated edges
-and this shared data as they are, so a flip costs one tuple and one
-dict copy.  Removing a crossing is a local edit: the kept edges stay in
-order, only the chains of edges through it are merged and inserted in
-place, and every structural check runs on the result without sorting
-again.
+each crossing's sign with V over; ``r``, ``writhe``, the components,
+the canonical first-encounter order and the oracle's search for a base
+of least warping degree read it, so the recursions never build
+``Component`` objects.  The first-encounter order from any other start
+ports comes from :func:`_first_encounters`, which records nothing else.
+``crossing_change`` and ``mirror`` reuse the validated edges and this
+shared data as they are, so a flip costs one tuple and one dict copy.
+Removing a crossing is a local edit: the kept edges stay in order, only
+the chains of edges through it are merged and inserted in place, and
+every structural check runs on the result without sorting again.
 
 The coefficient engine edits its sub-diagrams without building them: a
 ``_PortState`` holds the over flags, the flat port arrays and the free
-loops of a diagram and edits the arrays in place.  It splices, strips
-kinks, erases bigons, splits into pieces, counts components and
-computes shape codes on those arrays, with the same chain merge, kink
-scan, bigon scan and shape code as :class:`Diagram`, and checks its
-arrays as the constructor checks a diagram's.  It builds a
-:class:`Diagram` only for a core it is asked for.
+loops of a diagram, copies the arrays once and edits the copies in
+place.  It splices, strips kinks, erases bigons, splits into pieces,
+counts components and computes shape codes on those arrays, with the
+same chain merge, kink scan, bigon scan and shape code as
+:class:`Diagram`, and checks its arrays as the constructor checks a
+diagram's.  It builds a :class:`Diagram` only for a core it is asked
+for.
 
 PD text input: whitespace-separated tokens ``X(a,b,c,d)`` listing the
 edge labels at ports 0..3 counterclockwise with the under-strand
@@ -169,16 +171,16 @@ class _Projection:
     computed once per projection.  Port ``(c, i)`` is index ``4c + i``
     of the flat arrays: ``far_ports`` holds the port at the other end of
     its edge and ``port_labels`` that edge's label.  ``walk``, ``faces``,
-    ``components``, ``edge_map``, ``kinks`` (the lower ports of the R1
-    kinks' loop edges) and ``pieces`` (the crossings of each connected
-    piece) are built on first use and then read as plain attributes.
-    Only this module writes any of it; the recursions read its canonical
-    traversal, and the oracle's base search and the move site searches
-    of :mod:`kauffpoly.moves` its port array.
+    ``components`` (from the walk's visits), ``edge_map`` and ``kinks``
+    (the lower ports of the R1 kinks' loop edges) are built on first use
+    and then read as plain attributes.  Only this module writes any of
+    it; the recursions read its canonical traversal, and the oracle's
+    base search and the move site searches of :mod:`kauffpoly.moves` its
+    port array.
     """
 
     #: filled on first use by the method named with a leading underscore
-    _LAZY = ("walk", "faces", "components", "edge_map", "kinks", "pieces")
+    _LAZY = ("walk", "faces", "components", "edge_map", "kinks")
     __slots__ = ("edges", "free_loops", "far_ports", "port_labels") + _LAZY
 
     def __init__(
@@ -207,19 +209,6 @@ class _Projection:
     def _kinks(self) -> tuple[int, ...]:
         far = self.far_ports
         return tuple(_kink_ports(far, range(len(far))))
-
-    def _pieces(self) -> tuple[tuple[int, ...], ...]:
-        return _piece_crossings(self.far_ports, self.port_labels)
-
-    def orbit_from(self, edge: int, toward: Port) -> tuple[tuple[int, Port], ...]:
-        far, labels = self.far_ports, self.port_labels
-        start = 4 * toward[0] + toward[1]
-        orbit = [(edge, toward)]
-        x = far[start ^ 2]  # leave through the opposite port of the crossing
-        while x != start:
-            orbit.append((labels[x], (x >> 2, x & 3)))
-            x = far[x ^ 2]
-        return tuple(orbit)
 
     def _walk(self) -> _Walk:
         far = self.far_ports
@@ -275,27 +264,25 @@ class _Projection:
         return tuple(out)
 
     def _components(self) -> tuple[Component, ...]:
-        comps: list[Component] = []
-        seen: set[int] = set()
-        for label, a, _ in self.edges:  # sorted by label, a < b: discovery is canonical
-            if label in seen:
-                continue
-            orbit = self.orbit_from(label, a)
-            labels = [e for e, _ in orbit]
-            seen.update(labels)
-            comps.append(Component(edges=tuple(sorted(labels)), orbit=orbit))
-        for _ in range(self.free_loops):
-            comps.append(Component(edges=(), orbit=()))
-        return tuple(comps)
+        labels = self.port_labels
+        comps = [
+            Component(
+                edges=tuple(sorted(labels[x] for x in visits)),
+                orbit=tuple((labels[x], (x >> 2, x & 3)) for x in visits),
+            )
+            for visits in self.walk.visits
+        ]
+        return tuple(comps) + (Component(edges=(), orbit=()),) * self.free_loops
 
 
 @dataclass(frozen=True)
 class Diagram:
     """An unoriented link diagram.
 
-    ``edges`` holds (label, port, port) triples sorted by label, each
-    port pair sorted, whatever order they were passed in; this canonical
-    storage makes structural equality
+    ``crossings`` is stored as a tuple, each entry a :class:`Crossing`
+    with a bool ``over_v``.  ``edges`` holds (label, port, port) triples
+    sorted by label, each port pair sorted, whatever order they were
+    passed in; this canonical storage makes structural equality
     coincide with equality of labeled diagrams.  The shared projection
     data takes no part in equality, hashing or repr.
     """
@@ -306,6 +293,11 @@ class Diagram:
     _proj: _Projection = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        crossings = tuple(self.crossings)
+        for x in crossings:
+            if not (isinstance(x, Crossing) and isinstance(x.over_v, bool)):
+                raise DiagramError(f"{x!r} is not a Crossing with a bool over_v")
+        object.__setattr__(self, "crossings", crossings)
         edges = tuple(
             sorted((label, a, b) if a < b else (label, b, a) for label, a, b in self.edges)
         )
@@ -407,10 +399,6 @@ class Diagram:
     # ------------------------------------------------------------------
     # strand following
 
-    def orbit_from(self, edge: int, toward: Port) -> tuple[tuple[int, Port], ...]:
-        """The cyclic arrival sequence starting mid-edge heading at ``toward``."""
-        return self._proj.orbit_from(edge, toward)
-
     @cached_property
     def components(self) -> tuple[Component, ...]:
         """The components in canonical traversal order, free loops last.
@@ -503,18 +491,11 @@ class Diagram:
         if any(s not in (1, -1) for s in orientation):
             raise DiagramError("orientation entries must be +1 or -1")
 
-    def sign_of(self, p: int, orientation: Sequence[int]) -> int:
-        """Crossing sign: +1 when the under-strand direction maps to the
-        over-strand direction by a counterclockwise quarter turn."""
-        self._check_crossing(p)
-        self._check_orientation(orientation)
-        walk = self._proj.walk
-        sign = walk.signs[p] if self.crossings[p].over_v else -walk.signs[p]
-        return sign * orientation[walk.strands[2 * p]] * orientation[walk.strands[2 * p + 1]]
-
     def writhe(self, orientation: Sequence[int]) -> int:
+        """Sum of the crossing signs: a crossing is +1 when the
+        under-strand direction maps to the over-strand direction by a
+        counterclockwise quarter turn."""
         self._check_orientation(orientation)
-        # sign_of's rule in one loop: every leaf of both recursions reads it
         walk = self._proj.walk
         strands = walk.strands
         total = 0
@@ -539,25 +520,10 @@ class Diagram:
 
     def connected_pieces(self) -> tuple[frozenset[int], ...]:
         """Crossing sets of the connected pieces of the 4-valent graph."""
-        return tuple(frozenset(piece) for piece in self._proj.pieces)
-
-    def piece_diagrams(self) -> tuple["Diagram", ...]:
-        """The connected pieces as diagrams of their own, free loops left out.
-
-        Each piece keeps its edge labels and over flags; its crossings
-        are renumbered in their original order.
-        """
-        out = []
-        for piece in self.connected_pieces():
-            order = sorted(piece)
-            index = {ci: k for k, ci in enumerate(order)}
-            edges = [
-                (label, (index[a[0]], a[1]), (index[b[0]], b[1]))
-                for label, a, b in self.edges
-                if a[0] in index
-            ]
-            out.append(Diagram(tuple(self.crossings[ci] for ci in order), tuple(edges)))
-        return tuple(out)
+        proj = self._proj
+        return tuple(
+            frozenset(piece) for piece in _piece_crossings(proj.far_ports, proj.port_labels)
+        )
 
     def shape_code(self) -> tuple[int, ...]:
         """Exact code of a connected diagram up to relabelling.
@@ -581,17 +547,9 @@ class Diagram:
         tried, which is exact because the least code begins with 0.  The
         starts advance together one crossing at a time, and a start is
         dropped at the first crossing whose entries compare above those
-        of another start still in the running.  The code is computed once
-        per diagram, like its hash.
+        of another start still in the running.
         """
-        try:
-            return self._code
-        except AttributeError:
-            code = _shape_code(
-                self._proj.far_ports, self.crossings, self.free_loops, range(len(self.crossings))
-            )
-            object.__setattr__(self, "_code", code)
-            return code
+        return _shape_code(self._proj.far_ports, self.crossings, self.free_loops, range(self.c))
 
     def is_planar(self) -> bool:
         """Euler check V - E + F = 2 on every connected piece."""
@@ -624,6 +582,27 @@ class Diagram:
 
     def __str__(self) -> str:
         return self.to_pd() or "(empty)"
+
+
+def _first_encounters(d: Diagram, starts: Iterable[int]) -> tuple[tuple[int, int], ...]:
+    """Crossings in order of first visit, with the parity of the strand
+    met first (0 for U, 1 for V), when the strand of each flat arrival
+    port (``4c + i``) of ``starts`` is walked once round, in turn, from
+    that port on through the opposite port of each crossing."""
+    far = d._proj.far_ports
+    met = [False] * len(d.crossings)
+    found = []
+    for start in starts:
+        x = start
+        while True:
+            ci = x >> 2
+            if not met[ci]:
+                met[ci] = True
+                found.append((ci, x & 1))
+            x = far[x ^ 2]
+            if x == start:
+                break
+    return tuple(found)
 
 
 # ----------------------------------------------------------------------
@@ -759,29 +738,25 @@ class _PortState:
     far ports and labels (the layout of :class:`_Projection`) and free
     loops, changed in place.
 
-    The state reads the projection arrays of the diagram it starts
-    from and copies them at its first removal, so a state that no
-    removal touches copies nothing and reads what the projection has
-    cached.  A removal writes a few array entries; a removed crossing
-    keeps its index and its ports hold -1, so no crossing is renumbered
-    until :meth:`diagram` cuts out a core.  Removal merges chains with
+    The state copies the projection arrays of the diagram it starts
+    from once, when it is made.  A removal writes a few array entries;
+    a removed crossing keeps its index and its ports hold -1, so no
+    crossing is renumbered until :meth:`diagram` cuts out a core.  Removal merges chains with
     :meth:`Diagram._remove`'s routine, so a state and the diagrams the
     same edits would build agree on every label.  The lower ports of
     the kinks' loop edges are kept up to date: a removal can only make
     a kink of a chain it merges.
     """
 
-    __slots__ = ("crossings", "far", "labels", "loops", "kinks", "source")
+    __slots__ = ("crossings", "far", "labels", "loops", "kinks")
 
     def __init__(self, d: Diagram):
         proj = d._proj
         self.crossings = d.crossings
-        self.far = proj.far_ports
-        self.labels = proj.port_labels
+        self.far = proj.far_ports[:]
+        self.labels = proj.port_labels[:]
         self.loops = d.free_loops
         self.kinks = proj.kinks
-        #: the diagram whose checked arrays the state reads, until its first removal
-        self.source: Diagram | None = d
 
     def splice(self, p: int, kind: str) -> None:
         self._remove(p, _splice_bridge(kind))
@@ -792,10 +767,6 @@ class _PortState:
         self._remove(u, _STRAIGHT_BRIDGE)
 
     def _remove(self, p: int, bridge: tuple[int, int, int, int]) -> None:
-        if self.source is not None:
-            self.far = self.far[:]
-            self.labels = self.labels[:]
-            self.source = None
         far, labels = self.far, self.labels
         chains, closed = _merge_chains(far, labels, p, bridge)
         ends = []
@@ -844,29 +815,17 @@ class _PortState:
         their lowest crossing, once the constructor's structural checks
         pass on the state: on every port of a crossing not removed (see
         :func:`_piece_crossings`), and the free-loop count is not
-        negative.  A state that no removal touched holds the arrays of a
-        checked diagram and reads its projection's pieces."""
+        negative."""
         if self.loops < 0:
             raise DiagramError("free_loops must be nonnegative")
-        if self.source is not None:
-            return self.source._proj.pieces
         return _piece_crossings(self.far, self.labels)
 
-    def _source_is(self, piece: Sequence[int], loops: int) -> bool:
-        d = self.source
-        return d is not None and len(piece) == d.c and loops == d.free_loops
-
     def shape_code(self, piece: Sequence[int], loops: int) -> tuple[int, ...]:
-        if self._source_is(piece, loops):
-            return self.source.shape_code()
         return _shape_code(self.far, self.crossings, loops, piece)
 
     def diagram(self, piece: Sequence[int], loops: int) -> Diagram:
         """The crossings ``piece`` with ``loops`` free loops as a diagram,
-        renumbered in order; every check of the constructor runs, unless
-        it is the whole diagram the state started from."""
-        if self._source_is(piece, loops):
-            return self.source
+        renumbered in order; every check of the constructor runs."""
         far, labels = self.far, self.labels
         index = {c: k for k, c in enumerate(piece)}
         edges = sorted(

@@ -150,8 +150,9 @@ def cofacial_dart_pairs(d: Diagram) -> tuple[tuple[Dart, Dart], ...]:
 
 
 def r2_add_at(d: Diagram, dart1: Dart, dart2: Dart, over_first: bool = True) -> Diagram:
-    """Push the strand of ``dart1`` across the face onto the strand of
-    ``dart2``, creating a bigon; ``over_first`` sends it across on top."""
+    """Push the strand of ``dart1`` across the face it shares with
+    ``dart2`` onto the strand of ``dart2``, creating a bigon;
+    ``over_first`` sends it across on top."""
     e1, h1 = dart1
     e2, h2 = dart2
     if e1 == e2:
@@ -159,6 +160,15 @@ def r2_add_at(d: Diagram, dart1: Dart, dart2: Dart, over_first: bool = True) -> 
     for e, h in ((e1, h1), (e2, h2)):
         if not d.has_edge(e) or h not in d.edge_map[e]:
             raise MoveSiteError(f"dart ({e}, {h}) does not exist")
+    if not any(dart1 in face and dart2 in face for face in d.faces()):
+        raise MoveSiteError(f"darts {dart1} and {dart2} do not share a face")
+    return _r2_push(d, dart1, dart2, over_first)
+
+
+def _r2_push(d: Diagram, dart1: Dart, dart2: Dart, over_first: bool) -> Diagram:
+    """``r2_add_at`` at a dart pair already known to share a face."""
+    e1, h1 = dart1
+    e2, h2 = dart2
     pa, pb = d.edge_map[e1]
     t1 = pb if h1 == pa else pa
     qa, qb = d.edge_map[e2]
@@ -375,7 +385,7 @@ def _r2_add_step(
     pairs = ((d1, d2) for d1 in face for d2 in face if d1[0] != d2[0])
     d1, d2 = next(islice(pairs, j, None))
     over_first = i & 1 == 0
-    return MoveStep("r2_add", (d1, d2, over_first)), 0, r2_add_at(d, d1, d2, over_first)
+    return MoveStep("r2_add", (d1, d2, over_first)), 0, _r2_push(d, d1, d2, over_first)
 
 
 def _move_kinds(d: Diagram, max_c: int) -> dict[str, tuple[int, Callable[[int], _Taken]]]:

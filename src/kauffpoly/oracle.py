@@ -56,10 +56,10 @@ import itertools
 from typing import MutableMapping
 
 from .coeffs import _Run
-from .diagram import Diagram
+from .diagram import Diagram, _first_encounters
 from .laurent import BivariatePoly
 from .series import kauffman_L, unlink_factor
-from .warping import BaseSequence, warping_order
+from .warping import BaseSequence, _warping, warping_order
 
 OracleCache = MutableMapping[Diagram, BivariatePoly]
 
@@ -146,20 +146,7 @@ def _least_warping(d: Diagram) -> tuple[tuple[int, ...], tuple[int, ...]]:
             key=lambda perm: sum(under[i][j] for n, i in enumerate(perm) for j in perm[n + 1 :]),
         )
         starts = [starts[k] for k in order]
-    met = [False] * len(crossings)
-    warping = []
-    for start in starts:
-        x = start
-        while True:
-            ci = x >> 2
-            if not met[ci]:
-                met[ci] = True
-                if (x & 1) != crossings[ci].over_v:
-                    warping.append(ci)
-            x = far[x ^ 2]
-            if x == start:
-                break
-    return tuple(starts), tuple(warping)
+    return tuple(starts), _warping(d, _first_encounters(d, starts))
 
 
 def _oracle_step(d: Diagram, warping: tuple[int, ...], run: _OracleRun) -> BivariatePoly:

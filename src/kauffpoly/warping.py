@@ -18,9 +18,10 @@ starts, so under it the first-encounter order is the one the
 projection's canonical traversal records.  The recursions of
 :mod:`kauffpoly.coeffs` and :mod:`kauffpoly.oracle` read that traversal
 directly and never build a base.  Every base passed to the functions
-here, the canonical one included, is validated once and walked once on
-every call; only the public API of :class:`~kauffpoly.diagram.Diagram`
-is used.
+here, the canonical one included, is validated once on every call, with
+the public API of :class:`~kauffpoly.diagram.Diagram`, and then walked
+once by the diagram module's ``_first_encounters``, the strand walk the
+oracle's base search ends with.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterator
 
-from .diagram import Diagram, DiagramError, Port
+from .diagram import Diagram, DiagramError, Port, _first_encounters
 
 
 @dataclass(frozen=True)
@@ -109,18 +110,15 @@ def _base_walk(
     validate_base(d, base)
     comps = d.components
     signs = [1] * d.r
-    seen: set[int] = set()
-    found: list[tuple[int, int]] = []
+    starts = []
     for entry in base:
         if entry.edge is None:
             continue
-        start = (entry.edge, entry.toward)
-        signs[entry.component] = 1 if start in comps[entry.component].orbit else -1
-        for _, (ci, pi) in d.orbit_from(*start):
-            if ci not in seen:
-                seen.add(ci)
-                found.append((ci, pi % 2))
-    return tuple(found), tuple(signs)
+        ci, pi = entry.toward
+        starts.append(4 * ci + pi)
+        if (entry.edge, entry.toward) not in comps[entry.component].orbit:
+            signs[entry.component] = -1
+    return _first_encounters(d, starts), tuple(signs)
 
 
 def first_encounter(d: Diagram, base: BaseSequence) -> tuple[tuple[int, int], ...]:

@@ -5,9 +5,11 @@ per criterion, or end-to-end via ``kauffpoly verify --catalog``.
 """
 
 import itertools
+import os
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -31,6 +33,7 @@ from kauffpoly.warping import (
     warping_order,
 )
 
+ROOT = Path(__file__).resolve().parent.parent
 TABLE_CACHE: dict = {}
 ORACLE_CACHE: dict = {}
 
@@ -231,6 +234,7 @@ def test_criterion_9_end_to_end_verify():
     t0 = time.time()
     proc = subprocess.run(
         [sys.executable, "-m", "kauffpoly", "verify", "--catalog"],
+        env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
         capture_output=True,
         text=True,
     )

@@ -41,6 +41,7 @@ from kauffpoly.warping import (
     induced_writhe,
     warping_order,
 )
+from test_diagram import piece_diagrams
 
 KINK = "X(1,2,2,1)"
 KINK_NEG = "X(2,2,1,1)"
@@ -584,7 +585,7 @@ def reference_cores(d: Diagram):
             break
     if len(d.connected_pieces()) + d.free_loops <= 1:
         return kinks, 0, (d,)
-    return kinks, d.free_loops, d.piece_diagrams()
+    return kinks, d.free_loops, piece_diagrams(d)
 
 
 def reference_table(d: Diagram, memo: dict) -> CoeffTable:

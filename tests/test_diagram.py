@@ -26,7 +26,14 @@ from kauffpoly.catalog import CATALOG
 from kauffpoly.coeffs import coeff_table
 from kauffpoly.moves import random_diagram, random_move_walk
 from kauffpoly.verification import verify_diagram
-from kauffpoly.warping import base_orientation, canonical_base, enumerate_bases, first_encounter
+from kauffpoly.warping import (
+    BaseEntry,
+    BaseSequence,
+    base_orientation,
+    canonical_base,
+    enumerate_bases,
+    first_encounter,
+)
 
 UNKNOT = "O"
 KINK = "X(1,2,2,1)"
@@ -72,6 +79,23 @@ def port_map(d: Diagram) -> dict:
         out[a] = (label, b)
         out[b] = (label, a)
     return out
+
+
+def piece_diagrams(d: Diagram) -> tuple[Diagram, ...]:
+    """The connected pieces of ``d`` as diagrams of their own, free loops
+    left out.  Each piece keeps its edge labels and over flags; its
+    crossings are renumbered in their original order."""
+    out = []
+    for piece in d.connected_pieces():
+        order = sorted(piece)
+        index = {ci: k for k, ci in enumerate(order)}
+        edges = [
+            (label, (index[a[0]], a[1]), (index[b[0]], b[1]))
+            for label, a, b in d.edges
+            if a[0] in index
+        ]
+        out.append(Diagram(tuple(d.crossings[ci] for ci in order), tuple(edges)))
+    return tuple(out)
 
 
 class TestParse:
@@ -257,14 +281,17 @@ class TestWritheAndMirror:
         writhes = {o: hopf.writhe(o) for o in itertools.product((1, -1), repeat=2)}
         assert 2 in writhes.values() and -2 in writhes.values()
         o = next(o for o, w in writhes.items() if w == 2)
-        assert all(hopf.sign_of(p, o) == 1 for p in range(2))
+        arrivals = reference_strand_arrivals(reference_orbits(hopf))
+        assert all(reference_sign(hopf, arrivals, p, o) == 1 for p in range(2))
 
     def test_crossing_change_writhe_identity(self):
         for seed in range(10):
             d = random_diagram(seed, 6)
+            arrivals = reference_strand_arrivals(reference_orbits(d))
             o = (1,) * d.r
             for p in range(d.c):
-                assert d.crossing_change(p).writhe(o) == d.writhe(o) - 2 * d.sign_of(p, o)
+                sign = reference_sign(d, arrivals, p, o)
+                assert d.crossing_change(p).writhe(o) == d.writhe(o) - 2 * sign
 
     def test_mirror_involution_and_fixed_points(self):
         for pd in (UNKNOT, KINK, HOPF, TREFOIL):
@@ -295,11 +322,11 @@ class TestSumsAndUnions:
     def test_piece_diagrams_undo_disjoint_union(self):
         hopf, tre = parse_pd(HOPF), parse_pd(TREFOIL)
         both = disjoint_union(disjoint_union(hopf, parse_pd("O O")), tre)
-        first, second = both.piece_diagrams()
+        first, second = piece_diagrams(both)
         assert first == hopf
         assert second.to_pd() == "X(5,8,6,9) X(7,10,8,5) X(9,6,10,7)"
         assert (second.c, second.r, second.free_loops) == (3, 1, 0)
-        assert parse_pd(UNKNOT).piece_diagrams() == ()
+        assert piece_diagrams(parse_pd(UNKNOT)) == ()
 
     def test_connected_sum_of_unknots(self):
         O = parse_pd(UNKNOT)
@@ -400,6 +427,20 @@ class TestValidation:
     def test_missing_port_rejected(self):
         with pytest.raises(DiagramError):
             Diagram(parse_pd(KINK).crossings, (), 0)
+
+    @pytest.mark.parametrize(
+        "bad", [Crossing("no"), Crossing(None), Crossing(1), True, (True,)]
+    )
+    def test_crossing_entries_are_checked(self, bad):
+        kink = parse_pd(KINK)
+        with pytest.raises(DiagramError, match="not a Crossing"):
+            Diagram((bad,), kink.edges)
+
+    def test_crossings_are_stored_as_a_tuple(self):
+        kink = parse_pd(KINK)
+        d = Diagram(list(kink.crossings), kink.edges)
+        assert d.crossings == kink.crossings and type(d.crossings) is tuple
+        assert d == kink and hash(d) == hash(kink)
 
     @pytest.mark.parametrize("p", [-1, 3])
     def test_pd_quadruple_of_a_missing_crossing_rejected(self, p):
@@ -616,18 +657,20 @@ def reference_first_encounter(orbits) -> tuple:
     return tuple(found)
 
 
-def reference_writhe(d: Diagram, arrivals: dict, orientation) -> int:
-    def arrival(p, parity):
-        comp, (ci, pi) = arrivals[(p, parity)]
-        return pi if orientation[comp] == 1 else (pi + 2) % 4
+def reference_sign(d: Diagram, arrivals: dict, p: int, orientation) -> int:
+    """Sign of crossing ``p``: +1 when the under-strand direction maps to
+    the over-strand direction by a counterclockwise quarter turn."""
 
-    total = 0
-    for p, x in enumerate(d.crossings):
-        over = 1 if x.over_v else 0
-        out_over = (arrival(p, over) + 2) % 4
-        out_under = (arrival(p, 1 - over) + 2) % 4
-        total += 1 if out_over == (out_under + 1) % 4 else -1
-    return total
+    def leaving(parity):
+        comp, (_, pi) = arrivals[(p, parity)]
+        return (pi + 2) % 4 if orientation[comp] == 1 else pi
+
+    over = 1 if d.crossings[p].over_v else 0
+    return 1 if leaving(over) == (leaving(1 - over) + 1) % 4 else -1
+
+
+def reference_writhe(d: Diagram, arrivals: dict, orientation) -> int:
+    return sum(reference_sign(d, arrivals, p, orientation) for p in range(d.c))
 
 
 def _spliced_down(d: Diagram, rng: random.Random) -> list[Diagram]:
@@ -705,6 +748,56 @@ class TestCanonicalWalk:
         assert checked > 3000
 
 
+def reference_base_walk(d: Diagram, base: BaseSequence) -> tuple[tuple, tuple]:
+    """First-encounter order and component directions of a base, each
+    entry's strand traced through ``port_map(d)`` from its start dart; a
+    direction is +1 when that dart lies on the reference canonical orbit."""
+    ports = port_map(d)
+    orbits = reference_orbits(d)
+    signs = [1] * d.r
+    seen = set()
+    found = []
+    for entry in base:
+        if entry.edge is None:
+            continue
+        start = cur = (entry.edge, entry.toward)
+        if start not in orbits[entry.component]:
+            signs[entry.component] = -1
+        while True:
+            ci, pi = cur[1]
+            if ci not in seen:
+                seen.add(ci)
+                found.append((ci, pi % 2))
+            cur = ports[(ci, (pi + 2) % 4)]
+            if cur == start:
+                break
+    return tuple(found), tuple(signs)
+
+
+class TestBaseWalk:
+    def test_every_start_and_direction_in_a_permuted_order(self, walk_cases):
+        rng = random.Random(5)
+        checked = 0
+        for d in walk_cases:
+            choices = []
+            for k, comp in enumerate(d.components):
+                if not comp.orbit:
+                    choices.append([BaseEntry(k, None, None)])
+                    continue
+                choices.append(
+                    [BaseEntry(k, e, end) for e in comp.edges for end in d.edge_map[e]]
+                )
+            for j in range(max((len(c) for c in choices), default=0)):
+                entries = [c[j % len(c)] for c in choices]
+                rng.shuffle(entries)
+                base = BaseSequence(tuple(entries))
+                encounters, signs = reference_base_walk(d, base)
+                assert first_encounter(d, base) == encounters
+                assert base_orientation(d, base) == signs
+                checked += 1
+        assert checked > 10000
+
+
 class TestRemovalKeepsCanonicalStorage:
     def test_removal_stores_edges_as_the_constructor_does(self, random_set):
         cases = 0
@@ -761,7 +854,7 @@ class TestShapeCode:
                 d.shape_code()
             with pytest.raises(DiagramError):
                 relabelled(d, rng).shape_code()
-        pieces = (d,) if is_connected(d) else d.piece_diagrams()
+        pieces = (d,) if is_connected(d) else piece_diagrams(d)
         for piece in pieces:
             code = piece.shape_code()
             for _ in range(5):
@@ -788,7 +881,7 @@ class TestShapeCode:
     def test_equal_codes_give_equal_tables(self):
         by_code = {}
         for seed in range(60):
-            for piece in random_diagram(seed, 7).piece_diagrams():
+            for piece in piece_diagrams(random_diagram(seed, 7)):
                 by_code.setdefault(piece.shape_code(), []).append(piece)
         shared = [group for group in by_code.values() if len(group) > 1]
         assert shared

@@ -9,6 +9,7 @@ from kauffpoly.diagram import Diagram, DiagramError, _PortState, parse_pd
 from kauffpoly.laurent import BivariatePoly
 from kauffpoly.moves import (
     MoveSiteError,
+    MoveStep,
     MoveTrace,
     apply_step,
     bigon_sites,
@@ -109,6 +110,24 @@ class TestR2:
         assert non_cofacial, "trefoil should have non-cofacial edge pairs"
         with pytest.raises(MoveSiteError):
             r2_add(tre, *non_cofacial[0])
+
+    def test_darts_on_no_common_face_are_rejected(self):
+        tre = parse_pd(TREFOIL)
+        darts = [dart for face in tre.faces() for dart in face]
+        cofacial = set(cofacial_dart_pairs(tre))
+        apart = [
+            (d1, d2) for d1, d2 in itertools.permutations(darts, 2)
+            if d1[0] != d2[0] and (d1, d2) not in cofacial
+        ]
+        assert len(apart) == 102 and ((1, (0, 0)), (3, (2, 3))) in apart
+        for d1, d2 in apart:
+            with pytest.raises(MoveSiteError, match="do not share a face"):
+                r2_add_at(tre, d1, d2)
+        step = MoveStep("r2_add", ((1, (0, 0)), (3, (2, 3)), True))
+        with pytest.raises(MoveSiteError):
+            apply_step(tre, step)
+        with pytest.raises(MoveSiteError):
+            replay(tre, [step])
 
     def test_add_counts_and_planarity(self):
         tre = parse_pd(TREFOIL)
