@@ -27,7 +27,7 @@ therefore unconditional, but the tree is exponential, so a node budget
 converts runaway inputs into a clean error.
 
 Before a diagram is looked up or expanded it is cut down to its cores
-with three exact table laws:
+with four exact table laws:
 
 * kink law: an R1 kink of sign ``s`` multiplies the table by ``y^s``,
   so the kinks come off and their signs are added up;
@@ -35,22 +35,30 @@ with three exact table laws:
   ``L`` is an invariant of regular isotopy (Kauffman, "An invariant of
   regular isotopy", Trans. AMS 318, 1990), so R2 does not change it, and
   R2 keeps the component count ``r``, so neither does
-  ``T = z^(r-1) L``.  Kinks come off while there are any; then one
-  bigon is erased, and the two steps repeat until neither applies;
+  ``T = z^(r-1) L``;
+* connected-sum law: ``L(D1 # D2) = L(D1) * L(D2)``, since a (1,1)-tangle
+  is a scalar times the trivial arc in the Kauffman skein (Lickorish,
+  *An Introduction to Knot Theory*, GTM 175, ch. 15).  A cut is two
+  edges that bound the same two faces; cutting both and joining each
+  side's two ends splits one component in two, so ``r = r1 + r2 - 1``
+  and on tables ``T = T1 * T2``.  A side of one crossing would close
+  into a kink, so a kink-free cut needs four crossings;
 * disjoint-union law: ``L(D1 + D2) = d * L(D1) * L(D2)`` with
   ``d = z^-1 (y + y^-1 - z)``, which on tables reads
   ``T = T1 * T2 * (y + y^-1 - z)``; a free loop is the table ``1``.
 
-Only the connected cores with no kink and no removable bigon are
-cached, expanded and charged to the budget; the caller's table is
-assembled from theirs.  A caller-supplied base
+Kinks come off while there are any; then one bigon is erased, or else
+one cut is split, and the steps repeat until none applies.  Only the
+prime cores, connected and with no kink, no removable bigon and no
+cut, are cached, expanded and charged to the budget; the caller's
+table is assembled from theirs.  A caller-supplied base
 (``coeff_table_with_base``) still drives the top level unsimplified.
 The independent evaluator in :mod:`kauffpoly.oracle` deliberately uses
-none of the three laws.
+none of the four laws.
 
 Every lookup runs on a port state (``diagram._PortState``): the two
-splices of a node, the kink removals, the bigon erasures, the split
-into pieces, the component count and the shape codes are edits and
+splices of a node, the kink removals, the bigon erasures, the cuts, the
+split into pieces, the component count and the shape codes are edits and
 scans of one flat port array, checked as the constructor checks a
 diagram before any code is looked up.  A state copies the arrays of
 the diagram it starts from once, when it is made; a node's flip is its
@@ -60,14 +68,15 @@ core expanded.
 
 All functions are pure.  Every call memoises: the memo maps the shape
 code of each core (:meth:`kauffpoly.diagram.Diagram.shape_code`) to its
-finished table, so a call expands each distinct core once and the
-budget counts distinct cores.  A caller may pass its own memo as
+finished table, so a call expands each distinct prime core once and
+the budget counts distinct prime cores.  A caller may pass its own memo as
 ``cache`` to share it across calls; otherwise the call makes a fresh
 one.  Keying on the shape code is sound because each entry ``T[n]`` is
 a coefficient of the Kauffman polynomial, a link invariant: two cores
 with one code are the same diagram up to edge labels, crossing order
 and port numbering, so they have one table.  A core that comes back
-under other labels is found, not expanded again.
+under other labels is found, not expanded again, and a composite is
+answered from its summands' entries wherever it was cut.
 """
 
 from __future__ import annotations
@@ -182,8 +191,8 @@ def _expand(
     for kind in "AB":
         spliced = _PortState(d)
         spliced.splice(p, kind)
-        t = _table(spliced, run)  # reduces the state, which keeps its r
-        table = table + t.shift_z(1 - (spliced.r() - d.r))
+        shift = 1 - (spliced.r() - d.r)  # before the reduction: a cut raises r
+        table = table + _table(spliced, run).shift_z(shift)
     return table
 
 
@@ -193,14 +202,15 @@ _FREE_LOOP = CoeffTable.one()
 _SPLIT_FACTOR = BivariatePoly({(1, 0): 1, (-1, 0): 1, (0, 1): -1})
 
 
-def _cores(s: _PortState) -> tuple[int, int, list[tuple[tuple[int, ...], int]]]:
-    """(sum of the kink signs, free loops split off, cores) once every
-    R1 kink and removable R2 bigon of ``s`` is removed, in place; a core
-    is its crossings and free loops.  A state with at most one connected
-    piece or free loop is its own single core.  Kinks come off first,
-    lowest loop edge label first; then the first bigon in port order is
-    erased, and the two steps repeat until neither applies."""
-    kinks = 0
+def _cores(s: _PortState) -> tuple[int, int, int, list[tuple[tuple[int, ...], int]]]:
+    """(sum of the kink signs, free loops split off, connected-sum cuts
+    split, cores) once every R1 kink, removable R2 bigon and cut of ``s``
+    is removed, in place; a core is its crossings and free loops.  A
+    state with at most one connected piece or free loop is its own
+    single core.  Kinks come off first, lowest loop edge label first;
+    then the first bigon in port order is erased, else the first cut
+    split, and the steps repeat until none applies."""
+    kinks = cuts = 0
     while True:
         if site := s.kink():
             sign, kind = kink_rule(s, site)
@@ -208,12 +218,15 @@ def _cores(s: _PortState) -> tuple[int, int, list[tuple[tuple[int, ...], int]]]:
             s.splice(site[0], kind)
         elif bigon := s.bigon():
             s.erase(*bigon)
+        elif cut := s.cut():
+            s.rejoin(*cut)
+            cuts += 1
         else:
             break
     pieces = s.pieces()  # after the constructor's checks on the state
     if len(pieces) + s.loops <= 1:
-        return kinks, 0, [(pieces[0] if pieces else (), s.loops)]
-    return kinks, s.loops, [(piece, 0) for piece in pieces]
+        return kinks, 0, 0, [(pieces[0] if pieces else (), s.loops)]
+    return kinks, s.loops, cuts, [(piece, 0) for piece in pieces]
 
 
 def _core_table(s: _PortState, piece: tuple[int, ...], loops: int, run: _Run) -> CoeffTable:
@@ -228,11 +241,15 @@ def _core_table(s: _PortState, piece: tuple[int, ...], loops: int, run: _Run) ->
 
 
 def _table(s: _PortState, run: _Run) -> CoeffTable:
-    kinks, loops, cores = _cores(s)
+    kinks, loops, cuts, cores = _cores(s)
     tables = [_core_table(s, *core, run) for core in cores] + [_FREE_LOOP] * loops
     table = tables[0]
     for other in tables[1:]:
-        table = table * other * _SPLIT_FACTOR
+        table = table * other
+    # each cut made one summand, joined by the product alone; every other
+    # piece or free loop past the first is disjoint and brings the factor
+    for _ in range(len(tables) - 1 - cuts):
+        table = table * _SPLIT_FACTOR
     return table.shift_y(kinks) if kinks else table
 
 

@@ -8,9 +8,10 @@ Edges are a perfect matching on the set of all ports.  Crossing-free
 circles carry no ports, so they are tracked by an explicit counter.
 
 Diagrams are immutable values; every operation returns a new diagram.
-Edge labels are positive integers.  Labels survive crossing changes
-unchanged, and a splice names each merged edge after the smallest label
-it absorbed, which keeps derived diagrams deterministic.
+Edge labels are positive integers, which the constructor checks.
+Labels survive crossing changes unchanged, and a splice names each
+merged edge after the smallest label it absorbed, which keeps derived
+diagrams deterministic.
 
 Diagrams that differ only in over flags share their projection data: the
 flat port arrays the constructor's checks build and, each computed on
@@ -32,12 +33,12 @@ every structural check runs on the result without sorting again.
 The coefficient engine edits its sub-diagrams without building them: a
 ``_PortState`` holds the over flags, the flat port arrays and the free
 loops of a diagram, copies the arrays once and edits the copies in
-place.  It splices, strips kinks, erases bigons, splits into pieces,
-counts components and computes shape codes on those arrays, with the
-same chain merge, kink scan, bigon scan and shape code as
-:class:`Diagram`, and checks its arrays as the constructor checks a
-diagram's.  It builds a :class:`Diagram` only for a core it is asked
-for.
+place.  It splices, strips kinks, erases bigons, splits connected sums
+at their cuts, splits into pieces, counts components and computes shape
+codes on those arrays, with the same chain merge, kink scan, bigon
+scan, face rule and shape code as :class:`Diagram`, and checks its
+arrays as the constructor checks a diagram's.  It builds a
+:class:`Diagram` only for a core it is asked for.
 
 PD text input: whitespace-separated tokens ``X(a,b,c,d)`` listing the
 edge labels at ports 0..3 counterclockwise with the under-strand
@@ -298,10 +299,12 @@ class Diagram:
             if not (isinstance(x, Crossing) and isinstance(x.over_v, bool)):
                 raise DiagramError(f"{x!r} is not a Crossing with a bool over_v")
         object.__setattr__(self, "crossings", crossings)
-        edges = tuple(
-            sorted((label, a, b) if a < b else (label, b, a) for label, a, b in self.edges)
-        )
-        object.__setattr__(self, "edges", edges)
+        edges = []
+        for label, a, b in self.edges:
+            if isinstance(label, bool) or not isinstance(label, int) or label < 1:
+                raise DiagramError(f"edge label {label!r} is not a positive integer")
+            edges.append((label, a, b) if a < b else (label, b, a))
+        object.__setattr__(self, "edges", tuple(sorted(edges)))
         self._check_and_project()
 
     @classmethod
@@ -745,7 +748,7 @@ class _PortState:
     :meth:`Diagram._remove`'s routine, so a state and the diagrams the
     same edits would build agree on every label.  The lower ports of
     the kinks' loop edges are kept up to date: a removal can only make
-    a kink of a chain it merges.
+    a kink of a chain it merges, and a rejoin of an edge it joins.
     """
 
     __slots__ = ("crossings", "far", "labels", "loops", "kinks")
@@ -794,6 +797,55 @@ class _PortState:
     def bigon(self) -> tuple[int, int] | None:
         """The first removable R2 bigon in port order, or None."""
         return next(_bigon_scan(self.far, self.crossings), None)
+
+    def cut(self) -> tuple[int, int, int, int] | None:
+        """The first connected-sum cut in port order, or None.  A cut is
+        two distinct edges that bound the same two faces; the first is
+        the one whose second edge has the least lower port.  Faces are
+        traced with the turn rule of :meth:`Diagram.faces`.  The cut is
+        ``(x, y, u, v)``: ``x`` and ``y`` are the lower and upper port of
+        the first edge, and ``u`` and ``v`` the ends of the second edge
+        on the sides of ``x`` and ``y``.  A kink-free side has at least
+        two crossings, so a state with fewer than four is not scanned."""
+        far = self.far
+        if len(far) - far.count(-1) < 16:
+            return None
+        face = [-1] * len(far)
+        k = 0
+        for start, fx in enumerate(far):
+            if fx < 0 or face[start] >= 0:
+                continue
+            x = start
+            while face[x] < 0:  # arrive at x, leave along the edge at x + 1
+                face[x] = k
+                x = far[x - 3 if x & 3 == 3 else x + 1]
+            k += 1
+        first = {}
+        for a, b in enumerate(far):
+            if a < b:
+                f, g = face[a], face[b]
+                key = f * k + g if f < g else g * k + f
+                x = first.setdefault(key, a)
+                if x != a:
+                    # from x, the face of the dart into x runs along one
+                    # side to the dart into a or b; that dart leaves the
+                    # end on x's side
+                    y = far[x]
+                    return (x, y, b, a) if face[a] == face[x] else (x, y, a, b)
+        return None
+
+    def rejoin(self, x: int, y: int, u: int, v: int) -> None:
+        """Split a cut of :meth:`cut` into its two summands: join ``x``
+        to ``u`` under the label of the edge at ``x``, and ``y`` to ``v``
+        under the label of the edge at ``u``."""
+        far, labels = self.far, self.labels
+        first, second = labels[x], labels[u]
+        far[x], far[u], far[y], far[v] = u, x, v, y
+        labels[x] = labels[u] = first
+        labels[y] = labels[v] = second
+        # the old kinks stay: a kink's loop edge alone bounds a face, so no cut has it
+        if made := _kink_ports(far, (x, y, u, v)):
+            self.kinks = [*self.kinks, *made]
 
     def r(self) -> int:
         """Number of link components, free loops included."""

@@ -39,7 +39,8 @@ share it across calls.  It is keyed by the diagram itself, not by the
 table engine's shape code, so that this path stays separate.  A leaf
 builds ``d^k`` once, when it first needs it, and then only shifts it by
 ``y^w``.  The recursion itself, its base choice and its freedom from
-the kink, bigon and disjoint-union laws do not depend on either.
+the kink, bigon, connected-sum and disjoint-union laws do not depend on
+either.
 
 The diagram and warping plumbing is shared with the rest of the package:
 duplicating it would add risk without adding independence where it

@@ -394,10 +394,13 @@ class TestBudgetAndCache:
     def test_a_call_without_cache_expands_each_core_once(self):
         f8 = parse_pd(FIGURE8)
         d = connected_sum(f8, f8)
-        # seven distinct cores; without a memo the tree expands 103 nodes
-        assert coeff_table(d, budget=7) == coeff_table(d, cache=NeverHits())
+        # without a memo the tree expands each core every time it meets it
+        n = nodes(d)
+        assert coeff_table(d, budget=n) == coeff_table(d, cache=NeverHits())
         with pytest.raises(BudgetExceededError):
-            coeff_table(d, budget=6)
+            coeff_table(d, budget=n - 1)
+        # both summands are one core, answered from one entry
+        assert nodes(connected_sum(d, f8)) == n == nodes(f8)
 
     @pytest.mark.parametrize("check", [skein_check, check_L_skein])
     def test_a_skein_check_without_cache_shares_one_memo(self, check, monkeypatch):
@@ -496,7 +499,7 @@ class TestBigonReduction:
 
     @pytest.fixture
     def reference(self, monkeypatch):
-        # the engine with its bigon search switched off: kinks only
+        # the engine with its bigon search switched off: kinks and cuts only
         cache: dict = {}
 
         def table(d: Diagram) -> CoeffTable:
@@ -537,6 +540,63 @@ class TestBigonReduction:
         assert nodes(d) <= n
 
 
+def _composites():
+    f8, hopf, tre = parse_pd(FIGURE8), parse_pd(HOPF), parse_pd(TREFOIL)
+    yield "f8#f8#f8", connected_sum(connected_sum(f8, f8), f8)
+    yield "hopf#hopf#f8", connected_sum(connected_sum(hopf, hopf), f8)
+    for e in tre.edge_labels():
+        for e2 in hopf.edge_labels():
+            yield f"trefoil#hopf:{e},{e2}", connected_sum(tre, hopf, e, e2)
+    yield "T(3,7)#trefoil", connected_sum(braid_closure(3, [1, 2] * 7), tre)
+
+
+class TestConnectedSumLaw:
+    """Splitting a core at a connected-sum cut leaves every table
+    unchanged and never costs a node."""
+
+    @pytest.fixture
+    def reference(self, monkeypatch):
+        # the engine with its cut search switched off: kinks and bigons only
+        def table_and_nodes(d: Diagram) -> tuple[CoeffTable, int]:
+            with monkeypatch.context() as m:
+                m.setattr(_PortState, "cut", lambda self: None)
+                cache: dict = {}
+                return coeff_table(d, cache=cache), len(cache)
+
+        return table_and_nodes
+
+    @pytest.mark.parametrize(
+        "d",
+        [
+            *(pytest.param(e.diagram(), id=name) for name, e in CATALOG.items()),
+            *(pytest.param(d, id=name) for name, d in _composites()),
+            *(
+                pytest.param(random_diagram(s, 12, walk_steps=30), id=f"random:{s}")
+                for s in range(30)
+            ),
+        ],
+    )
+    def test_tables_equal_and_nodes_no_more(self, reference, d):
+        table, n = reference(d)
+        assert coeff_table(d) == table
+        assert nodes(d) <= n
+
+    def test_a_cut_splits_off_one_summand(self):
+        f8 = parse_pd(FIGURE8)
+        d = connected_sum(connected_sum(f8, f8), f8)
+        s = _PortState(d)
+        for pieces in (2, 3):
+            s.rejoin(*s.cut())
+            assert len(s.pieces()) == pieces
+            assert s.r() == pieces
+        assert s.cut() is None
+        assert {s.shape_code(piece, 0) for piece in s.pieces()} == {f8.shape_code()}
+
+    @pytest.mark.parametrize("pd", [HOPF, TREFOIL, FIGURE8, BORROMEAN, BR4X16S2])
+    def test_prime_diagrams_have_no_cut(self, pd):
+        assert _PortState(parse_pd(pd)).cut() is None
+
+
 def _reference_first_bigon(d: Diagram):
     """The removable R2 bigon whose first bounding port is least, traced
     face by face: a 2-gon face's two darts arrive at its bounding ports."""
@@ -569,11 +629,36 @@ def _reference_kink_sites(d: Diagram):
     return out
 
 
+def _reference_cut(d: Diagram):
+    """``d`` split at the connected-sum cut whose second edge has the
+    least lower port, or None; a cut is two edges that bound the same two
+    faces, traced face by face.  Each side's two cut ends are joined:
+    the pairing tried is the one that splits the diagram.  The edge
+    through the first edge's lower port keeps that edge's label, and the
+    other edge the second edge's label."""
+    face_of = {port: k for k, face in enumerate(d.faces()) for _, port in face}
+    first = {}
+    for label, a, b in sorted(d.edges, key=lambda edge: edge[1]):  # by lower port
+        key = frozenset((face_of[a], face_of[b]))
+        if key not in first:
+            first[key] = (label, a, b)
+            continue
+        (l1, x, y), rest = first[key], [e for e in d.edges if e[0] not in (first[key][0], label)]
+        for u, v in ((a, b), (b, a)):
+            cut = Diagram(d.crossings, rest + [(l1, x, u), (label, y, v)], d.free_loops)
+            if len(cut.connected_pieces()) > len(d.connected_pieces()):
+                assert cut.is_planar()
+                return cut
+        raise AssertionError(f"edges {l1} and {label} bound the same two faces but split nothing")
+    return None
+
+
 def reference_cores(d: Diagram):
     """The core reduction on whole diagrams, as the engine ran it before
     its port state: the kink on the lowest edge label comes off first;
-    else the first removable bigon in port order is erased; then split."""
-    kinks = 0
+    else the first removable bigon in port order is erased; else the
+    first connected-sum cut is split; then split into pieces."""
+    kinks = cuts = 0
     while True:
         if sites := _reference_kink_sites(d):
             sign, kind = kink_rule(d, sites[0])
@@ -581,21 +666,25 @@ def reference_cores(d: Diagram):
             d = d.splice(sites[0][0], kind)
         elif bigon := _reference_first_bigon(d):
             d = d.erase_crossings(bigon)
+        elif cut := _reference_cut(d):
+            d = cut
+            cuts += 1
         else:
             break
     if len(d.connected_pieces()) + d.free_loops <= 1:
-        return kinks, 0, (d,)
-    return kinks, d.free_loops, piece_diagrams(d)
+        return kinks, 0, 0, (d,)
+    return kinks, d.free_loops, cuts, piece_diagrams(d)
 
 
 def reference_table(d: Diagram, memo: dict) -> CoeffTable:
     """The engine on whole diagrams, with ``reference_cores``: every
-    splice and reduction step builds a diagram."""
-    kinks, loops, cores = reference_cores(d)
+    splice and reduction step builds a diagram.  A summand joins the
+    product as it is, a disjoint piece with the factor ``SPLIT``."""
+    kinks, loops, cuts, cores = reference_cores(d)
     tables = [_reference_core_table(core, memo) for core in cores] + [CoeffTable.one()] * loops
     table = tables[0]
-    for other in tables[1:]:
-        table = table * other * SPLIT
+    for k, other in enumerate(tables[1:]):
+        table = table * other if k < cuts else table * other * SPLIT
     return table.shift_y(kinks) if kinks else table
 
 
@@ -635,6 +724,9 @@ def _kernel_inputs():
     yield param(braid_closure(3, [1, 2] * 7), "T(3,7)")
     yield param(braid_closure(4, [1, 2, 3] * 5), "T(4,5)")
     yield param(parse_pd(BR4X16S2), "br4x16s2")
+    for name, d in _composites():
+        yield param(d, name)
+
 
 
 class TestPortStateKernel:
@@ -650,14 +742,15 @@ class TestPortStateKernel:
         # the state has not renumbered its crossings, so compare the edge
         site, sites = s.kink(), _reference_kink_sites(d)
         assert (site[1:] if site else None) == (sites[0][1:] if sites else None), where
-        kinks, loops, cores = coeffs_mod._cores(s)
-        ref_kinks, ref_loops, ref_cores = reference_cores(d)
-        assert (kinks, loops) == (ref_kinks, ref_loops), where
+        kinks, loops, cuts, cores = coeffs_mod._cores(s)
+        ref_kinks, ref_loops, ref_cuts, ref_cores = reference_cores(d)
+        assert (kinks, loops, cuts) == (ref_kinks, ref_loops, ref_cuts), where
         built = [s.diagram(piece, core_loops) for piece, core_loops in cores]
         assert built == list(ref_cores), where
         assert [b.edges for b in built] == [c.edges for c in ref_cores], where
         assert [s.shape_code(*core) for core in cores] == [c.shape_code() for c in ref_cores]
-        assert s.r() == d.r, where
+        # each cut splits one component in two
+        assert s.r() == d.r + cuts, where
 
     @pytest.mark.parametrize("d", list(_kernel_inputs()))
     def test_cores_and_nodes_match_the_reference(self, d):

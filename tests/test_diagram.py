@@ -436,6 +436,14 @@ class TestValidation:
         with pytest.raises(DiagramError, match="not a Crossing"):
             Diagram((bad,), kink.edges)
 
+    @pytest.mark.parametrize("labels", [(-5, 7), (0, 3), (1.5, 7), (True, 2), ("a", "b")])
+    def test_edge_labels_are_checked(self, labels):
+        # parse_pd takes positive integers only; the constructor must too
+        kink = parse_pd(KINK)
+        a, b = labels
+        with pytest.raises(DiagramError, match="positive integer"):
+            Diagram(kink.crossings, ((a, (0, 0), (0, 1)), (b, (0, 2), (0, 3))))
+
     def test_crossings_are_stored_as_a_tuple(self):
         kink = parse_pd(KINK)
         d = Diagram(list(kink.crossings), kink.edges)

@@ -9,7 +9,7 @@ from test_coeffs import braid_closure
 from kauffpoly import oracle
 from kauffpoly.catalog import CATALOG
 from kauffpoly.coeffs import BudgetExceededError
-from kauffpoly.diagram import Diagram, connected_sum, parse_pd
+from kauffpoly.diagram import Diagram, _PortState, connected_sum, disjoint_union, parse_pd
 from kauffpoly.laurent import BivariatePoly
 from kauffpoly.moves import r1_add, random_diagram, random_move_walk
 from kauffpoly.oracle import (
@@ -77,6 +77,20 @@ class TestOracleValues:
             for chirality, shift in (("+", 1), ("-", -1)):
                 kinked = r1_add(d, d.edge_labels()[0], chirality)
                 assert oracle_L(kinked, cache=cache) == base.shift_y(shift)
+
+    def test_uses_none_of_the_engine_laws(self, monkeypatch):
+        # the engine's kink, bigon, cut and split steps all run on a port
+        # state; the oracle checks those laws, so it never makes one
+        f8 = parse_pd(FIGURE8)
+        f8f8 = connected_sum(f8, f8)
+        d = disjoint_union(r1_add(f8f8, f8f8.edge_labels()[0], "+"), parse_pd(HOPF))
+        expected = kauffman_L(d)
+
+        def refuse(self, *args):
+            raise AssertionError("the oracle made a port state")
+
+        monkeypatch.setattr(_PortState, "__init__", refuse)
+        assert oracle_L(d) == expected
 
 
 class TestBaseInsensitivity:
