@@ -12,7 +12,7 @@ polynomial arithmetic.  The recursion runs on the lexicographic pair
   ``y^w * (-1)^n * C(r-1, n) * (y + y^-1)^(r-n-1)``, with the writhe
   taken under the traversal orientation;
 * otherwise, at a warping crossing ``p`` with splice component shifts
-  ``sA = r(D_A) - r(D)`` and ``sB = r(D_B) - r(D)``::
+  ``sA = r(D_A) - r(D)`` and ``sB = r(D_B) - r(D)`` (``Diagram.delta_shift``)::
 
       T(D) = -T(flip p) + z^(1 - sA) T(A-splice) + z^(1 - sB) T(B-splice)
 
@@ -58,13 +58,12 @@ none of the four laws.
 
 Every lookup runs on a port state (``diagram._PortState``): the two
 splices of a node, the kink removals, the bigon erasures, the cuts, the
-split into pieces, the component count and the shape codes are edits and
-scans of one flat port array, checked as the constructor checks a
-diagram before any code is looked up.  A state copies the arrays of
-the diagram it starts from once, when it is made; a node's flip is its
-``crossing_change``, which shares the node's checked arrays.  A
-``Diagram`` is built only for a core the memo misses, which is the only
-core expanded.
+split into pieces and the shape codes are edits and scans of one flat
+port array, checked as the constructor checks a diagram before any
+code is looked up.  A state copies the arrays of the diagram it starts
+from once, when it is made; a node's flip is its ``crossing_change``,
+which shares the node's checked arrays.  A ``Diagram`` is built only
+for a core the memo misses, which is the only core expanded.
 
 All functions are pure.  Every call memoises: the memo maps the shape
 code of each core (:meth:`kauffpoly.diagram.Diagram.shape_code`) to its
@@ -191,8 +190,7 @@ def _expand(
     for kind in "AB":
         spliced = _PortState(d)
         spliced.splice(p, kind)
-        shift = 1 - (spliced.r() - d.r)  # before the reduction: a cut raises r
-        table = table + _table(spliced, run).shift_z(shift)
+        table = table + _table(spliced, run).shift_z(1 - d.delta_shift(p, kind))
     return table
 
 

@@ -8,10 +8,10 @@ Edges are a perfect matching on the set of all ports.  Crossing-free
 circles carry no ports, so they are tracked by an explicit counter.
 
 Diagrams are immutable values; every operation returns a new diagram.
-Edge labels are positive integers, which the constructor checks.
-Labels survive crossing changes unchanged, and a splice names each
-merged edge after the smallest label it absorbed, which keeps derived
-diagrams deterministic.
+Edge labels are positive integers and a diagram has a crossing or a
+free loop, which the constructor checks.  Labels survive crossing
+changes unchanged, and a splice names each merged edge after the
+smallest label it absorbed, which keeps derived diagrams deterministic.
 
 Diagrams that differ only in over flags share their projection data: the
 flat port arrays the constructor's checks build and, each computed on
@@ -20,10 +20,11 @@ and the components.  The walk starts each component at its lowest edge
 and, in one pass over the port array, records the component count ``r``,
 the first-encounter order, each component's arrival ports in order and
 each crossing's sign with V over; ``r``, ``writhe``, the components,
-the canonical first-encounter order and the oracle's search for a base
-of least warping degree read it, so the recursions never build
-``Component`` objects.  The first-encounter order from any other start
-ports comes from :func:`_first_encounters`, which records nothing else.
+each splice's component shift, the canonical first-encounter order and
+the oracle's search for a base of least warping degree read it, so the
+recursions never build ``Component`` objects.  The first-encounter
+order from any other start ports comes from :func:`_first_encounters`,
+which records nothing else.
 ``crossing_change`` and ``mirror`` reuse the validated edges and this
 shared data as they are, so a flip costs one tuple and one dict copy.
 Removing a crossing is a local edit: the kept edges stay in order, only
@@ -34,11 +35,11 @@ The coefficient engine edits its sub-diagrams without building them: a
 ``_PortState`` holds the over flags, the flat port arrays and the free
 loops of a diagram, copies the arrays once and edits the copies in
 place.  It splices, strips kinks, erases bigons, splits connected sums
-at their cuts, splits into pieces, counts components and computes shape
-codes on those arrays, with the same chain merge, kink scan, bigon
-scan, face rule and shape code as :class:`Diagram`, and checks its
-arrays as the constructor checks a diagram's.  It builds a
-:class:`Diagram` only for a core it is asked for.
+at their cuts, splits into pieces and computes shape codes on those
+arrays, with the same chain merge, kink scan, bigon scan, face rule and
+shape code as :class:`Diagram`, and checks its arrays as the
+constructor checks a diagram's.  It builds a :class:`Diagram` only for
+a core it is asked for.
 
 PD text input: whitespace-separated tokens ``X(a,b,c,d)`` listing the
 edge labels at ports 0..3 counterclockwise with the under-strand
@@ -298,6 +299,8 @@ class Diagram:
         for x in crossings:
             if not (isinstance(x, Crossing) and isinstance(x.over_v, bool)):
                 raise DiagramError(f"{x!r} is not a Crossing with a bool over_v")
+        if not crossings and not self.free_loops:
+            raise DiagramError("empty diagram: no crossing and no free loop")
         object.__setattr__(self, "crossings", crossings)
         edges = []
         for label, a, b in self.edges:
@@ -480,8 +483,15 @@ class Diagram:
         )
 
     def delta_shift(self, p: int, kind: str) -> int:
-        """Signed component-count change ``r(splice) - r``; always in {-1, 0, +1}."""
-        return self.splice(p, kind).r - self.r
+        """``r(splice) - r``, read off the canonical walk: -1 where two
+        components cross, else +1 for the smoothing that follows the
+        traversal (B if ``walk.signs[p] == 1``, else A) and 0 for the other."""
+        joins = self.delta_p(p)
+        bridge = _splice_bridge(kind)
+        if joins:
+            return -1
+        follows = _B_BRIDGE if self._proj.walk.signs[p] == 1 else _A_BRIDGE
+        return 1 if bridge is follows else 0
 
     # ------------------------------------------------------------------
     # orientations and writhe
@@ -581,10 +591,10 @@ class Diagram:
     def to_pd(self) -> str:
         tokens = ["X(%d,%d,%d,%d)" % self.pd_quadruple(p) for p in range(self.c)]
         tokens.extend(["O"] * self.free_loops)
-        return " ".join(tokens) if tokens else ""
+        return " ".join(tokens)
 
     def __str__(self) -> str:
-        return self.to_pd() or "(empty)"
+        return self.to_pd()
 
 
 def _first_encounters(d: Diagram, starts: Iterable[int]) -> tuple[tuple[int, int], ...]:
@@ -847,21 +857,6 @@ class _PortState:
         if made := _kink_ports(far, (x, y, u, v)):
             self.kinks = [*self.kinks, *made]
 
-    def r(self) -> int:
-        """Number of link components, free loops included."""
-        far = self.far
-        seen = [False] * len(far)
-        r = self.loops
-        for x, fx in enumerate(far):
-            if fx < 0 or seen[x]:
-                continue
-            r += 1
-            y = x
-            while not seen[y]:  # arrive at y, leave through y ^ 2
-                seen[y] = seen[y ^ 2] = True
-                y = far[y ^ 2]
-        return r
-
     def pieces(self) -> tuple[tuple[int, ...], ...]:
         """Crossings of each connected piece, ascending, in order of
         their lowest crossing, once the constructor's structural checks
@@ -955,10 +950,7 @@ def _resolve_edge_ref(d: Diagram, e: EdgeRef) -> EdgeRef:
         return e
     if d.free_loops:
         return None
-    labels = d.edge_labels()
-    if not labels:
-        raise DiagramError("cannot form a connected sum with an empty diagram")
-    return labels[0]
+    return d.edges[0][0]
 
 
 def connected_sum(d: Diagram, d2: Diagram, e: EdgeRef = None, e2: EdgeRef = None) -> Diagram:
@@ -975,11 +967,8 @@ def connected_sum(d: Diagram, d2: Diagram, e: EdgeRef = None, e2: EdgeRef = None
     edges = list(d.edges) + _relabel(d2, offset, d.c)
     loops = d.free_loops + d2.free_loops
 
-    if e is None and e2 is None:
-        # joining two free loops yields one free loop
-        return Diagram(crossings, edges, loops - 1)
     if e is None or e2 is None:
-        # a cut free loop is absorbed into the other diagram's cut edge
+        # a cut free loop joins the other cut free loop or edge
         return Diagram(crossings, edges, loops - 1)
 
     a, b = d.edge_map[e]

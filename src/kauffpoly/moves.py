@@ -397,8 +397,7 @@ def _move_kinds(d: Diagram, max_c: int) -> dict[str, tuple[int, Callable[[int], 
         refs: list[EdgeRef] = list(d.edge_labels())
         if d.free_loops:
             refs.append(None)
-        if refs:
-            out["r1_add"] = (4 * len(refs), lambda i: _r1_add_step(d, refs, i))
+        out["r1_add"] = (4 * len(refs), lambda i: _r1_add_step(d, refs, i))
     kinks = kink_sites(d)
     if kinks:
         out["r1_remove"] = (len(kinks), lambda i: _r1_remove_step(d, kinks[i]))
@@ -434,8 +433,6 @@ def random_move_walk(
     crossings; returns the end diagram and a bit-exact replayable trace."""
     if steps < 0:
         raise ValueError("steps must be nonnegative")
-    if not d.c and not d.free_loops:
-        raise DiagramError("cannot walk on an empty diagram")
     rng = random.Random(seed)
     taken: list[MoveStep] = []
     net_r1 = 0

@@ -27,6 +27,7 @@ that needs the answer reads it:
 from __future__ import annotations
 
 import itertools
+import math
 import random
 
 from .catalog import CATALOG
@@ -50,8 +51,9 @@ from .series import (
     series_from_table,
 )
 from .warping import (
+    BaseSequence,
+    _base_choices,
     canonical_base,
-    enumerate_bases,
     is_monotone,
     induced_writhe,
     warping_degree,
@@ -84,12 +86,22 @@ def check_tag(
     raise ValueError(f"unknown catalog tag {tag!r}")
 
 
-def _bases_to_try(d: Diagram):
-    bases = list(enumerate_bases(d))
-    if d.c <= FULL_BASE_LIMIT_C or len(bases) <= BASE_SAMPLE:
-        return bases
-    rng = random.Random("bases:" + d.to_pd())
-    return rng.sample(bases, BASE_SAMPLE)
+def _bases_to_try(d: Diagram) -> list[BaseSequence]:
+    """Every base of a small diagram, else a seeded sample of them; each is
+    built from its index in the order of ``enumerate_bases``."""
+    choices = _base_choices(d)
+    count = math.prod(map(len, choices))
+    picks = range(count)
+    if d.c > FULL_BASE_LIMIT_C and count > BASE_SAMPLE:
+        picks = random.Random("bases:" + d.to_pd()).sample(picks, BASE_SAMPLE)
+    bases = []
+    for i in picks:
+        entries = []
+        for options in reversed(choices):  # the last component varies fastest
+            i, k = divmod(i, len(options))
+            entries.append(options[k])
+        bases.append(BaseSequence(tuple(reversed(entries))))
+    return bases
 
 
 def verify_diagram(
@@ -160,7 +172,7 @@ def verify_diagram(
         checks[f"tag:{tag}"] = check_tag(d, tag, budget=budget, cache=cache)
 
     return {
-        "name": name or d.to_pd() or "(empty)",
+        "name": name or d.to_pd(),
         "pd": d.to_pd(),
         "c": d.c,
         "r": d.r,
@@ -174,7 +186,7 @@ def _pd_roundtrip_ok(d: Diagram, table: CoeffTable, budget, cache) -> bool:
     """``d``'s PD text parses back to the same text and ``d``'s table."""
     try:
         reparsed = parse_pd(d.to_pd())
-    except DiagramError:  # PD text cannot carry an empty or non-planar diagram
+    except DiagramError:  # PD text cannot carry a non-planar diagram
         return False
     return (
         reparsed.to_pd() == d.to_pd()

@@ -84,21 +84,20 @@ def canonical_base(d: Diagram) -> BaseSequence:
     )
 
 
+def _base_choices(d: Diagram) -> list[list[BaseEntry]]:
+    """The (edge, direction) choices of each component, in component
+    order: each edge toward its lower port, then toward its upper one."""
+    return [
+        [BaseEntry(k, edge, end) for edge in comp.edges for end in d.edge_map[edge]]
+        if comp.orbit
+        else [BaseEntry(k, None, None)]
+        for k, comp in enumerate(d.components)
+    ]
+
+
 def enumerate_bases(d: Diagram) -> Iterator[BaseSequence]:
     """All (edge, direction) choices per component, in component order."""
-    per_comp: list[list[BaseEntry]] = []
-    for k, comp in enumerate(d.components):
-        if not comp.orbit:
-            per_comp.append([BaseEntry(k, None, None)])
-        else:
-            choices = []
-            for edge in comp.edges:
-                a, b = d.edge_map[edge]
-                choices.append(BaseEntry(k, edge, a))
-                choices.append(BaseEntry(k, edge, b))
-            per_comp.append(choices)
-    for combo in itertools.product(*per_comp):
-        yield BaseSequence(tuple(combo))
+    return map(BaseSequence, itertools.product(*_base_choices(d)))
 
 
 def _base_walk(

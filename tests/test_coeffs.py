@@ -291,6 +291,55 @@ class TestSkein:
         assert linked_leaves, "no leaf with r > 1 was reached; test is vacuous"
 
 
+def _shift_inputs():
+    for name, entry in CATALOG.items():
+        yield pytest.param(entry.diagram(), id=name)
+    for seed in range(30):
+        yield pytest.param(random_diagram(seed, 12, walk_steps=30), id=f"random:{seed}")
+    for seed in range(20):
+        yield pytest.param(random_move_walk(parse_pd("O O O"), 30, seed, 10)[0], id=f"OOO:{seed}")
+    # closures of 2 to 5 components
+    for n, word in [
+        (2, [1] * 4),
+        (3, [1, 2] * 3),
+        (3, [1, 1, -2, -2]),
+        (4, [1, 2, 3] * 4),
+        (4, [1, -2, 3, 1, -2, 3]),
+        (5, [1, 2, 3, 4] * 5),
+        (5, [1, 1, 3, 3, -2, 4, 4]),
+    ]:
+        yield pytest.param(braid_closure(n, word), id=f"braid{n}:{word}")
+
+
+class TestSpliceShift:
+    """``delta_shift`` reads the splice's component shift off the walk;
+    splicing and counting the components of the result agrees."""
+
+    @pytest.mark.parametrize("d", list(_shift_inputs()))
+    def test_closed_form_equals_the_spliced_count(self, d):
+        for x in (d, *(d.crossing_change(p) for p in range(d.c))):
+            for p in range(x.c):
+                for kind in "AB":
+                    assert x.delta_shift(p, kind) == x.splice(p, kind).r - x.r, (p, kind)
+
+    def test_inputs_cover_every_case(self):
+        # crossings between components, and self-crossings of both signs
+        cases = set()
+        for param in _shift_inputs():
+            d = param.values[0]
+            walk = d._proj.walk
+            cases.update((d.delta_p(p), walk.signs[p]) for p in range(d.c))
+        assert cases == {(1, 1), (1, -1), (0, 1), (0, -1)}
+
+    def test_bad_crossing_or_kind_refused(self):
+        # the Hopf link's crossings join two components, whatever the kind
+        hopf = parse_pd(HOPF)
+        with pytest.raises(DiagramError, match="no crossing 2"):
+            hopf.delta_shift(2, "A")
+        with pytest.raises(DiagramError, match="splice kind"):
+            hopf.delta_shift(0, "C")
+
+
 class TestSupportAndTable:
     def test_unknot_bounds(self):
         assert coeff_table(parse_pd("O")).support_bounds() == (0, 0)
@@ -588,7 +637,7 @@ class TestConnectedSumLaw:
         for pieces in (2, 3):
             s.rejoin(*s.cut())
             assert len(s.pieces()) == pieces
-            assert s.r() == pieces
+            assert [s.diagram(piece, 0).r for piece in s.pieces()] == [1] * pieces
         assert s.cut() is None
         assert {s.shape_code(piece, 0) for piece in s.pieces()} == {f8.shape_code()}
 
@@ -750,7 +799,7 @@ class TestPortStateKernel:
         assert [b.edges for b in built] == [c.edges for c in ref_cores], where
         assert [s.shape_code(*core) for core in cores] == [c.shape_code() for c in ref_cores]
         # each cut splits one component in two
-        assert s.r() == d.r + cuts, where
+        assert sum(b.r for b in built) + loops == d.r + cuts, where
 
     @pytest.mark.parametrize("d", list(_kernel_inputs()))
     def test_cores_and_nodes_match_the_reference(self, d):

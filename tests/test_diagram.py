@@ -444,6 +444,12 @@ class TestValidation:
         with pytest.raises(DiagramError, match="positive integer"):
             Diagram(kink.crossings, ((a, (0, 0), (0, 1)), (b, (0, 2), (0, 3))))
 
+    def test_constructor_refuses_the_empty_diagram(self):
+        # no crossing and no free loop: outside the theory, and so no
+        # diagram has the shape code (0,)
+        with pytest.raises(DiagramError, match="empty diagram"):
+            Diagram((), (), 0)
+
     def test_crossings_are_stored_as_a_tuple(self):
         kink = parse_pd(KINK)
         d = Diagram(list(kink.crossings), kink.edges)
@@ -897,7 +903,6 @@ class TestShapeCode:
             assert len({str(coeff_table(d)) for d in group}) == 1
 
     def test_crossing_free_codes(self):
-        assert Diagram((), (), 0).shape_code() == (0,)
         assert parse_pd(UNKNOT).shape_code() == (1,)
 
     @pytest.mark.parametrize(

@@ -1,16 +1,19 @@
 """``verify_diagram`` asks the engine each question once, and the checks
 that share an answer still see every fault in it."""
 
+import random
+
 import pytest
 
 import kauffpoly.coeffs as coeffs_mod
 import kauffpoly.verification as verification
 from kauffpoly.catalog import CATALOG
 from kauffpoly.coeffs import CoeffTable
+from kauffpoly.diagram import connected_sum, parse_pd
 from kauffpoly.laurent import LaurentPoly
 from kauffpoly.moves import random_diagram
-from kauffpoly.verification import _bases_to_try, verify_diagram
-from kauffpoly.warping import canonical_base, warping_order
+from kauffpoly.verification import BASE_SAMPLE, FULL_BASE_LIMIT_C, _bases_to_try, verify_diagram
+from kauffpoly.warping import BaseSequence, canonical_base, enumerate_bases, warping_order
 
 #: Added to a table to corrupt it; no table of these diagrams reaches z^9.
 WRONG = CoeffTable.from_dict({9: LaurentPoly.one()})
@@ -126,3 +129,51 @@ class TestEachQuestionOnce:
             for p in range(d.c)
             for x in (d.crossing_change(p), d.splice(p, "A"), d.splice(p, "B"))
         ]
+
+
+def _hopf_chain(rings: int):
+    """A chain of ``rings`` rings: connected sums of Hopf links, each
+    cut at the highest edge of the chain so far."""
+    hopf = parse_pd("X(1,4,2,3) X(3,2,4,1)")
+    d = hopf
+    for _ in range(rings - 2):
+        d = connected_sum(d, hopf, max(d.edge_labels()))
+    return d
+
+
+def _old_bases_to_try(d):
+    """Reference rule: list every base, then sample from the list."""
+    bases = list(enumerate_bases(d))
+    if d.c <= FULL_BASE_LIMIT_C or len(bases) <= BASE_SAMPLE:
+        return bases
+    return random.Random("bases:" + d.to_pd()).sample(bases, BASE_SAMPLE)
+
+
+class TestBaseSample:
+    @pytest.mark.parametrize(
+        "d",
+        [
+            *(pytest.param(e.diagram(), id=name) for name, e in CATALOG.items()),
+            *(
+                pytest.param(random_diagram(s, 12, walk_steps=30), id=f"random:{s}")
+                for s in range(20)
+            ),
+            pytest.param(_hopf_chain(5), id="chain5"),
+        ],
+    )
+    def test_picks_equal_the_old_rule(self, d):
+        assert _bases_to_try(d) == _old_bases_to_try(d)
+
+    def test_long_chain_builds_only_the_sample(self, monkeypatch):
+        # the chain has 9 437 184 bases; only the 16 drawn are built
+        d = _hopf_chain(10)
+        assert (d.c, d.r) == (18, 10)
+        built = []
+
+        def counting(entries):
+            built.append(entries)
+            return BaseSequence(entries)
+
+        monkeypatch.setattr(verification, "BaseSequence", counting)
+        bases = _bases_to_try(d)
+        assert len(bases) == len(set(bases)) == len(built) == BASE_SAMPLE
