@@ -22,7 +22,7 @@ figure8 = parse_pd("X(4,2,5,1) X(8,6,1,5) X(6,3,7,4) X(2,7,3,8)")
 
 print("Warping degree depends on where you start and which way you head:")
 for base in enumerate_bases(kink):
-    entry = base.entries[0]
+    entry = base[0]
     print(f"  kink from edge {entry.edge} toward {entry.toward}: degree "
           f"{warping_degree(kink, base)}")
 

@@ -119,8 +119,9 @@ class BudgetExceededError(RuntimeError):
 
 
 class _Run:
-    """One call of a recursion: the diagram it was asked about, the
-    nodes it may still expand, and its memo of finished results."""
+    """One call of a recursion, this engine's or the oracle's: the
+    diagram it was asked about, the nodes it may still expand, and its
+    memo of finished results."""
 
     __slots__ = ("top", "limit", "remaining", "memo")
 

@@ -3,15 +3,17 @@
 A diagram is stored as a rotation system on a 4-valent graph: each
 crossing carries four ports numbered 0..3 in counterclockwise planar
 order.  The strand through ports {0, 2} is called U, the strand through
-{1, 3} is called V, and ``over_v`` records which of the two passes over.
-Edges are a perfect matching on the set of all ports.  Crossing-free
-circles carry no ports, so they are tracked by an explicit counter.
+{1, 3} is called V.  A diagram's ``crossings`` are plain over flags,
+one bool per crossing, True when V passes over.  Edges are a perfect
+matching on the set of all ports.  Crossing-free circles carry no
+ports, so they are tracked by an explicit counter.
 
 Diagrams are immutable values; every operation returns a new diagram.
-Edge labels are positive integers and a diagram has a crossing or a
-free loop, which the constructor checks.  Labels survive crossing
-changes unchanged, and a splice names each merged edge after the
-smallest label it absorbed, which keeps derived diagrams deterministic.
+Over flags are bools, the free-loop count is an int, edge labels are
+positive integers and a diagram has a crossing or a free loop, which
+the constructor checks.  Labels survive crossing changes unchanged,
+and a splice names each merged edge after the smallest label it
+absorbed, which keeps derived diagrams deterministic.
 
 Diagrams that differ only in over flags share their projection data: the
 flat port arrays the constructor's checks build and, each computed on
@@ -66,12 +68,6 @@ class DiagramError(ValueError):
 
 class PDSyntaxError(DiagramError):
     """Malformed PD text."""
-
-
-class Crossing(NamedTuple):
-    """One crossing; ``over_v`` is True when strand V (ports 1, 3) is on top."""
-
-    over_v: bool
 
 
 @dataclass(frozen=True)
@@ -281,15 +277,16 @@ class _Projection:
 class Diagram:
     """An unoriented link diagram.
 
-    ``crossings`` is stored as a tuple, each entry a :class:`Crossing`
-    with a bool ``over_v``.  ``edges`` holds (label, port, port) triples
-    sorted by label, each port pair sorted, whatever order they were
-    passed in; this canonical storage makes structural equality
-    coincide with equality of labeled diagrams.  The shared projection
-    data takes no part in equality, hashing or repr.
+    ``crossings`` is stored as a tuple of over flags, each a bool that
+    is True when strand V (ports 1, 3) is over.  ``edges`` holds
+    (label, port, port) triples sorted by label, each port pair sorted,
+    whatever order they were passed in; this canonical storage makes
+    structural equality coincide with equality of labeled diagrams.
+    The shared projection data takes no part in equality, hashing or
+    repr.
     """
 
-    crossings: tuple[Crossing, ...]
+    crossings: tuple[bool, ...]
     edges: tuple[tuple[int, Port, Port], ...]
     free_loops: int = 0
     _proj: _Projection = field(init=False, repr=False, compare=False)
@@ -297,9 +294,12 @@ class Diagram:
     def __post_init__(self):
         crossings = tuple(self.crossings)
         for x in crossings:
-            if not (isinstance(x, Crossing) and isinstance(x.over_v, bool)):
-                raise DiagramError(f"{x!r} is not a Crossing with a bool over_v")
-        if not crossings and not self.free_loops:
+            if not isinstance(x, bool):
+                raise DiagramError(f"over flag {x!r} is not a bool")
+        loops = self.free_loops
+        if isinstance(loops, bool) or not isinstance(loops, int):
+            raise DiagramError(f"free-loop count {loops!r} is not an int")
+        if not crossings and not loops:
             raise DiagramError("empty diagram: no crossing and no free loop")
         object.__setattr__(self, "crossings", crossings)
         edges = []
@@ -312,12 +312,12 @@ class Diagram:
 
     @classmethod
     def _from_sorted(
-        cls, crossings: tuple[Crossing, ...], edges: tuple[tuple[int, Port, Port], ...], loops: int
+        cls, crossings: tuple[bool, ...], edges: tuple[tuple[int, Port, Port], ...], loops: int
     ) -> "Diagram":
         """A diagram from edges that are already in the canonical storage
         order, each port pair sorted and the triples sorted by label.
-        Nothing is sorted again, but every check of ``__post_init__``
-        runs."""
+        Nothing is sorted again, but every structural check of
+        ``__post_init__`` runs; the callers pass bools and an int."""
         d = object.__new__(cls)
         vars(d).update(crossings=crossings, edges=edges, free_loops=loops)
         d._check_and_project()
@@ -354,7 +354,7 @@ class Diagram:
             raise DiagramError("free_loops must be nonnegative")
         object.__setattr__(self, "_proj", _Projection(self.edges, self.free_loops, far, labels))
 
-    def _with_crossings(self, crossings: tuple[Crossing, ...]) -> "Diagram":
+    def _with_crossings(self, crossings: tuple[bool, ...]) -> "Diagram":
         """This diagram with other over flags.  The edges are the same
         validated tuple, so there is nothing to check again, and the
         projection is shared; nothing the diagram caches for itself,
@@ -427,13 +427,11 @@ class Diagram:
         """Flip which strand passes over at ``p``; everything else is unchanged."""
         self._check_crossing(p)
         crossings = self.crossings
-        return self._with_crossings(
-            crossings[:p] + (Crossing(not crossings[p].over_v),) + crossings[p + 1 :]
-        )
+        return self._with_crossings(crossings[:p] + (not crossings[p],) + crossings[p + 1 :])
 
     def mirror(self) -> "Diagram":
         """Flip every crossing."""
-        return self._with_crossings(tuple(Crossing(not x.over_v) for x in self.crossings))
+        return self._with_crossings(tuple(not over for over in self.crossings))
 
     def splice(self, p: int, kind: str) -> "Diagram":
         """Remove crossing ``p`` by one of its two smoothings.
@@ -512,10 +510,10 @@ class Diagram:
         walk = self._proj.walk
         strands = walk.strands
         total = 0
-        for p, (x, sign) in enumerate(zip(self.crossings, walk.signs)):
+        for p, (over, sign) in enumerate(zip(self.crossings, walk.signs)):
             if orientation[strands[2 * p]] != orientation[strands[2 * p + 1]]:
                 sign = -sign
-            total += sign if x.over_v else -sign
+            total += sign if over else -sign
         return total
 
     # ------------------------------------------------------------------
@@ -584,7 +582,7 @@ class Diagram:
         entries 1 and 3 (the PD text convention)."""
         self._check_crossing(p)
         labels = self._proj.port_labels[4 * p : 4 * p + 4]
-        if self.crossings[p].over_v:
+        if self.crossings[p]:
             return tuple(labels)  # type: ignore[return-value]
         return (labels[1], labels[2], labels[3], labels[0])
 
@@ -675,7 +673,7 @@ def _kink_site(far: list[int], labels: list[int], x: int) -> tuple[int, int, tup
     return x >> 2, labels[x], ((i, j) if j - i == 1 else (j, i))
 
 
-def _bigon_scan(far: list[int], crossings: Sequence[Crossing]) -> Iterator[tuple[int, int]]:
+def _bigon_scan(far: list[int], crossings: Sequence[bool]) -> Iterator[tuple[int, int]]:
     """Crossing pairs (u, v), u < v, of removable R2 bigons, each met
     once per bounding port, in port order, without tracing any face.
 
@@ -692,12 +690,12 @@ def _bigon_scan(far: list[int], crossings: Sequence[Crossing]) -> Iterator[tuple
         if v == u or fx != (y - 3 if y & 3 == 3 else y + 1):
             continue
         # the side strand is over at u through port i and at v through port j + 1
-        if ((x & 1) == crossings[u].over_v) == ((y & 1) != crossings[v].over_v):
+        if ((x & 1) == crossings[u]) == ((y & 1) != crossings[v]):
             yield (u, v) if u < v else (v, u)
 
 
 def _shape_code(
-    far: list[int], crossings: Sequence[Crossing], loops: int, piece: Sequence[int]
+    far: list[int], crossings: Sequence[bool], loops: int, piece: Sequence[int]
 ) -> tuple[int, ...]:
     """:meth:`Diagram.shape_code` of the crossings ``piece`` of flat far
     ports ``far`` with over flags ``crossings``, plus ``loops`` free
@@ -708,7 +706,7 @@ def _shape_code(
     if n == 0:
         return (loops,)
     size = len(crossings)
-    over = [int(x.over_v) for x in crossings]
+    over = list(map(int, crossings))  # int arithmetic is faster than bool
     live = []  # (crossing -> discovery index, crossing -> its port 0, discovery order)
     for s in piece:
         for q in (over[s], over[s] + 2):
@@ -923,7 +921,7 @@ def parse_pd(text: str) -> Diagram:
             raise PDSyntaxError(f"edge label {label} occurs {len(ports)} times, expected 2")
         edges.append((label, ports[0], ports[1]))
 
-    d = Diagram(tuple(Crossing(over_v=True) for _ in quads), edges, loops)
+    d = Diagram((True,) * len(quads), edges, loops)
     if not d.is_planar():
         raise PDSyntaxError("not planar: the rotation system fails V - E + F = 2")
     return d

@@ -36,7 +36,6 @@ from itertools import islice
 from typing import Callable, Iterable, Sequence
 
 from .diagram import (
-    Crossing,
     Diagram,
     DiagramError,
     EdgeRef,
@@ -55,7 +54,7 @@ Dart = tuple[int, Port]  # (edge label, head port)
 
 
 def _is_over(d: Diagram, ci: int, pi: int) -> bool:
-    return (pi % 2 == 1) == d.crossings[ci].over_v
+    return (pi % 2 == 1) == d.crossings[ci]
 
 
 # ----------------------------------------------------------------------
@@ -75,7 +74,7 @@ def kink_rule(
     """(sign, splice kind that undoes it) of one ``kink_sites`` entry,
     of a diagram or of the coefficient engine's port state."""
     p, _, pair = site
-    over_v = d.crossings[p].over_v
+    over_v = d.crossings[p]
     if pair in ((1, 2), (3, 0)):
         return (1 if over_v else -1), "A"
     return (-1 if over_v else 1), "B"
@@ -108,7 +107,7 @@ def r1_add(d: Diagram, e: EdgeRef, chirality: str, side: str = "R") -> Diagram:
     # side R puts the loop on ports (1,2), side L on (2,3); the sign of a
     # (1,2)- or (3,0)-loop kink equals over_v, of the other two its negation
     over_v = (chirality == "+") if side == "R" else (chirality == "-")
-    crossings = d.crossings + (Crossing(over_v=over_v),)
+    crossings = d.crossings + (over_v,)
 
     if e is None:
         if not d.free_loops:
@@ -187,7 +186,7 @@ def _r2_push(d: Diagram, dart1: Dart, dart2: Dart, over_first: bool) -> Diagram:
         (top + 4, (v, 3), (u, 3)),
     ]
     over_v = not over_first  # strand 1 runs through the U ports of both crossings
-    crossings = d.crossings + (Crossing(over_v), Crossing(over_v))
+    crossings = d.crossings + (over_v, over_v)
     return Diagram(crossings, rest + new, d.free_loops)
 
 

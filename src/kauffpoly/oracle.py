@@ -31,16 +31,16 @@ the canonical order.  Either way a flip drops the chosen base's degree
 by at least one, as a crossing change keeps the canonical order, and a
 splice drops the crossing count, so the recursion ends.
 
-Each ``oracle_L`` call carries one run object down the recursion: its
-node budget, its memo and the powers of ``d`` its leaves share.  The
-memo maps each labelled diagram to its value, so a call expands each
-diagram it meets once; a caller may pass its own memo as ``cache`` to
-share it across calls.  It is keyed by the diagram itself, not by the
-table engine's shape code, so that this path stays separate.  A leaf
-builds ``d^k`` once, when it first needs it, and then only shifts it by
-``y^w``.  The recursion itself, its base choice and its freedom from
-the kink, bigon, connected-sum and disjoint-union laws do not depend on
-either.
+Each ``oracle_L`` call carries the table engine's run object down the
+recursion: its node budget and its memo.  The memo maps each labelled
+diagram to its value, so a call expands each diagram it meets once; a
+caller may pass its own memo as ``cache`` to share it across calls.  It
+is keyed by the diagram itself, not by the table engine's shape code,
+so that this path stays separate.  The powers ``d^k`` are exact values,
+built once per process when a leaf first needs them; a leaf then only
+shifts its power by ``y^w``.  The recursion itself, its base choice and
+its freedom from the kink, bigon, connected-sum and disjoint-union laws
+depend on neither the memo nor these powers.
 
 The diagram and warping plumbing is shared with the rest of the package:
 duplicating it would add risk without adding independence where it
@@ -53,6 +53,7 @@ only that call's top level uses it.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from typing import MutableMapping
 
@@ -65,21 +66,10 @@ from .warping import BaseSequence, _warping, warping_order
 OracleCache = MutableMapping[Diagram, BivariatePoly]
 
 
-class _OracleRun(_Run):
-    """One ``oracle_L`` call: a run that also keeps the powers of ``d``
-    its leaves share."""
-
-    __slots__ = ("d_powers",)
-
-    def __init__(self, top: Diagram, budget: int | None, memo: OracleCache | None):
-        super().__init__(top, budget, memo)
-        self.d_powers = [BivariatePoly.one()]
-
-    def d_power(self, k: int) -> BivariatePoly:
-        powers = self.d_powers
-        while len(powers) <= k:
-            powers.append(powers[-1] * unlink_factor())
-        return powers[k]
+@functools.cache
+def _d_power(k: int) -> BivariatePoly:
+    """``d^k``, the leaves' unlink factor power, built once per process."""
+    return unlink_factor() ** k
 
 
 #: Up to this many components with crossings, every component order is
@@ -125,7 +115,7 @@ def _least_warping(d: Diagram) -> tuple[tuple[int, ...], tuple[int, ...]]:
             elif level > high:
                 high, t_high = level, t
             ci = x >> 2
-            is_under = (x & 1) != crossings[ci].over_v
+            is_under = (x & 1) != crossings[ci]
             other = strands[(2 * ci + (x & 1)) ^ 1]
             if other != k:
                 under[k][other] += is_under
@@ -150,10 +140,10 @@ def _least_warping(d: Diagram) -> tuple[tuple[int, ...], tuple[int, ...]]:
     return tuple(starts), _warping(d, _first_encounters(d, starts))
 
 
-def _oracle_step(d: Diagram, warping: tuple[int, ...], run: _OracleRun) -> BivariatePoly:
+def _oracle_step(d: Diagram, warping: tuple[int, ...], run: _Run) -> BivariatePoly:
     """One node, given its warping crossings under some base."""
     if not warping:
-        return run.d_power(d.r - 1).shift_y(d.writhe((1,) * d.r))
+        return _d_power(d.r - 1).shift_y(d.writhe((1,) * d.r))
     p = warping[0]
     return (
         -_oracle(d.crossing_change(p), run)
@@ -161,7 +151,7 @@ def _oracle_step(d: Diagram, warping: tuple[int, ...], run: _OracleRun) -> Bivar
     )
 
 
-def _oracle(d: Diagram, run: _OracleRun) -> BivariatePoly:
+def _oracle(d: Diagram, run: _Run) -> BivariatePoly:
     value = run.memo.get(d)
     if value is None:
         run.spend(d)
@@ -176,7 +166,7 @@ def oracle_L(
     cache: OracleCache | None = None,
 ) -> BivariatePoly:
     """Regular-isotopy Kauffman polynomial by whole-polynomial recursion."""
-    return _oracle(d, _OracleRun(d, budget, cache))
+    return _oracle(d, _Run(d, budget, cache))
 
 
 def oracle_L_with_base(
@@ -189,7 +179,7 @@ def oracle_L_with_base(
     """Oracle value with the top-level monotone test and warping choice
     driven by a caller-supplied base; must equal :func:`oracle_L`."""
     warping = warping_order(d, base)
-    run = _OracleRun(d, budget, cache)
+    run = _Run(d, budget, cache)
     run.spend(d)
     return _oracle_step(d, warping, run)
 

@@ -30,7 +30,8 @@ from .laurent import BivariatePoly
 def series_from_table(table: CoeffTable, r: int) -> BivariatePoly:
     """``z^(1-r) * table`` as a plain polynomial: entry ``n`` lands on
     ``z^(n + 1 - r)``."""
-    return BivariatePoly(table.shift_z(1 - r).items())
+    shift = 1 - r
+    return BivariatePoly._new({(a, n + shift): c for (a, n), c in table.items()})
 
 
 def kauffman_L(d: Diagram, *, budget: int | None = None, cache: Cache | None = None) -> BivariatePoly:

@@ -11,7 +11,11 @@ that needs the answer reads it:
 * the diagram's own table, from one ``coeff_table`` call, is what the
   PD round trip, the support bounds, both skein checks and both
   independence checks compare against, and it gives ``L`` (and, with
-  the writhe, ``F``) for ``kink_scaling`` and ``mirror_symmetry``;
+  the writhe, ``F``) for ``kink_scaling``, ``mirror_symmetry`` and both
+  oracle checks;
+* ``oracle_L`` runs once, and ``oracle_equality`` and
+  ``oracle_equality_at_y1`` compare its value with that ``L``, exactly
+  and after ``y -> 1``;
 * at each crossing the flip and the two splices are built and looked up
   once (``coeffs._skein_terms``); ``skein_coefficients`` compares those
   tables entrywise and ``skein_series`` compares their series, each term
@@ -19,9 +23,10 @@ that needs the answer reads it:
 * a base with a warping crossing is expanded at its first one, and that
   table depends on the crossing alone, so ``base_independence`` and
   ``warping_choice_independence`` share one expansion per crossing.
-  Every base is still validated and walked to find that crossing, and a
-  base with none is always computed, since its closed form reads the
-  writhe under that base's orientation.
+  Every base, a plain tuple of ``BaseEntry`` values, is still validated
+  and walked to find that crossing, and a base with none is always
+  computed, since its closed form reads the writhe under that base's
+  orientation.
 """
 
 from __future__ import annotations
@@ -42,7 +47,7 @@ from .coeffs import (
 from .diagram import Diagram, DiagramError, parse_pd
 from .laurent import BivariatePoly
 from .moves import r1_add
-from .oracle import OracleCache, agree_at_y_one, uniqueness_check
+from .oracle import OracleCache, oracle_L
 from .series import (
     _series_skein_holds,
     check_product_laws,
@@ -100,7 +105,7 @@ def _bases_to_try(d: Diagram) -> list[BaseSequence]:
         for options in reversed(choices):  # the last component varies fastest
             i, k = divmod(i, len(options))
             entries.append(options[k])
-        bases.append(BaseSequence(tuple(reversed(entries))))
+        bases.append(tuple(reversed(entries)))
     return bases
 
 
@@ -154,14 +159,11 @@ def verify_diagram(
         expanded_at(base, p) == table for p in warping_order(d, base)
     )
 
-    checks["oracle_equality"] = uniqueness_check(
-        d, budget=budget, cache=oracle_cache, table_cache=cache
-    )
-    checks["oracle_equality_at_y1"] = agree_at_y_one(
-        d, budget=budget, cache=oracle_cache, table_cache=cache
-    )
-
     kauffman = series_from_table(table, d.r)  # L of d
+    oracle = oracle_L(d, budget=budget, cache=oracle_cache)
+    checks["oracle_equality"] = kauffman == oracle
+    checks["oracle_equality_at_y1"] = kauffman.subst_y_one() == oracle.subst_y_one()
+
     f = kauffman.shift_y(-d.writhe((1,) * d.r))
     f_mirror = kauffman_F(d.mirror(), (1,) * d.r, budget=budget, cache=cache)
     checks["mirror_symmetry"] = f_mirror == f.subst_y_inverse()

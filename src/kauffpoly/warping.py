@@ -1,13 +1,14 @@
 """Base points, the first-encounter rule, and warping degree.
 
 A base sequence picks, for every component in a fixed order, a starting
-edge and a direction of travel.  Traversing the components once each in
-tuple order visits every crossing twice, once per strand; the strand
-seen first is the crossing's first-encountered strand.  A crossing
-whose first-encountered strand passes *under* is a warping crossing,
-and the warping degree counts them.  Warping degree zero means the
-diagram is descending from its base points ("monotone"), which is the
-base case of the coefficient recursion.
+edge and a direction of travel: it is a plain tuple of
+:class:`BaseEntry` values, one per component.  Traversing the
+components once each in tuple order visits every crossing twice, once
+per strand; the strand seen first is the crossing's first-encountered
+strand.  A crossing whose first-encountered strand passes *under* is a
+warping crossing, and the warping degree counts them.  Warping degree
+zero means the diagram is descending from its base points
+("monotone"), which is the base case of the coefficient recursion.
 
 Base points live on edges, between crossings: a purely combinatorial
 diagram has no finer positions.  Free-loop components carry a single
@@ -42,14 +43,8 @@ class BaseEntry:
     toward: Port | None
 
 
-@dataclass(frozen=True)
-class BaseSequence:
-    """One ``BaseEntry`` per component; tuple order is traversal order."""
-
-    entries: tuple[BaseEntry, ...]
-
-    def __iter__(self):
-        return iter(self.entries)
+#: One ``BaseEntry`` per component; tuple order is traversal order.
+BaseSequence = tuple[BaseEntry, ...]
 
 
 def validate_base(d: Diagram, base: BaseSequence) -> None:
@@ -76,11 +71,9 @@ def canonical_base(d: Diagram) -> BaseSequence:
     (its lowest edge heading at the lower endpoint).  Depends only on the
     underlying projection, never on over/under data, so crossing changes
     preserve it."""
-    return BaseSequence(
-        tuple(
-            BaseEntry(k, *comp.orbit[0]) if comp.orbit else BaseEntry(k, None, None)
-            for k, comp in enumerate(d.components)
-        )
+    return tuple(
+        BaseEntry(k, *comp.orbit[0]) if comp.orbit else BaseEntry(k, None, None)
+        for k, comp in enumerate(d.components)
     )
 
 
@@ -97,7 +90,7 @@ def _base_choices(d: Diagram) -> list[list[BaseEntry]]:
 
 def enumerate_bases(d: Diagram) -> Iterator[BaseSequence]:
     """All (edge, direction) choices per component, in component order."""
-    return map(BaseSequence, itertools.product(*_base_choices(d)))
+    return itertools.product(*_base_choices(d))
 
 
 def _base_walk(
@@ -135,7 +128,7 @@ def _warping(d: Diagram, encounters: tuple[tuple[int, int], ...]) -> tuple[int, 
     """The crossings of a first-encounter order whose strand met first
     passes under."""
     crossings = d.crossings
-    return tuple(ci for ci, parity in encounters if (parity == 1) != crossings[ci].over_v)
+    return tuple(ci for ci, parity in encounters if (parity == 1) != crossings[ci])
 
 
 def warping_degree(d: Diagram, base: BaseSequence) -> int:

@@ -27,7 +27,6 @@ from kauffpoly.series import (
     unlink_factor,
 )
 from kauffpoly.warping import (
-    BaseSequence,
     canonical_base,
     enumerate_bases,
     warping_order,
@@ -105,8 +104,7 @@ def test_criterion_3_base_and_warping_independence():
                 )
                 == expected
             )
-        for perm in itertools.permutations(base.entries):
-            permuted = BaseSequence(perm)
+        for permuted in itertools.permutations(base):
             perm_ok = (
                 perm_ok
                 and coeff_table_with_base(d, permuted, cache=TABLE_CACHE) == expected

@@ -8,13 +8,13 @@ under test.
 import itertools
 import random
 import re
+from typing import NamedTuple
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from kauffpoly.diagram import (
-    Crossing,
     Diagram,
     DiagramError,
     PDSyntaxError,
@@ -28,7 +28,6 @@ from kauffpoly.moves import random_diagram, random_move_walk
 from kauffpoly.verification import verify_diagram
 from kauffpoly.warping import (
     BaseEntry,
-    BaseSequence,
     base_orientation,
     canonical_base,
     enumerate_bases,
@@ -40,6 +39,12 @@ KINK = "X(1,2,2,1)"
 HOPF = "X(1,4,2,3) X(3,2,4,1)"
 TREFOIL = "X(1,4,2,5) X(3,6,4,1) X(5,2,6,3)"
 FIGURE8 = "X(4,2,5,1) X(8,6,1,5) X(6,3,7,4) X(2,7,3,8)"
+
+
+class OneFlag(NamedTuple):
+    """A one-field wrapper, which the constructor must not take for a bool."""
+
+    over: bool
 
 
 def brute_force_components(pd_text: str) -> int:
@@ -146,7 +151,7 @@ class TestParse:
             (3, (1, 1), (1, 3)),
             (4, (1, 0), (1, 2)),
         ]
-        d = Diagram((Crossing(True), Crossing(True)), edges)
+        d = Diagram((True, True), edges)
         checks = verify_diagram(d)["checks"]
         assert not checks["planar_rotation_system"]
         assert not checks["pd_roundtrip"]
@@ -383,7 +388,7 @@ class TestFaces:
             (3, (1, 1), (1, 3)),
             (4, (1, 0), (1, 2)),
         ]
-        d = Diagram((Crossing(True), Crossing(True)), edges)
+        d = Diagram((True, True), edges)
         assert d.faces() == reference_faces(d)
         assert not d.is_planar()
         assert not d.crossing_change(1).is_planar()
@@ -429,12 +434,26 @@ class TestValidation:
             Diagram(parse_pd(KINK).crossings, (), 0)
 
     @pytest.mark.parametrize(
-        "bad", [Crossing("no"), Crossing(None), Crossing(1), True, (True,)]
+        "bad", [OneFlag(True), (True,), [True], 1, OneFlag(False), 0, None, "no", 1.0]
     )
     def test_crossing_entries_are_checked(self, bad):
+        # an over flag is a bool, not something that merely tests true
         kink = parse_pd(KINK)
-        with pytest.raises(DiagramError, match="not a Crossing"):
+        with pytest.raises(DiagramError, match="over flag .* is not a bool"):
             Diagram((bad,), kink.edges)
+
+    @pytest.mark.parametrize("loops", [1.5, 1.0, "2", True, False, None])
+    def test_free_loop_counts_are_checked(self, loops):
+        with pytest.raises(DiagramError, match="free-loop count .* is not an int"):
+            Diagram((), (), loops)
+        kink = parse_pd(KINK)
+        with pytest.raises(DiagramError, match="free-loop count .* is not an int"):
+            Diagram(kink.crossings, kink.edges, loops)
+
+    def test_a_negative_free_loop_count_is_refused(self):
+        kink = parse_pd(KINK)
+        with pytest.raises(DiagramError, match="nonnegative"):
+            Diagram(kink.crossings, kink.edges, -1)
 
     @pytest.mark.parametrize("labels", [(-5, 7), (0, 3), (1.5, 7), (True, 2), ("a", "b")])
     def test_edge_labels_are_checked(self, labels):
@@ -679,7 +698,7 @@ def reference_sign(d: Diagram, arrivals: dict, p: int, orientation) -> int:
         comp, (_, pi) = arrivals[(p, parity)]
         return (pi + 2) % 4 if orientation[comp] == 1 else pi
 
-    over = 1 if d.crossings[p].over_v else 0
+    over = 1 if d.crossings[p] else 0
     return 1 if leaving(over) == (leaving(1 - over) + 1) % 4 else -1
 
 
@@ -762,7 +781,7 @@ class TestCanonicalWalk:
         assert checked > 3000
 
 
-def reference_base_walk(d: Diagram, base: BaseSequence) -> tuple[tuple, tuple]:
+def reference_base_walk(d: Diagram, base: tuple[BaseEntry, ...]) -> tuple[tuple, tuple]:
     """First-encounter order and component directions of a base, each
     entry's strand traced through ``port_map(d)`` from its start dart; a
     direction is +1 when that dart lies on the reference canonical orbit."""
@@ -804,7 +823,7 @@ class TestBaseWalk:
             for j in range(max((len(c) for c in choices), default=0)):
                 entries = [c[j % len(c)] for c in choices]
                 rng.shuffle(entries)
-                base = BaseSequence(tuple(entries))
+                base = tuple(entries)
                 encounters, signs = reference_base_walk(d, base)
                 assert first_encounter(d, base) == encounters
                 assert base_orientation(d, base) == signs
@@ -843,7 +862,7 @@ def relabelled(d: Diagram, rng: random.Random) -> Diagram:
 
     crossings = [None] * d.c
     for ci, x in enumerate(d.crossings):
-        crossings[perm[ci]] = Crossing(x.over_v != (turn[ci] % 2 == 1))
+        crossings[perm[ci]] = x != (turn[ci] % 2 == 1)
     edges = tuple((new_label[label], port(a), port(b)) for label, a, b in d.edges)
     return Diagram(tuple(crossings), edges, d.free_loops)
 

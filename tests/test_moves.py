@@ -196,7 +196,7 @@ def face_bigon_sites(d: Diagram) -> tuple[tuple[int, int], ...]:
     """Removable R2 bigons traced face by face: the reference for the
     port scan behind ``bigon_sites`` and the engine's bigon search."""
     def over(ci, pi):
-        return (pi % 2 == 1) == d.crossings[ci].over_v
+        return (pi % 2 == 1) == d.crossings[ci]
 
     out = []
     for face in d.faces():

@@ -22,7 +22,6 @@ from kauffpoly.oracle import (
 from kauffpoly.series import kauffman_L, unlink_factor
 from kauffpoly.warping import (
     BaseEntry,
-    BaseSequence,
     enumerate_bases,
     warping_degree,
     warping_order,
@@ -149,13 +148,13 @@ def least_degree(d: Diagram) -> int:
     """The least warping degree by brute force: every base, in every
     order of its entries."""
     return min(
-        warping_degree(d, BaseSequence(entries))
+        warping_degree(d, entries)
         for base in enumerate_bases(d)
-        for entries in itertools.permutations(base.entries)
+        for entries in itertools.permutations(base)
     )
 
 
-def base_from_starts(d: Diagram, starts) -> BaseSequence:
+def base_from_starts(d: Diagram, starts) -> tuple[BaseEntry, ...]:
     """The base whose components are traversed from the given flat
     arrival ports, in that order, with the free loops after them."""
     entries = []
@@ -165,7 +164,7 @@ def base_from_starts(d: Diagram, starts) -> BaseSequence:
         k = next(k for k, comp in enumerate(d.components) if edge in comp.edges)
         entries.append(BaseEntry(k, edge, port))
     entries += [BaseEntry(k, None, None) for k in range(len(starts), d.r)]
-    return BaseSequence(tuple(entries))
+    return tuple(entries)
 
 
 @pytest.fixture(scope="module")

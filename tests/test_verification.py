@@ -1,19 +1,22 @@
 """``verify_diagram`` asks the engine each question once, and the checks
 that share an answer still see every fault in it."""
 
+import itertools
 import random
+import sys
 
 import pytest
 
 import kauffpoly.coeffs as coeffs_mod
 import kauffpoly.verification as verification
+import kauffpoly.warping as warping_mod
 from kauffpoly.catalog import CATALOG
 from kauffpoly.coeffs import CoeffTable
 from kauffpoly.diagram import connected_sum, parse_pd
-from kauffpoly.laurent import LaurentPoly
+from kauffpoly.laurent import BivariatePoly, LaurentPoly
 from kauffpoly.moves import random_diagram
 from kauffpoly.verification import BASE_SAMPLE, FULL_BASE_LIMIT_C, _bases_to_try, verify_diagram
-from kauffpoly.warping import BaseSequence, canonical_base, enumerate_bases, warping_order
+from kauffpoly.warping import canonical_base, enumerate_bases, warping_order
 
 #: Added to a table to corrupt it; no table of these diagrams reaches z^9.
 WRONG = CoeffTable.from_dict({9: LaurentPoly.one()})
@@ -131,6 +134,56 @@ class TestEachQuestionOnce:
         ]
 
 
+class TestOracleChecks:
+    """Both oracle checks read one ``oracle_L`` value and verify's own ``L``."""
+
+    @pytest.mark.parametrize("name", ["hopf", "trefoil", "figure8", "granny"])
+    def test_one_oracle_call_and_no_second_L(self, name, monkeypatch):
+        d = _diagram(name)
+        oracle_calls = []
+        real_oracle = verification.oracle_L
+
+        def counting_oracle(x, **kwargs):
+            oracle_calls.append(x)
+            return real_oracle(x, **kwargs)
+
+        l_calls = []
+
+        def counting_l(real):
+            def wrapped(x, **kwargs):
+                l_calls.append(x)
+                return real(x, **kwargs)
+
+            return wrapped
+
+        # every kauffpoly module that holds the name, so a new caller is counted too
+        for mod_name, module in list(sys.modules.items()):
+            if mod_name.startswith("kauffpoly.") and hasattr(module, "kauffman_L"):
+                monkeypatch.setattr(module, "kauffman_L", counting_l(module.kauffman_L))
+        monkeypatch.setattr(verification, "oracle_L", counting_oracle)
+        assert verify_diagram(d)["ok"]
+        assert oracle_calls == [d]
+        assert d not in l_calls
+
+    @pytest.mark.parametrize(
+        "wrong, exact, at_y1",
+        [
+            pytest.param(BivariatePoly.monomial(0, 9), False, False, id="z^9"),
+            pytest.param(BivariatePoly({(1, 0): 1, (0, 0): -1}), False, True, id="y-1"),
+            pytest.param(BivariatePoly.zero(), True, True, id="none"),
+        ],
+    )
+    def test_a_wrong_oracle_value_fails_its_checks(self, wrong, exact, at_y1, monkeypatch):
+        d = _diagram("trefoil")
+        real_oracle = verification.oracle_L
+        monkeypatch.setattr(
+            verification, "oracle_L", lambda x, **kwargs: real_oracle(x, **kwargs) + wrong
+        )
+        checks = verify_diagram(d)["checks"]
+        assert checks["oracle_equality"] is exact
+        assert checks["oracle_equality_at_y1"] is at_y1
+
+
 def _hopf_chain(rings: int):
     """A chain of ``rings`` rings: connected sums of Hopf links, each
     cut at the highest edge of the chain so far."""
@@ -165,15 +218,15 @@ class TestBaseSample:
         assert _bases_to_try(d) == _old_bases_to_try(d)
 
     def test_long_chain_builds_only_the_sample(self, monkeypatch):
-        # the chain has 9 437 184 bases; only the 16 drawn are built
+        # the chain has 9 437 184 bases; only the 16 drawn are built, each
+        # decoded from its index, so nothing enumerates the bases
         d = _hopf_chain(10)
         assert (d.c, d.r) == (18, 10)
-        built = []
 
-        def counting(entries):
-            built.append(entries)
-            return BaseSequence(entries)
+        def refuse(*args):
+            raise AssertionError("the bases were enumerated")
 
-        monkeypatch.setattr(verification, "BaseSequence", counting)
+        monkeypatch.setattr(warping_mod, "enumerate_bases", refuse)
+        monkeypatch.setattr(itertools, "product", refuse)
         bases = _bases_to_try(d)
-        assert len(bases) == len(set(bases)) == len(built) == BASE_SAMPLE
+        assert len(bases) == len(set(bases)) == BASE_SAMPLE

@@ -12,7 +12,6 @@ from kauffpoly.oracle import oracle_L, oracle_L_with_base
 from kauffpoly.series import kauffman_L
 from kauffpoly.warping import (
     BaseEntry,
-    BaseSequence,
     base_orientation,
     canonical_base,
     enumerate_bases,
@@ -30,7 +29,7 @@ TREFOIL = "X(1,4,2,5) X(3,6,4,1) X(5,2,6,3)"
 
 
 def kink_base(toward):
-    return BaseSequence((BaseEntry(0, toward[0], toward[1]),))
+    return (BaseEntry(0, toward[0], toward[1]),)
 
 
 class TestFirstEncounter:
@@ -110,7 +109,7 @@ class TestBases:
     def test_unknot_unique_empty_base(self):
         O = parse_pd("O")
         bases = list(enumerate_bases(O))
-        assert bases == [BaseSequence((BaseEntry(0, None, None),))]
+        assert bases == [(BaseEntry(0, None, None),)]
         assert canonical_base(O) == bases[0]
 
     def test_kink_has_four_bases(self):
@@ -131,12 +130,7 @@ class TestBases:
     def test_validate_rejects_wrong_component(self):
         hopf = parse_pd(HOPF)
         base = canonical_base(hopf)
-        swapped = BaseSequence(
-            (
-                BaseEntry(0, base.entries[1].edge, base.entries[1].toward),
-                base.entries[1],
-            )
-        )
+        swapped = (BaseEntry(0, base[1].edge, base[1].toward), base[1])
         with pytest.raises(DiagramError):
             validate_base(hopf, swapped)
 
@@ -144,12 +138,49 @@ class TestBases:
         hopf = parse_pd(HOPF)
         base = canonical_base(hopf)
         with pytest.raises(DiagramError):
-            validate_base(hopf, BaseSequence((base.entries[0],)))
+            validate_base(hopf, base[:1])
 
     def test_permuted_entry_order_is_valid(self):
         hopf = parse_pd(HOPF)
         base = canonical_base(hopf)
-        validate_base(hopf, BaseSequence(tuple(reversed(base.entries))))
+        validate_base(hopf, base[::-1])
+
+
+class TestPlainTupleBases:
+    """A base is a plain tuple of ``BaseEntry`` values: one built by hand
+    answers every question as the canonical base does."""
+
+    @pytest.mark.parametrize(
+        "d",
+        [
+            pytest.param(parse_pd(KINK), id="kink"),
+            pytest.param(parse_pd(HOPF), id="hopf"),
+            pytest.param(parse_pd(TREFOIL), id="trefoil"),
+            pytest.param(parse_pd("X(1,4,2,3) X(3,2,4,1) O"), id="hopf+loop"),
+            *(pytest.param(random_diagram(s, 6), id=f"random:{s}") for s in range(4)),
+        ],
+    )
+    def test_hand_built_base_answers_as_the_canonical_one(self, d):
+        by_hand = []
+        for k, comp in enumerate(d.components):
+            edge, toward = comp.orbit[0] if comp.orbit else (None, None)
+            by_hand.append(BaseEntry(k, edge, toward))
+        by_hand = tuple(by_hand)
+        base = canonical_base(d)
+        assert type(base) is tuple and base == by_hand
+        validate_base(d, by_hand)
+        for query in (
+            first_encounter,
+            warping_order,
+            warping_degree,
+            is_monotone,
+            base_orientation,
+            induced_writhe,
+        ):
+            assert query(d, by_hand) == query(d, base), query.__name__
+        assert coeff_table_with_base(d, by_hand) == coeff_table_with_base(d, base)
+        assert coeff_table_with_base(d, by_hand) == coeff_table(d)
+        assert oracle_L_with_base(d, by_hand) == oracle_L_with_base(d, base) == oracle_L(d)
 
 
 class TestValidationAtTheBoundary:
