@@ -10,16 +10,19 @@ ports, so they are tracked by an explicit counter.
 
 Diagrams are immutable values; every operation returns a new diagram.
 Over flags are bools, the free-loop count is an int, edge labels are
-positive integers and a diagram has a crossing or a free loop, which
-the constructor checks.  Labels survive crossing changes unchanged,
-and a splice names each merged edge after the smallest label it
-absorbed, which keeps derived diagrams deterministic.
+positive integers, ports are pairs of ints and a diagram has a crossing
+or a free loop, which the constructor checks.  Labels survive crossing
+changes unchanged, and a splice names each merged edge after the
+smallest label it absorbed, which keeps derived diagrams deterministic.
 
 Diagrams that differ only in over flags share their projection data: the
 flat port arrays the constructor's checks build and, each computed on
 first use, one walk of the canonical traversal, the faces, the edge map
-and the components.  The walk starts each component at its lowest edge
-and, in one pass over the port array, records the component count ``r``,
+and the components.  The face tuple is built only for callers of
+:meth:`Diagram.faces`: the planarity check that parsing makes counts
+faces traced on the flat port arrays.  The walk starts each component
+at its lowest edge and, in one pass over the port array, records the
+component count ``r``,
 the first-encounter order, each component's arrival ports in order and
 each crossing's sign with V over; ``r``, ``writhe``, the components,
 each splice's component shift, the canonical first-encounter order and
@@ -306,6 +309,17 @@ class Diagram:
         for label, a, b in self.edges:
             if isinstance(label, bool) or not isinstance(label, int) or label < 1:
                 raise DiagramError(f"edge label {label!r} is not a positive integer")
+            if not (  # a bool is an int, but not a crossing or port index
+                type(a) is tuple
+                and type(b) is tuple
+                and len(a) == 2
+                and len(b) == 2
+                and type(a[0]) is int
+                and type(a[1]) is int
+                and type(b[0]) is int
+                and type(b[1]) is int
+            ):
+                raise DiagramError(f"edge {label} joins {a!r} and {b!r}, not two pairs of ints")
             edges.append((label, a, b) if a < b else (label, b, a))
         object.__setattr__(self, "edges", tuple(sorted(edges)))
         self._check_and_project()
@@ -563,16 +577,17 @@ class Diagram:
         return _shape_code(self._proj.far_ports, self.crossings, self.free_loops, range(self.c))
 
     def is_planar(self) -> bool:
-        """Euler check V - E + F = 2 on every connected piece."""
-        if self.c == 0:
-            return True
-        pieces = self.connected_pieces()
-        where = {ci: k for k, piece in enumerate(pieces) for ci in piece}
-        counts = [0] * len(pieces)
-        for face in self.faces():
-            counts[where[face[0][1][0]]] += 1
-        # V - E + F = 2 with E = 2V on a 4-valent piece
-        return all(counts[k] == len(piece) + 2 for k, piece in enumerate(pieces))
+        """Euler check V - E + F = 2 on every connected piece.
+
+        The faces are traced on the flat port arrays by the rule of
+        :meth:`faces`, and never built.  A piece of genus ``g`` has
+        ``F = V + 2 - 2g`` faces (``E = 2V`` on a 4-valent graph), at
+        most ``V + 2``, so every piece is planar exactly when the faces
+        number ``c + 2`` per piece.
+        """
+        proj = self._proj
+        _, faces = _face_ids(proj.far_ports)
+        return faces == self.c + 2 * len(_piece_crossings(proj.far_ports, proj.port_labels))
 
     # ------------------------------------------------------------------
     # serialization
@@ -663,6 +678,25 @@ def _piece_crossings(far: list[int], labels: list[int]) -> tuple[tuple[int, ...]
         piece.sort()
         out.append(tuple(piece))
     return tuple(out)
+
+
+def _face_ids(far: list[int]) -> tuple[list[int], int]:
+    """The face of each flat arrival port, faces numbered in order of
+    their lowest port, and the number of faces.  From a dart into port
+    ``4c + i`` a face leaves along the edge at ``4c + (i + 1) % 4``, as
+    in :meth:`Diagram.faces`; a removed crossing's ports hold -1 and
+    keep face -1."""
+    face = [-1] * len(far)
+    k = 0
+    for start, fx in enumerate(far):
+        if fx < 0 or face[start] >= 0:
+            continue
+        x = start
+        while face[x] < 0:  # arrive at x, leave along the edge at x + 1
+            face[x] = k
+            x = far[x - 3 if x & 3 == 3 else x + 1]
+        k += 1
+    return face, k
 
 
 def _kink_site(far: list[int], labels: list[int], x: int) -> tuple[int, int, tuple[int, int]]:
@@ -818,16 +852,7 @@ class _PortState:
         far = self.far
         if len(far) - far.count(-1) < 16:
             return None
-        face = [-1] * len(far)
-        k = 0
-        for start, fx in enumerate(far):
-            if fx < 0 or face[start] >= 0:
-                continue
-            x = start
-            while face[x] < 0:  # arrive at x, leave along the edge at x + 1
-                face[x] = k
-                x = far[x - 3 if x & 3 == 3 else x + 1]
-            k += 1
+        face, k = _face_ids(far)
         first = {}
         for a, b in enumerate(far):
             if a < b:

@@ -7,13 +7,19 @@ matching, planarity of the rotation system), every add/remove pair is an
 exact inverse, and walks are fully determined by (start, steps, seed,
 max crossings), so failures replay bit-exactly.
 
-Each walk step draws a move kind among those with a site, then an index
-below that kind's count, and builds only the step at that index, which
-it applies at the site it found without looking the site up again.  The
+Each walk step first finds which move kinds have a site, by tests on
+the flat port arrays that list no site (``kauffpoly fuzz`` asks the same
+tests of its start), and draws one of those kinds.  Only the drawn kind's
+sites are then listed and its steps counted; the step draws an index
+below that count and builds only the step at that index, which it
+applies at the site it found without looking the site up again.  The
 index draw, ``rng.choice(range(count))``, takes from the seeded stream
 exactly what a draw from the list of that kind's steps would, so walks,
 their traces and every input built from them depend only on the order
-in which each kind's steps are indexed.
+in which each kind's steps are indexed.  Every move builds its diagram
+with the edges already in storage order (a kept label keeps its place,
+new labels follow the highest), so nothing is sorted again, while every
+structural check of the constructor still runs.
 
 Site conventions (ports counterclockwise, face tracing as in
 :meth:`kauffpoly.diagram.Diagram.faces`):
@@ -31,9 +37,10 @@ Site conventions (ports counterclockwise, face tracing as in
 from __future__ import annotations
 
 import random
+from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import islice
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from .diagram import (
     Diagram,
@@ -103,30 +110,34 @@ def r1_add(d: Diagram, e: EdgeRef, chirality: str, side: str = "R") -> Diagram:
     if side not in ("L", "R"):
         raise MoveSiteError(f"side must be 'L' or 'R', not {side!r}")
     k = d.c
-    top = max(d.edge_labels(), default=0)
+    top = d.edges[-1][0] if d.edges else 0
     # side R puts the loop on ports (1,2), side L on (2,3); the sign of a
     # (1,2)- or (3,0)-loop kink equals over_v, of the other two its negation
     over_v = (chirality == "+") if side == "R" else (chirality == "-")
     crossings = d.crossings + (over_v,)
 
+    # edges are built in storage order: the new crossing k comes after
+    # every old port, and new labels after ``top``
     if e is None:
         if not d.free_loops:
             raise MoveSiteError("no free loop to kink")
         if side == "R":
-            new = [(top + 1, (k, 0), (k, 3)), (top + 2, (k, 1), (k, 2))]
+            new = ((top + 1, (k, 0), (k, 3)), (top + 2, (k, 1), (k, 2)))
         else:
-            new = [(top + 1, (k, 0), (k, 1)), (top + 2, (k, 2), (k, 3))]
-        return Diagram(crossings, list(d.edges) + new, d.free_loops - 1)
+            new = ((top + 1, (k, 0), (k, 1)), (top + 2, (k, 2), (k, 3)))
+        return Diagram._from_sorted(crossings, d.edges + new, d.free_loops - 1)
 
-    if not d.has_edge(e):
+    edges = list(d.edges)
+    i = bisect_left(edges, (e,)) if isinstance(e, int) else len(edges)
+    if i == len(edges) or edges[i][0] != e:
         raise MoveSiteError(f"no edge {e}")
-    a, b = d.edge_map[e]
-    rest = [edge for edge in d.edges if edge[0] != e]
+    label, a, b = edges[i]  # the stored label, which ``e`` only equals
+    edges[i] = (label, a, (k, 0))
     if side == "R":
-        new = [(e, a, (k, 0)), (top + 1, (k, 3), b), (top + 2, (k, 1), (k, 2))]
+        edges += ((top + 1, b, (k, 3)), (top + 2, (k, 1), (k, 2)))
     else:
-        new = [(e, a, (k, 0)), (top + 1, (k, 1), b), (top + 2, (k, 2), (k, 3))]
-    return Diagram(crossings, rest + new, d.free_loops)
+        edges += ((top + 1, b, (k, 1)), (top + 2, (k, 2), (k, 3)))
+    return Diagram._from_sorted(crossings, tuple(edges), d.free_loops)
 
 
 def r1_remove(d: Diagram, p: int) -> Diagram:
@@ -166,28 +177,25 @@ def r2_add_at(d: Diagram, dart1: Dart, dart2: Dart, over_first: bool = True) -> 
 
 def _r2_push(d: Diagram, dart1: Dart, dart2: Dart, over_first: bool) -> Diagram:
     """``r2_add_at`` at a dart pair already known to share a face."""
-    e1, h1 = dart1
-    e2, h2 = dart2
-    pa, pb = d.edge_map[e1]
-    t1 = pb if h1 == pa else pa
-    qa, qb = d.edge_map[e2]
-    t2 = qb if h2 == qa else qa
-
     u = d.c
     v = d.c + 1
-    top = max(d.edge_labels(), default=0)
-    rest = [edge for edge in d.edges if edge[0] not in (e1, e2)]
-    new = [
-        (e1, t1, (u, 0)),
-        (top + 1, (v, 2), h1),
+    edges = list(d.edges)
+    top = edges[-1][0]
+    # each pushed edge keeps its stored label and its place and now runs
+    # from its tail to the new crossings, which come after every old port
+    for (e, h), port in ((dart1, (u, 0)), (dart2, (v, 1))):
+        i = bisect_left(edges, (e,))
+        label, a, b = edges[i]
+        edges[i] = (label, b if h == a else a, port)
+    edges += (
+        (top + 1, dart1[1], (v, 2)),
+        (top + 2, dart2[1], (u, 1)),
         (top + 3, (u, 2), (v, 0)),
-        (e2, t2, (v, 1)),
-        (top + 2, (u, 1), h2),
-        (top + 4, (v, 3), (u, 3)),
-    ]
+        (top + 4, (u, 3), (v, 3)),
+    )
     over_v = not over_first  # strand 1 runs through the U ports of both crossings
     crossings = d.crossings + (over_v, over_v)
-    return Diagram(crossings, rest + new, d.free_loops)
+    return Diagram._from_sorted(crossings, tuple(edges), d.free_loops)
 
 
 def r2_add(d: Diagram, e1: int, e2: int, over_first: bool = True) -> Diagram:
@@ -269,10 +277,11 @@ def _r3_slide(d: Diagram, face: Sequence[Dart], slider: int) -> Diagram:
         (Y, (y_a + 2) % 4): (Z, (z_a + 2) % 4),
         (Z, (z_a + 2) % 4): (Y, (y_a + 2) % 4),
     }
-    edges = [
-        (label, sub.get(a, a), sub.get(b, b)) for label, a, b in d.edges
-    ]
-    return Diagram(d.crossings, edges, d.free_loops)
+    edges = []
+    for label, a, b in d.edges:  # labels stay, so only a pair can fall out of order
+        a, b = sub.get(a, a), sub.get(b, b)
+        edges.append((label, a, b) if a < b else (label, b, a))
+    return Diagram._from_sorted(d.crossings, tuple(edges), d.free_loops)
 
 
 # ----------------------------------------------------------------------
@@ -358,17 +367,47 @@ def replay(d: Diagram, steps: Iterable[MoveStep]) -> Diagram:
 _Taken = tuple[MoveStep, int, Diagram]
 
 
-def _r1_add_step(d: Diagram, refs: list[EdgeRef], i: int) -> _Taken:
-    """Step ``i`` of the R1 additions: per ref, chirality '+', '-', each
-    on side 'L', 'R'."""
-    e, chirality, side = refs[i >> 2], "+-"[i >> 1 & 1], "LR"[i & 1]
-    step = MoveStep("r1_add", (e, chirality, side))
-    return step, (1 if chirality == "+" else -1), r1_add(d, e, chirality, side)
+def _has_r3_site(far: list[int], crossings: Sequence[bool]) -> bool:
+    """Whether ``r3_sites`` has an entry, on flat far ports: arrivals
+    ``x0 -> x1 -> x2 -> x0`` round a face, on three distinct crossings,
+    where the side from ``x0``'s crossing to ``x1`` is over (or under)
+    at both ends.  Each 3-gon is met from each of its arrivals, so each
+    of its sides is tested once."""
+    for x0 in range(len(far)):
+        s0 = x0 - 3 if x0 & 3 == 3 else x0 + 1  # a face leaves along the next port
+        x1 = far[s0]
+        s1 = x1 - 3 if x1 & 3 == 3 else x1 + 1
+        x2 = far[s1]
+        if far[x2 - 3 if x2 & 3 == 3 else x2 + 1] != x0:
+            continue
+        c0, c1, c2 = x0 >> 2, x1 >> 2, x2 >> 2
+        if c0 != c1 and c1 != c2 and c2 != c0:
+            if ((s0 & 1) == crossings[c0]) == ((x1 & 1) == crossings[c1]):
+                return True
+    return False
 
 
-def _r1_remove_step(d: Diagram, site: tuple[int, int, tuple[int, int]]) -> _Taken:
-    sign, kind = kink_rule(d, site)
-    return MoveStep("r1_remove", (site[0],)), -sign, d.splice(site[0], kind)
+def _applicable_kinds(d: Diagram, max_c: int) -> list[str]:
+    """The move kinds with at least one site under ``max_c`` crossings,
+    sorted, each found by a test that lists no site.  R2 can add at any
+    crossing: the face of the dart into its port ``i`` goes on along the
+    edge at port ``i + 1``, so it has two distinct edges unless one edge
+    joins the two ports, and then the face of the dart into ``i + 1``
+    has."""
+    proj = d._proj
+    far, c = proj.far_ports, d.c
+    kinds = []
+    if c < max_c:
+        kinds.append("r1_add")
+    if proj.kinks:
+        kinds.append("r1_remove")
+    if 0 < c <= max_c - 2:
+        kinds.append("r2_add")
+    if next(_bigon_scan(far, d.crossings), None) is not None:
+        kinds.append("r2_remove")
+    if _has_r3_site(far, d.crossings):
+        kinds.append("r3")
+    return kinds
 
 
 def _r2_add_step(
@@ -387,20 +426,23 @@ def _r2_add_step(
     return MoveStep("r2_add", (d1, d2, over_first)), 0, _r2_push(d, d1, d2, over_first)
 
 
-def _move_kinds(d: Diagram, max_c: int) -> dict[str, tuple[int, Callable[[int], _Taken]]]:
-    """(count, index -> step taken) for each move kind with at least one
-    site.  A step is applied at the site found here, which is not looked
-    up again."""
-    out: dict[str, tuple[int, Callable[[int], _Taken]]] = {}
-    if d.c + 1 <= max_c:
-        refs: list[EdgeRef] = list(d.edge_labels())
-        if d.free_loops:
-            refs.append(None)
-        out["r1_add"] = (4 * len(refs), lambda i: _r1_add_step(d, refs, i))
-    kinks = kink_sites(d)
-    if kinks:
-        out["r1_remove"] = (len(kinks), lambda i: _r1_remove_step(d, kinks[i]))
-    if d.c + 2 <= max_c:
+def _draw_step(d: Diagram, kind: str, rng: random.Random) -> _Taken:
+    """Count the steps of ``kind``, draw one by its index and take it at
+    the site found here, which is not looked up again."""
+    if kind == "r1_add":
+        # per edge in label order, then a free loop if there is one:
+        # chirality '+', '-', each on side 'L', 'R'
+        edges = d.edges
+        i = rng.choice(range(4 * (len(edges) + (d.free_loops > 0))))
+        e = edges[i >> 2][0] if i >> 2 < len(edges) else None
+        chirality, side = "+-"[i >> 1 & 1], "LR"[i & 1]
+        step = MoveStep(kind, (e, chirality, side))
+        return step, (1 if chirality == "+" else -1), r1_add(d, e, chirality, side)
+    if kind == "r1_remove":
+        site = rng.choice(kink_sites(d))
+        sign, splice = kink_rule(d, site)
+        return MoveStep(kind, (site[0],)), -sign, d.splice(site[0], splice)
+    if kind == "r2_add":
         faces = d.faces()
         # a face of m darts on u distinct edges has m^2 - sum of mult(e)^2
         # ordered pairs of distinct edges; mult(e) is 1 or 2, so that is
@@ -408,21 +450,12 @@ def _move_kinds(d: Diagram, max_c: int) -> dict[str, tuple[int, Callable[[int], 
         counts = [
             len(face) * (len(face) - 3) + 2 * len({e for e, _ in face}) for face in faces
         ]
-        if any(counts):
-            out["r2_add"] = (2 * sum(counts), lambda i: _r2_add_step(d, faces, counts, i))
-    bigons = bigon_sites(d)
-    if bigons:
-        out["r2_remove"] = (
-            len(bigons),
-            lambda i: (MoveStep("r2_remove", bigons[i]), 0, d.erase_crossings(bigons[i])),
-        )
-    triangles = r3_sites(d)
-    if triangles:
-        out["r3"] = (
-            len(triangles),
-            lambda i: (MoveStep("r3", triangles[i]), 0, _r3_slide(d, *triangles[i])),
-        )
-    return out
+        return _r2_add_step(d, faces, counts, rng.choice(range(2 * sum(counts))))
+    if kind == "r2_remove":
+        bigon = rng.choice(bigon_sites(d))
+        return MoveStep(kind, bigon), 0, d.erase_crossings(bigon)
+    site = rng.choice(r3_sites(d))
+    return MoveStep(kind, site), 0, _r3_slide(d, *site)
 
 
 def random_move_walk(
@@ -437,12 +470,10 @@ def random_move_walk(
     net_r1 = 0
     cur = d
     for _ in range(steps):
-        kinds = _move_kinds(cur, max_c)
+        kinds = _applicable_kinds(cur, max_c)
         if not kinds:
             continue
-        kind = rng.choice(sorted(kinds))
-        count, take = kinds[kind]
-        step, r1, cur = take(rng.choice(range(count)))
+        step, r1, cur = _draw_step(cur, rng.choice(kinds), rng)
         net_r1 += r1
         taken.append(step)
     return cur, MoveTrace(d.to_pd(), tuple(taken), net_r1)

@@ -18,6 +18,7 @@ from kauffpoly.diagram import (
     Diagram,
     DiagramError,
     PDSyntaxError,
+    _Projection,
     connected_sum,
     disjoint_union,
     parse_pd,
@@ -393,6 +394,32 @@ class TestFaces:
         assert not d.is_planar()
         assert not d.crossing_change(1).is_planar()
 
+    def test_flat_planarity_equals_the_euler_count_over_faces(self):
+        diagrams = [entry.diagram() for entry in CATALOG.values()]
+        diagrams += [random_diagram(seed, 10, walk_steps=30) for seed in range(60)]
+        # the rotation system of "X(1,1,2,2) X(4,3,4,3)", which parse_pd rejects
+        odd = Diagram(
+            (True, True),
+            [(1, (0, 0), (0, 1)), (2, (0, 2), (0, 3)), (3, (1, 1), (1, 3)), (4, (1, 0), (1, 2))],
+        )
+        diagrams += [odd, disjoint_union(parse_pd(TREFOIL), odd), disjoint_union(odd, odd)]
+        # twisted: ports 0 and 1 of crossing 0 trade their edges
+        swap = {(0, 0): (0, 1), (0, 1): (0, 0)}
+        diagrams += [
+            Diagram(d.crossings, [(e, swap.get(a, a), swap.get(b, b)) for e, a, b in d.edges])
+            for d in diagrams[:: 3]
+            if d.c
+        ]
+        planar = [d.is_planar() for d in diagrams]
+        assert planar == [euler_planar(d) for d in diagrams]
+        assert 5 < planar.count(False) < len(diagrams) - 60
+
+    def test_parsing_builds_no_faces(self):
+        for pd in (KINK, HOPF, TREFOIL, FIGURE8, UNKNOT):
+            proj = parse_pd(pd)._proj
+            with pytest.raises(AttributeError):
+                _Projection.faces.__get__(proj)  # the slot is still unset
+
     def test_face_darts_partition(self):
         d = parse_pd(TREFOIL)
         darts = [dart for face in d.faces() for dart in face]
@@ -421,6 +448,17 @@ def reference_faces(d: Diagram) -> tuple:
                 break
         out.append(tuple(face))
     return tuple(out)
+
+
+def euler_planar(d: Diagram) -> bool:
+    """V - E + F = 2 on every connected piece, counting the faces of
+    ``faces()``: the reference for the flat planarity check."""
+    pieces = d.connected_pieces()
+    where = {ci: k for k, piece in enumerate(pieces) for ci in piece}
+    counts = [0] * len(pieces)
+    for face in d.faces():
+        counts[where[face[0][1][0]]] += 1
+    return all(counts[k] == len(piece) + 2 for k, piece in enumerate(pieces))
 
 
 class TestValidation:
@@ -462,6 +500,16 @@ class TestValidation:
         a, b = labels
         with pytest.raises(DiagramError, match="positive integer"):
             Diagram(kink.crossings, ((a, (0, 0), (0, 1)), (b, (0, 2), (0, 3))))
+
+    @pytest.mark.parametrize(
+        "port", [(0, True), (False, 1), (0, 1.0), (0.0, 1), [0, 1], (0,), (0, 1, 2), "01", None]
+    )
+    def test_port_entries_are_checked(self, port):
+        # a port is a pair of ints; a bool would be stored as an index
+        with pytest.raises(DiagramError, match="edge 1 joins .*, not two pairs of ints"):
+            Diagram((True,), [(1, (0, 0), port), (2, (0, 2), (0, 3))])
+        with pytest.raises(DiagramError, match="edge 1 joins .*, not two pairs of ints"):
+            Diagram((True,), [(1, port, (0, 0)), (2, (0, 2), (0, 3))])
 
     def test_constructor_refuses_the_empty_diagram(self):
         # no crossing and no free loop: outside the theory, and so no

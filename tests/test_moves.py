@@ -4,6 +4,7 @@ import itertools
 
 import pytest
 
+from kauffpoly.catalog import CATALOG
 from kauffpoly.coeffs import coeff_table
 from kauffpoly.diagram import Diagram, DiagramError, _PortState, parse_pd
 from kauffpoly.laurent import BivariatePoly
@@ -90,6 +91,11 @@ class TestR1:
             r1_remove(parse_pd(HOPF), 0)
         with pytest.raises(MoveSiteError):
             kink_sign(parse_pd(HOPF), 1)
+
+    @pytest.mark.parametrize("e", [99, 0, -1, 7, "1", 1.5, (1,)])
+    def test_missing_edge_is_refused(self, e):
+        with pytest.raises(MoveSiteError, match="no edge"):
+            r1_add(parse_pd(TREFOIL), e, "+")
 
     def test_planarity_preserved(self):
         d = parse_pd(FIGURE8)
@@ -253,6 +259,53 @@ class TestR3:
         assert bad_sliders, "expected some side of the triangle to be blocked"
         with pytest.raises(MoveSiteError):
             r3_apply(d, face, bad_sliders[0])
+
+
+def assert_stored_canonically(d: Diagram) -> None:
+    """``d`` stores its edges as the constructor would, under int labels."""
+    rebuilt = Diagram(d.crossings, d.edges, d.free_loops)
+    assert d.edges == rebuilt.edges and hash(d) == hash(rebuilt), d.to_pd()
+    assert all(type(label) is int for label, _, _ in d.edges), d.edges
+
+
+class TestCanonicalStorage:
+    def test_every_move_stores_edges_as_the_constructor_does(self):
+        diagrams = [entry.diagram() for entry in CATALOG.values()]
+        diagrams += [random_diagram(seed, 8, walk_steps=20) for seed in range(15)]
+        cases = 0
+        for d in diagrams:
+            refs = list(d.edge_labels()) + ([None] if d.free_loops else [])
+            outs = [r1_add(d, e, ch, side) for e in refs for ch in "+-" for side in "LR"]
+            outs += [
+                r2_add_at(d, d1, d2, over)
+                for d1, d2 in cofacial_dart_pairs(d)
+                for over in (True, False)
+            ]
+            outs += [r3_apply(d, face, k) for face, k in r3_sites(d)]
+            for out in outs:
+                assert_stored_canonically(out)
+            cases += len(outs)
+        assert cases > 3000
+
+    def test_a_bool_edge_reference_stores_the_stored_label(self):
+        # True equals the label 1, so it names that edge, but the move
+        # must store the diagram's own int label
+        tre = parse_pd(TREFOIL)
+        for chirality in "+-":
+            for side in "LR":
+                out = r1_add(tre, True, chirality, side)
+                assert out == r1_add(tre, 1, chirality, side)
+                assert_stored_canonically(out)
+        pushed = 0
+        for d1, d2 in cofacial_dart_pairs(tre):
+            if 1 not in (d1[0], d2[0]):
+                continue
+            as_bool = [(True, h) if e == 1 else (e, h) for e, h in (d1, d2)]
+            out = r2_add_at(tre, *as_bool)
+            assert out == r2_add_at(tre, d1, d2)
+            assert_stored_canonically(out)
+            pushed += 1
+        assert pushed >= 4
 
 
 class TestWalks:

@@ -1,6 +1,7 @@
 """The whole-polynomial evaluator and the two-pipeline equality."""
 
 import itertools
+import random
 
 import pytest
 
@@ -13,6 +14,7 @@ from kauffpoly.diagram import Diagram, _PortState, connected_sum, disjoint_union
 from kauffpoly.laurent import BivariatePoly
 from kauffpoly.moves import r1_add, random_diagram, random_move_walk
 from kauffpoly.oracle import (
+    _least_order,
     _least_warping,
     agree_at_y_one,
     oracle_L,
@@ -195,6 +197,25 @@ class TestLeastWarping:
         for d in least_cases:
             starts, warping = _least_warping(d)
             assert warping_order(d, base_from_starts(d, starts)) == warping, d.to_pd()
+
+    def test_order_search_picks_the_first_least_permutation(self):
+        rng = random.Random(22)
+        tied = 0
+        for m in range(1, oracle._MAX_PERMUTED + 1):
+            for _ in range(60):
+                high = rng.choice((0, 1, 2, 5))
+                under = [
+                    [0 if i == j else rng.randint(0, high) for j in range(m)] for i in range(m)
+                ]
+
+                def cost(perm):
+                    return sum(under[i][j] for n, i in enumerate(perm) for j in perm[n + 1 :])
+
+                perms = list(itertools.permutations(range(m)))
+                least = min(map(cost, perms))
+                assert tuple(_least_order(under)) == min(perms, key=cost), under
+                tied += sum(cost(perm) == least for perm in perms) > 1
+        assert tied > 150
 
     def test_beyond_the_order_search_keeps_the_canonical_order(self, monkeypatch):
         # seven components, each passing over the next twice, so the

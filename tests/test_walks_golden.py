@@ -13,7 +13,9 @@ and says in its change notes which walks changed and why.
 
 It also checks ``random_move_walk`` against a walk that builds every
 candidate step and draws one from the list, the reference for drawing a
-kind and then an index below that kind's count.
+kind and then an index below that kind's count, and checks that the
+kinds a walk draws from, found by tests that list no site, are exactly
+the kinds with a candidate step on every diagram these walks visit.
 """
 
 import json
@@ -21,6 +23,7 @@ import random
 import sys
 from pathlib import Path
 
+from kauffpoly import moves
 from kauffpoly.catalog import CATALOG
 from kauffpoly.diagram import Diagram, parse_pd
 from kauffpoly.moves import (
@@ -127,6 +130,44 @@ def test_walks_match_the_candidate_list_reference():
                     seed,
                     max_c,
                 )
+
+
+def test_drawn_kinds_are_the_kinds_with_sites(monkeypatch):
+    seen = {}
+    applicable = moves._applicable_kinds
+
+    def recording(d, max_c):
+        kinds = seen[d, max_c] = applicable(d, max_c)
+        return kinds
+
+    monkeypatch.setattr(moves, "_applicable_kinds", recording)
+    render()
+    starts = [parse_pd("O"), parse_pd("O O O")] + [e.diagram() for e in CATALOG.values()]
+    for start in starts:
+        for max_c in (7, 9, 10, 12):
+            for seed in range(100):
+                random_move_walk(start, 6, seed, max_c)
+    sites = {}  # per diagram: the kinds with a site whatever max_c is
+    for d, _ in seen:
+        if d not in sites:
+            pairs = cofacial_dart_pairs(d)
+            triangles = r3_sites(d)
+            # the existence tests behind two of the kinds, on their own
+            assert bool(pairs) == (d.c > 0), d.to_pd()
+            assert moves._has_r3_site(d._proj.far_ports, d.crossings) == bool(triangles), d.to_pd()
+            sites[d] = (bool(kink_sites(d)), bool(pairs), bool(bigon_sites(d)), bool(triangles))
+    assert len(sites) > 6000 and 1000 < sum(found[3] for found in sites.values()) < len(sites)
+    for (d, max_c), kinds in seen.items():
+        # the kinds of _candidate_steps, from their site lists alone
+        kinks, pairs, bigons, triangles = sites[d]
+        found = {
+            "r1_add": d.c + 1 <= max_c,
+            "r1_remove": kinks,
+            "r2_add": d.c + 2 <= max_c and pairs,
+            "r2_remove": bigons,
+            "r3": triangles,
+        }
+        assert kinds == sorted(kind for kind, ok in found.items() if ok), (d.to_pd(), max_c)
 
 
 if __name__ == "__main__":
