@@ -76,6 +76,14 @@ with one code are the same diagram up to edge labels, crossing order
 and port numbering, so they have one table.  A core that comes back
 under other labels is found, not expanded again, and a composite is
 answered from its summands' entries wherever it was cut.
+
+A hit is usually found from one start's code.  The least code is the
+least breadth-first code over all starts, but the code from any one
+start already describes the core completely; so a core of at most
+``_PROBE_MAX`` crossings first takes the code from its lowest crossing
+and, if that code is a key, that key names this very core.  Only when it
+is not is the search over all starts run.  Keys, stores, the budget
+and every node count are as they would be without this first try.
 """
 
 from __future__ import annotations
@@ -228,14 +236,23 @@ def _cores(s: _PortState) -> tuple[int, int, int, list[tuple[tuple[int, ...], in
     return kinks, s.loops, cuts, [(piece, 0) for piece in pieces]
 
 
+#: A core of at most this many crossings is first looked up by one
+#: start's code.  Small cores are mostly hits on symmetric cores, where
+#: that start's code is often the least; on larger ones it seldom is, and
+#: the wasted start costs more than the few hits save.
+_PROBE_MAX = 8
+
+
 def _core_table(s: _PortState, piece: tuple[int, ...], loops: int, run: _Run) -> CoeffTable:
-    key = s.shape_code(piece, loops)
-    table = run.memo.get(key)
+    memo = run.memo
+    probe = s.start_code(piece, loops) if 0 < len(piece) <= _PROBE_MAX else None
+    key = probe if probe is not None and probe in memo else s.shape_code(piece, loops)
+    table = memo.get(key)
     if table is None:
         d = s.diagram(piece, loops)  # the only diagram a lookup builds
         run.spend(d)
         walk = d._proj.walk
-        table = run.memo[key] = _expand(d, walk.encounters, (1,) * walk.r, None, run)
+        table = memo[key] = _expand(d, walk.encounters, (1,) * walk.r, None, run)
     return table
 
 

@@ -35,6 +35,8 @@ shared data as they are, so a flip costs one tuple and one dict copy.
 Removing a crossing is a local edit: the kept edges stay in order, only
 the chains of edges through it are merged and inserted in place, and
 every structural check runs on the result without sorting again.
+``erase_crossings`` removes all its crossings in one such edit, so an
+R2 bigon comes off with one diagram built.
 
 The coefficient engine edits its sub-diagrams without building them: a
 ``_PortState`` holds the over flags, the flat port arrays and the free
@@ -458,14 +460,60 @@ class Diagram:
         return self._remove(p, _splice_bridge(kind))
 
     def erase_crossings(self, which: Iterable[int]) -> "Diagram":
-        """Remove crossings by letting both strands pass straight through."""
+        """Remove crossings by letting both strands pass straight through.
+
+        One pass over the edges, as if the crossings were removed one at
+        a time: edges that miss them are kept, renumbered, each chain of
+        edges through them becomes one edge named after its smallest
+        label, and a chain that closes up among them a free loop.
+        """
         removed = sorted(set(which), reverse=True)
         for p in removed:
             self._check_crossing(p)
-        d = self
-        for p in removed:  # highest first, so the others keep their index
-            d = d._remove(p, _STRAIGHT_BRIDGE)
-        return d
+        if not removed:
+            return self
+        gone = set(removed)
+        kept = [c for c in range(self.c) if c not in gone]
+        index = {c: k for k, c in enumerate(kept)}
+        edges = [  # the kept edges stay sorted and normalised
+            (label, (index[a[0]], a[1]), (index[b[0]], b[1]))
+            for label, a, b in self.edges
+            if a[0] in index and b[0] in index
+        ]
+        far, labels = self._proj.far_ports, self._proj.port_labels
+        done = [False] * len(far)
+        for p in removed:  # the open chains, each from its first removed port
+            for x in range(4 * p, 4 * p + 4):
+                start = far[x]
+                if done[x] or start >> 2 in gone:
+                    continue
+                low = labels[x]
+                while True:  # straight through x's crossing, then along the edge
+                    done[x] = True
+                    x ^= 2
+                    done[x] = True
+                    if labels[x] < low:
+                        low = labels[x]
+                    end = far[x]
+                    if end >> 2 in index:
+                        break
+                    x = end
+                a, b = (index[start >> 2], start & 3), (index[end >> 2], end & 3)
+                insort(edges, (low, a, b) if a < b else (low, b, a))  # a new label
+        closed = 0
+        for x, passed in enumerate(done):  # whatever is left closes up
+            if passed or x >> 2 in index:
+                continue
+            closed += 1
+            while not done[x]:
+                done[x] = True
+                x ^= 2
+                done[x] = True
+                x = far[x]
+        crossings = self.crossings
+        return Diagram._from_sorted(
+            tuple([crossings[c] for c in kept]), tuple(edges), self.free_loops + closed
+        )
 
     def _remove(self, p: int, bridge: tuple[int, int, int, int]) -> "Diagram":
         """Drop crossing ``p``, joining each of its ports ``i`` to ``bridge[i]``.
@@ -573,6 +621,14 @@ class Diagram:
         starts advance together one crossing at a time, and a start is
         dropped at the first crossing whose entries compare above those
         of another start still in the running.
+
+        The code from any single start is already a complete description
+        of the diagram up to relabelling, since the diagram can be
+        rebuilt from it; taking the least over all starts only makes it
+        independent of the start.  So a start's code that equals a
+        diagram's shape code proves the two diagrams are the same, which
+        is how the coefficient engine finds most memo hits without the
+        search.
         """
         return _shape_code(self._proj.far_ports, self.crossings, self.free_loops, range(self.c))
 
@@ -739,16 +795,24 @@ def _shape_code(
         raise DiagramError("shape codes exist only for connected diagrams")
     if n == 0:
         return (loops,)
-    size = len(crossings)
     over = list(map(int, crossings))  # int arithmetic is faster than bool
+    return _least_code(far, over, loops, n, [(s, q) for s in piece for q in (over[s], over[s] + 2)])
+
+
+def _least_code(
+    far: list[int], over: Sequence[int], loops: int, n: int, starts: list[tuple[int, int]]
+) -> tuple[int, ...]:
+    """The least breadth-first code of ``n`` crossings over ``starts``,
+    each a crossing and the port that becomes its port 0, advancing the
+    starts together one crossing at a time."""
+    size = len(over)
     live = []  # (crossing -> discovery index, crossing -> its port 0, discovery order)
-    for s in piece:
-        for q in (over[s], over[s] + 2):
-            index = [-1] * size
-            rot = [0] * size
-            index[s] = 0
-            rot[s] = q
-            live.append((index, rot, [s]))
+    for s, q in starts:
+        index = [-1] * size
+        rot = [0] * size
+        index[s] = 0
+        rot[s] = q
+        live.append((index, rot, [s]))
     code = [loops]
     for k in range(n):
         if len(live[0][2]) == k:  # every start in the running has found k crossings
@@ -892,6 +956,15 @@ class _PortState:
 
     def shape_code(self, piece: Sequence[int], loops: int) -> tuple[int, ...]:
         return _shape_code(self.far, self.crossings, loops, piece)
+
+    def start_code(self, piece: Sequence[int], loops: int) -> tuple[int, ...]:
+        """The breadth-first code of the nonempty ``piece`` from one
+        start, its lowest crossing with local over flag 0.  Like any
+        start's code it describes the core completely, so it equals a
+        shape code exactly when the core has that shape code."""
+        s = piece[0]
+        over = self.crossings
+        return _least_code(self.far, over, loops, len(piece), [(s, int(over[s]))])
 
     def diagram(self, piece: Sequence[int], loops: int) -> Diagram:
         """The crossings ``piece`` with ``loops`` free loops as a diagram,

@@ -1,6 +1,7 @@
 """Coefficient engine: closed forms, skein identities, independence."""
 
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -387,10 +388,11 @@ class TestSupportAndTable:
 class HitCountingCache(dict):
     def __init__(self):
         super().__init__()
-        self.hits = 0
+        self.lookups = self.hits = 0
 
     def get(self, key, default=None):
         value = super().get(key, default)
+        self.lookups += 1
         self.hits += value is not None
         return value
 
@@ -840,6 +842,79 @@ class TestPortStateKernel:
         s.loops = -1
         with pytest.raises(DiagramError, match="free_loops"):
             s.pieces()
+
+
+def _probe_inputs():
+    from test_bench_references import load_workloads
+
+    for name, entry in CATALOG.items():
+        yield name, entry.diagram()
+    for seed in range(40):
+        yield f"random:{seed}", random_diagram(seed, 12, walk_steps=30)
+    for name, pd in load_workloads().ladder_pds():
+        yield f"ladder:{name}", parse_pd(pd)
+    yield "T(3,7)", braid_closure(3, [1, 2] * 7)
+    yield "T(4,5)", braid_closure(4, [1, 2, 3] * 5)
+
+
+class TestMemoProbe:
+    """A small core is first looked up by the code from one start; only
+    if that misses is its least code computed.  Any start's code
+    describes the core completely, so a hit is exact, and the memo only
+    ever stores least codes."""
+
+    @staticmethod
+    def run_all(inputs) -> tuple[list[CoeffTable], HitCountingCache]:
+        memo = HitCountingCache()
+        return [coeff_table(d, cache=memo) for _, d in inputs], memo
+
+    def test_tables_keys_and_counts_equal_with_the_probe_off(self, monkeypatch):
+        import kauffpoly.coeffs as coeffs_mod
+
+        inputs = list(_probe_inputs())
+        tables, memo = self.run_all(inputs)
+        with monkeypatch.context() as m:
+            m.setattr(coeffs_mod, "_PROBE_MAX", 0)
+            ref_tables, ref_memo = self.run_all(inputs)
+        for (name, _), table, ref in zip(inputs, tables, ref_tables):
+            assert table == ref, name
+        assert sorted(memo) == sorted(ref_memo)
+        assert (memo.lookups, memo.hits) == (ref_memo.lookups, ref_memo.hits)
+
+    @pytest.mark.parametrize(
+        "d", [parse_pd(TREFOIL), braid_closure(2, [1] * 7)], ids=["trefoil", "T(2,7)"]
+    )
+    def test_warm_hits_skip_the_least_code_search(self, d, monkeypatch):
+        # every start of these cores is carried onto every other by a
+        # symmetry of the sphere, so the first start's code is the least
+        import kauffpoly.diagram as diagram_mod
+        from test_diagram import relabelled
+
+        memo: dict = {}
+        table = coeff_table(d, cache=memo)
+        stored = sorted(memo)
+
+        def search(*args):
+            raise AssertionError("a memo hit ran the least-code search")
+
+        monkeypatch.setattr(diagram_mod, "_shape_code", search)
+        rng = random.Random(7)
+        for _ in range(20):
+            assert coeff_table(relabelled(d, rng), cache=memo) == table
+        assert sorted(memo) == stored
+
+    def test_lookups_still_refuse_what_has_no_shape_code(self):
+        import kauffpoly.coeffs as coeffs_mod
+
+        tre = parse_pd(TREFOIL)
+        memo: dict = {}
+        coeff_table(tre, cache=memo)
+        run = coeffs_mod._Run(tre, None, memo)
+        s = _PortState(disjoint_union(tre, parse_pd(HOPF)))
+        with pytest.raises(DiagramError, match="connected"):
+            coeffs_mod._core_table(s, tuple(range(5)), 0, run)  # two pieces as one
+        with pytest.raises(DiagramError, match="connected"):
+            coeffs_mod._core_table(_PortState(tre), (0, 1, 2), 1, run)  # a loop beside it
 
 
 class TestSplitLaw:
