@@ -32,11 +32,12 @@ order from any other start ports comes from :func:`_first_encounters`,
 which records nothing else.
 ``crossing_change`` and ``mirror`` reuse the validated edges and this
 shared data as they are, so a flip costs one tuple and one dict copy.
-Removing a crossing is a local edit: the kept edges stay in order, only
-the chains of edges through it are merged and inserted in place, and
-every structural check runs on the result without sorting again.
-``erase_crossings`` removes all its crossings in one such edit, so an
-R2 bigon comes off with one diagram built.
+Removing crossings is a local edit: the kept edges stay in order, only
+the chains of edges through the removed crossings are merged and
+inserted in place, and every structural check runs on the result
+without sorting again.  One chain merge serves every removal: a splice
+takes off one crossing, and ``erase_crossings`` all of its crossings in
+one edit, so an R2 bigon comes off with one diagram built.
 
 The coefficient engine edits its sub-diagrams without building them: a
 ``_PortState`` holds the over flags, the flat port arrays and the free
@@ -61,7 +62,7 @@ import re
 from bisect import insort
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Collection, Iterable, Iterator, NamedTuple, Sequence
 
 Port = tuple[int, int]  # (crossing index, port index 0..3)
 EdgeRef = int | None  # an edge label, or None meaning "a free loop"
@@ -87,13 +88,13 @@ class Component:
     orbit: tuple[tuple[int, Port], ...]
 
 
-#: Bridges through a removed crossing: port ``i`` is joined to port ``bridge[i]``.
-_A_BRIDGE = (1, 0, 3, 2)
-_B_BRIDGE = (3, 2, 1, 0)
-_STRAIGHT_BRIDGE = (2, 3, 0, 1)
+#: Bridges through a removed crossing: port ``i`` is joined to port ``i ^ bridge``.
+_A_BRIDGE = 1  # 0-1 and 2-3
+_B_BRIDGE = 3  # 0-3 and 1-2
+_STRAIGHT_BRIDGE = 2  # 0-2 and 1-3
 
 
-def _splice_bridge(kind: str) -> tuple[int, int, int, int]:
+def _splice_bridge(kind: str) -> int:
     if kind == "A":
         return _A_BRIDGE
     if kind == "B":
@@ -102,43 +103,47 @@ def _splice_bridge(kind: str) -> tuple[int, int, int, int]:
 
 
 def _merge_chains(
-    far: list[int], labels: list[int], p: int, bridge: tuple[int, int, int, int]
+    far: list[int], labels: list[int], gone: Collection[int], bridge: int
 ) -> tuple[list[tuple[int, int, int]], int]:
-    """The chains of edges through crossing ``p`` once each of its ports
-    ``i`` is joined to ``bridge[i]``, on flat port arrays: ``(smallest
-    label, end port, end port)`` for each chain that leaves ``p``, and
-    the number of chains that close up inside ``p``."""
-    at = 4 * p
-    done = [False] * 4
+    """The chains of edges through the crossings ``gone`` once each port
+    ``i`` of each of them is joined to port ``i ^ bridge`` of the same
+    crossing, on flat port arrays: ``(smallest label, end port, end
+    port)`` for each chain whose ends are kept, and the number of chains
+    that close up among ``gone``.  Every removal merges its chains here,
+    so the label a merged edge takes does not depend on whether its
+    crossings come off one at a time or together."""
+    done: set[int] = set()
+    mark = done.add
     chains = []
-    for i in range(4):  # open chains, each from a port whose edge leaves p
-        start = far[at + i]
-        if done[i] or start >> 2 == p:
-            continue
-        low = labels[at + i]
-        j = i
-        while True:
-            done[j] = True
-            j = bridge[j]
-            done[j] = True
-            if labels[at + j] < low:
-                low = labels[at + j]
-            end = far[at + j]
-            if end >> 2 != p:
-                break
-            j = end & 3
-        chains.append((low, start, end))
+    for p in gone:  # open chains, each from a port whose edge leaves gone
+        for x in range(4 * p, 4 * p + 4):
+            start = far[x]
+            if x in done or start >> 2 in gone:
+                continue
+            low = labels[x]
+            while True:  # through x's crossing by the bridge, then along the edge
+                mark(x)
+                x ^= bridge
+                mark(x)
+                if labels[x] < low:
+                    low = labels[x]
+                end = far[x]
+                if end >> 2 not in gone:
+                    break
+                x = end
+            chains.append((low, start, end))
     closed = 0
-    for i in range(4):  # whatever is left closes up inside p
-        if done[i]:
-            continue
-        closed += 1
-        j = i
-        while not done[j]:
-            done[j] = True
-            j = far[at + j] & 3
-            done[j] = True
-            j = bridge[j]
+    if len(done) < 4 * len(gone):  # whatever is left closes up among gone
+        for p in gone:
+            for x in range(4 * p, 4 * p + 4):
+                if x in done:
+                    continue
+                closed += 1
+                while x not in done:
+                    mark(x)
+                    x ^= bridge
+                    mark(x)
+                    x = far[x]
     return chains, closed
 
 
@@ -415,6 +420,8 @@ class Diagram:
         return label in self.edge_map
 
     def _check_crossing(self, p: int) -> None:
+        if type(p) is not int:  # a bool is an int, but not a crossing index
+            raise DiagramError(f"crossing index {p!r} is not an int")
         if not (0 <= p < self.c):
             raise DiagramError(f"no crossing {p} in a {self.c}-crossing diagram")
 
@@ -457,90 +464,55 @@ class Diagram:
         closes off a crossing-free circle increments ``free_loops``.
         """
         self._check_crossing(p)
-        return self._remove(p, _splice_bridge(kind))
+        return self._remove((p,), _splice_bridge(kind))
 
     def erase_crossings(self, which: Iterable[int]) -> "Diagram":
         """Remove crossings by letting both strands pass straight through.
 
-        One pass over the edges, as if the crossings were removed one at
-        a time: edges that miss them are kept, renumbered, each chain of
-        edges through them becomes one edge named after its smallest
-        label, and a chain that closes up among them a free loop.
+        All of them come off in one edit, with the same result as one at
+        a time: each chain of edges through them becomes one edge named
+        after its smallest label, and a chain that closes up among them
+        a free loop.
         """
-        removed = sorted(set(which), reverse=True)
-        for p in removed:
+        gone = set(which)
+        for p in gone:
             self._check_crossing(p)
-        if not removed:
+        if not gone:
             return self
-        gone = set(removed)
-        kept = [c for c in range(self.c) if c not in gone]
-        index = {c: k for k, c in enumerate(kept)}
-        edges = [  # the kept edges stay sorted and normalised
-            (label, (index[a[0]], a[1]), (index[b[0]], b[1]))
-            for label, a, b in self.edges
-            if a[0] in index and b[0] in index
-        ]
-        far, labels = self._proj.far_ports, self._proj.port_labels
-        done = [False] * len(far)
-        for p in removed:  # the open chains, each from its first removed port
-            for x in range(4 * p, 4 * p + 4):
-                start = far[x]
-                if done[x] or start >> 2 in gone:
-                    continue
-                low = labels[x]
-                while True:  # straight through x's crossing, then along the edge
-                    done[x] = True
-                    x ^= 2
-                    done[x] = True
-                    if labels[x] < low:
-                        low = labels[x]
-                    end = far[x]
-                    if end >> 2 in index:
-                        break
-                    x = end
-                a, b = (index[start >> 2], start & 3), (index[end >> 2], end & 3)
-                insort(edges, (low, a, b) if a < b else (low, b, a))  # a new label
-        closed = 0
-        for x, passed in enumerate(done):  # whatever is left closes up
-            if passed or x >> 2 in index:
-                continue
-            closed += 1
-            while not done[x]:
-                done[x] = True
-                x ^= 2
-                done[x] = True
-                x = far[x]
-        crossings = self.crossings
-        return Diagram._from_sorted(
-            tuple([crossings[c] for c in kept]), tuple(edges), self.free_loops + closed
-        )
+        return self._remove(gone, _STRAIGHT_BRIDGE)
 
-    def _remove(self, p: int, bridge: tuple[int, int, int, int]) -> "Diagram":
-        """Drop crossing ``p``, joining each of its ports ``i`` to ``bridge[i]``.
+    def _remove(self, gone: Collection[int], bridge: int) -> "Diagram":
+        """Drop the crossings ``gone``, joining each port ``i`` of each of
+        them to port ``i ^ bridge`` of the same crossing.
 
-        Edges that miss ``p`` are kept, with crossing indices above ``p``
-        moved down by one.  Each chain of edges through ``p`` becomes one
-        edge named after its smallest label; a chain that closes up inside
-        ``p`` becomes a free loop.
+        The kept crossings are renumbered in order, and the edges that
+        miss ``gone`` are kept in storage order.  Each chain that
+        :func:`_merge_chains` merges becomes one edge, inserted in place;
+        a chain that closes up becomes a free loop.
         """
-
+        crossings = self.crossings
+        first = min(gone)  # crossings below it keep their index
+        index = list(range(first))  # old index -> new index, -1 if gone
+        kept = list(crossings[:first])
+        for c in range(first, len(crossings)):
+            if c in gone:
+                index.append(-1)
+            else:
+                index.append(len(kept))
+                kept.append(crossings[c])
         edges = []
         for label, a, b in self.edges:  # the kept edges stay sorted and normalised
-            ca, cb = a[0], b[0]
-            if ca != p and cb != p:
+            ia, ib = index[a[0]], index[b[0]]
+            if ia >= 0 and ib >= 0:
                 edges.append(
-                    (label, a if ca < p else (ca - 1, a[1]), b if cb < p else (cb - 1, b[1]))
+                    (label, a if ia == a[0] else (ia, a[1]), b if ib == b[0] else (ib, b[1]))
                 )
         proj = self._proj
-        chains, closed = _merge_chains(proj.far_ports, proj.port_labels, p, bridge)
-        at = 4 * p
-        for low, start, end in chains:
-            ends = sorted((start - 4 if start > at else start, end - 4 if end > at else end))
-            merged = (low, (ends[0] >> 2, ends[0] & 3), (ends[1] >> 2, ends[1] & 3))
-            insort(edges, merged)  # its label is new to the kept edges
-        return Diagram._from_sorted(
-            self.crossings[:p] + self.crossings[p + 1 :], tuple(edges), self.free_loops + closed
-        )
+        chains, closed = _merge_chains(proj.far_ports, proj.port_labels, gone, bridge)
+        for low, x, y in chains:
+            a, b = (index[x >> 2], x & 3), (index[y >> 2], y & 3)
+            insort(edges, (low, a, b) if a < b else (low, b, a))  # its label is new
+        return Diagram._from_sorted(tuple(kept), tuple(edges), self.free_loops + closed)
 
     def delta_shift(self, p: int, kind: str) -> int:
         """``r(splice) - r``, read off the canonical walk: -1 where two
@@ -551,7 +523,7 @@ class Diagram:
         if joins:
             return -1
         follows = _B_BRIDGE if self._proj.walk.signs[p] == 1 else _A_BRIDGE
-        return 1 if bridge is follows else 0
+        return 1 if bridge == follows else 0
 
     # ------------------------------------------------------------------
     # orientations and writhe
@@ -850,11 +822,13 @@ class _PortState:
     The state copies the projection arrays of the diagram it starts
     from once, when it is made.  A removal writes a few array entries;
     a removed crossing keeps its index and its ports hold -1, so no
-    crossing is renumbered until :meth:`diagram` cuts out a core.  Removal merges chains with
-    :meth:`Diagram._remove`'s routine, so a state and the diagrams the
-    same edits would build agree on every label.  The lower ports of
-    the kinks' loop edges are kept up to date: a removal can only make
-    a kink of a chain it merges, and a rejoin of an edge it joins.
+    crossing is renumbered until :meth:`diagram` cuts out a core.  A
+    splice and a bigon erasure are each one removal, and every removal
+    merges its chains with :func:`_merge_chains`, as
+    :meth:`Diagram._remove` does, so a state and the diagrams the same
+    edits would build agree on every label.  The lower ports of the
+    kinks' loop edges are kept up to date: a removal can only make a
+    kink of a chain it merges, and a rejoin of an edge it joins.
     """
 
     __slots__ = ("crossings", "far", "labels", "loops", "kinks")
@@ -868,28 +842,30 @@ class _PortState:
         self.kinks = proj.kinks
 
     def splice(self, p: int, kind: str) -> None:
-        self._remove(p, _splice_bridge(kind))
+        self._remove((p,), _splice_bridge(kind))
 
     def erase(self, u: int, v: int) -> None:
         """Let both strands pass straight through ``u`` and ``v``."""
-        self._remove(v, _STRAIGHT_BRIDGE)
-        self._remove(u, _STRAIGHT_BRIDGE)
+        self._remove((u, v), _STRAIGHT_BRIDGE)
 
-    def _remove(self, p: int, bridge: tuple[int, int, int, int]) -> None:
+    def _remove(self, gone: Collection[int], bridge: int) -> None:
+        """:meth:`Diagram._remove` in place: the chains of
+        :func:`_merge_chains` are written over the ports they join, and
+        the ports of ``gone`` hold -1."""
         far, labels = self.far, self.labels
-        chains, closed = _merge_chains(far, labels, p, bridge)
+        chains, closed = _merge_chains(far, labels, gone, bridge)
         ends = []
         for low, x, y in chains:
             far[x] = y
             far[y] = x
             labels[x] = labels[y] = low
             ends += (x, y)
-        at = 4 * p
-        far[at : at + 4] = (-1, -1, -1, -1)
+        for p in gone:
+            far[4 * p : 4 * p + 4] = (-1, -1, -1, -1)
         self.loops += closed
         kinks = self.kinks
         if kinks:
-            kinks = [x for x in kinks if x >> 2 != p]
+            kinks = [x for x in kinks if x >> 2 not in gone]
         made = _kink_ports(far, ends)
         self.kinks = [*kinks, *made] if made else kinks
 

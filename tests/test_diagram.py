@@ -18,6 +18,7 @@ from kauffpoly.diagram import (
     Diagram,
     DiagramError,
     PDSyntaxError,
+    _PortState,
     _Projection,
     connected_sum,
     disjoint_union,
@@ -25,7 +26,7 @@ from kauffpoly.diagram import (
 )
 from kauffpoly.catalog import CATALOG
 from kauffpoly.coeffs import coeff_table
-from kauffpoly.moves import random_diagram, random_move_walk
+from kauffpoly.moves import bigon_sites, kink_sites, random_diagram, random_move_walk
 from kauffpoly.verification import verify_diagram
 from kauffpoly.warping import (
     BaseEntry,
@@ -528,6 +529,25 @@ class TestValidation:
         with pytest.raises(DiagramError):
             parse_pd(TREFOIL).pd_quadruple(p)
 
+    @pytest.mark.parametrize(
+        "method",
+        ["splice", "crossing_change", "erase_crossings", "delta_p", "delta_shift", "pd_quadruple"],
+    )
+    @pytest.mark.parametrize("p", [1.0, 0.5, True, False, "1", None])
+    def test_a_crossing_index_is_an_int(self, method, p):
+        # a bool is an int, but True is not crossing 1
+        d = parse_pd(TREFOIL)
+        call = {
+            "splice": lambda: d.splice(p, "A"),
+            "crossing_change": lambda: d.crossing_change(p),
+            "erase_crossings": lambda: d.erase_crossings({p, 2}),
+            "delta_p": lambda: d.delta_p(p),
+            "delta_shift": lambda: d.delta_shift(p, "A"),
+            "pd_quadruple": lambda: d.pd_quadruple(p),
+        }[method]
+        with pytest.raises(DiagramError, match="is not an int"):
+            call()
+
 
 def reference_eliminate(d: Diagram, removed: set, bridges: dict) -> Diagram:
     """Crossing removal as the package did it before removal became a
@@ -623,12 +643,39 @@ class TestLocalRemoval:
     def test_erase_matches_reference(self, removal_diagrams):
         cases = 0
         for d in removal_diagrams:
+            erased = [set(range(d.c))]  # the whole diagram: its components become free loops
             for p in range(d.c):
-                pair = {p, (p + 1) % d.c}
-                expected = reference_eliminate(d, pair, reference_bridges(pair, "straight"))
-                assert d.erase_crossings(pair) == expected
+                erased += [{p, (p + 1) % d.c}, {p, (p + 1) % d.c, (p + 2) % d.c}]
+            for gone in erased:
+                expected = reference_eliminate(d, gone, reference_bridges(gone, "straight"))
+                assert d.erase_crossings(gone) == expected
                 cases += 1
-        assert cases > 2000
+            assert d.erase_crossings(range(d.c)) == Diagram((), (), d.r)
+        assert cases > 4000
+
+    def test_port_state_edits_keep_their_kinks(self, removal_diagrams):
+        # a state updates its kink ports at each removal and never scans
+        # for them, so they must stay the kinks of the diagram it holds
+        cases = 0
+        for d in removal_diagrams:
+            edits = [((p,), kind) for p in range(d.c) for kind in "AB"]
+            edits += [(bigon, "erase") for bigon in bigon_sites(d)]
+            for gone, kind in edits:
+                s = _PortState(d)
+                if kind == "erase":
+                    s.erase(*gone)
+                    expected = d.erase_crossings(gone)
+                else:
+                    s.splice(gone[0], kind)
+                    expected = d.splice(gone[0], kind)
+                kept = [c for c in range(d.c) if c not in gone]
+                built = s.diagram(kept, s.loops)
+                assert built == expected
+                assert sorted(s.labels[x] for x in s.kinks) == [
+                    label for _, label, _ in kink_sites(built)
+                ]
+                cases += 1
+        assert cases > 4000
 
 
 class TestSharedProjection:
@@ -887,6 +934,9 @@ class TestRemovalKeepsCanonicalStorage:
                 outs = [d.splice(p, "A"), d.splice(p, "B"), d.erase_crossings({p})]
                 if d.c > 1:
                     outs.append(d.erase_crossings({p, (p + 1) % d.c}))
+                    outs.append(d.erase_crossings({p, (p + 1) % d.c, (p + 2) % d.c}))
+                if p == 0:
+                    outs.append(d.erase_crossings(range(d.c)))
                 for out in outs:
                     rebuilt = Diagram(out.crossings, out.edges, out.free_loops)
                     assert out.edges == rebuilt.edges
