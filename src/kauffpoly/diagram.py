@@ -180,16 +180,12 @@ class _Projection:
     of the flat arrays: ``far_ports`` holds the port at the other end of
     its edge and ``port_labels`` that edge's label.  ``walk``, ``faces``,
     ``components`` (from the walk's visits), ``edge_map`` and ``kinks``
-    (the lower ports of the R1 kinks' loop edges) are built on first use
-    and then read as plain attributes.  Only this module writes any of
-    it; the recursions read its canonical traversal, and the oracle's
-    base search and the move site searches of :mod:`kauffpoly.moves` its
-    port array.
+    (the lower ports of the R1 kinks' loop edges) are cached properties,
+    built on first use.  Only this module writes any of it; the
+    recursions read its canonical traversal, and the oracle's base
+    search and the move site searches of :mod:`kauffpoly.moves` its port
+    array.
     """
-
-    #: filled on first use by the method named with a leading underscore
-    _LAZY = ("walk", "faces", "components", "edge_map", "kinks")
-    __slots__ = ("edges", "free_loops", "far_ports", "port_labels") + _LAZY
 
     def __init__(
         self,
@@ -203,22 +199,17 @@ class _Projection:
         self.far_ports = far_ports
         self.port_labels = port_labels
 
-    def __getattr__(self, name: str):
-        # only an unset slot gets here: fill it once from its builder
-        if name not in _Projection._LAZY:
-            raise AttributeError(name)
-        value = getattr(self, "_" + name)()
-        setattr(self, name, value)
-        return value
-
-    def _edge_map(self) -> dict[int, tuple[Port, Port]]:
+    @cached_property
+    def edge_map(self) -> dict[int, tuple[Port, Port]]:
         return {label: (a, b) for label, a, b in self.edges}
 
-    def _kinks(self) -> tuple[int, ...]:
+    @cached_property
+    def kinks(self) -> tuple[int, ...]:
         far = self.far_ports
         return tuple(_kink_ports(far, range(len(far))))
 
-    def _walk(self) -> _Walk:
+    @cached_property
+    def walk(self) -> _Walk:
         far = self.far_ports
         n = len(far) >> 2
         met = [False] * n
@@ -254,7 +245,8 @@ class _Projection:
             len(visits) + self.free_loops, tuple(encounters), tuple(visits), tuple(strands), signs
         )
 
-    def _faces(self) -> tuple[tuple[tuple[int, Port], ...], ...]:
+    @cached_property
+    def faces(self) -> tuple[tuple[tuple[int, Port], ...], ...]:
         far, labels = self.far_ports, self.port_labels
         out: list[tuple[tuple[int, Port], ...]] = []
         visited = [False] * len(far)
@@ -271,7 +263,8 @@ class _Projection:
                     out.append(tuple(face))
         return tuple(out)
 
-    def _components(self) -> tuple[Component, ...]:
+    @cached_property
+    def components(self) -> tuple[Component, ...]:
         labels = self.port_labels
         comps = [
             Component(
@@ -533,7 +526,8 @@ class Diagram:
             raise DiagramError(
                 f"orientation has {len(orientation)} entries for {self.r} components"
             )
-        if any(s not in (1, -1) for s in orientation):
+        if any(type(s) is not int or s not in (1, -1) for s in orientation):
+            # a bool or a float equal to 1 is not an orientation sign
             raise DiagramError("orientation entries must be +1 or -1")
 
     def writhe(self, orientation: Sequence[int]) -> int:

@@ -296,9 +296,6 @@ class BivariatePoly(_Sparse):
 LaurentPoly._ring = LaurentPoly
 BivariatePoly._ring = BivariatePoly
 
-#: The polynomial y + y^-1, the loop value driving the closed formulas.
-Y_PLUS_Y_INV = LaurentPoly({1: 1, -1: 1})
-
 
 def monotone_coeff(writhe: int, n: int, r: int) -> LaurentPoly:
     """Closed-form coefficient of a descending (warping-degree-zero) diagram.

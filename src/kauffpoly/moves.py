@@ -8,11 +8,13 @@ exact inverse, and walks are fully determined by (start, steps, seed,
 max crossings), so failures replay bit-exactly.
 
 Each walk step first finds which move kinds have a site, by tests on
-the flat port arrays that list no site (``kauffpoly fuzz`` asks the same
-tests of its start), and draws one of those kinds.  Only the drawn kind's
-sites are then listed and its steps counted; the step draws an index
-below that count and builds only the step at that index, which it
-applies at the site it found without looking the site up again.  The
+the flat port arrays that stop at the first site (``kauffpoly fuzz``
+asks the same tests of its start), and draws one of those kinds.  Only
+the drawn kind's sites are then listed, by the enumeration behind that
+kind's public site list (``r3_sites`` lists the sites of the flat R3
+scan, and an R2 addition indexes ``cofacial_dart_pairs``); the step
+draws an index below the kind's step count and applies the step at that
+index at the site it found, without looking the site up again.  The
 index draw, ``rng.choice(range(count))``, takes from the seeded stream
 exactly what a draw from the list of that kind's steps would, so walks,
 their traces and every input built from them depend only on the order
@@ -39,8 +41,7 @@ from __future__ import annotations
 import random
 from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import islice
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .diagram import (
     Diagram,
@@ -58,10 +59,6 @@ class MoveSiteError(DiagramError):
 
 
 Dart = tuple[int, Port]  # (edge label, head port)
-
-
-def _is_over(d: Diagram, ci: int, pi: int) -> bool:
-    return (pi % 2 == 1) == d.crossings[ci]
 
 
 # ----------------------------------------------------------------------
@@ -85,19 +82,6 @@ def kink_rule(
     if pair in ((1, 2), (3, 0)):
         return (1 if over_v else -1), "A"
     return (-1 if over_v else 1), "B"
-
-
-def _kink_rule_at(d: Diagram, p: int) -> tuple[int, str]:
-    """``kink_rule`` of the kink at crossing ``p``."""
-    for site in kink_sites(d):
-        if site[0] == p:
-            return kink_rule(d, site)
-    raise MoveSiteError(f"crossing {p} is not a kink")
-
-
-def kink_sign(d: Diagram, p: int) -> int:
-    """Sign of a kink crossing; independent of traversal direction."""
-    return _kink_rule_at(d, p)[0]
 
 
 def r1_add(d: Diagram, e: EdgeRef, chirality: str, side: str = "R") -> Diagram:
@@ -142,7 +126,10 @@ def r1_add(d: Diagram, e: EdgeRef, chirality: str, side: str = "R") -> Diagram:
 
 def r1_remove(d: Diagram, p: int) -> Diagram:
     """Undo a kink at crossing ``p``."""
-    return d.splice(p, _kink_rule_at(d, p)[1])
+    for site in kink_sites(d):
+        if site[0] == p:
+            return d.splice(p, kink_rule(d, site)[1])
+    raise MoveSiteError(f"crossing {p} is not a kink")
 
 
 # ----------------------------------------------------------------------
@@ -223,25 +210,40 @@ def r2_remove(d: Diagram, u: int, v: int) -> Diagram:
 # ----------------------------------------------------------------------
 # R3
 
+def _r3_scan(far: list[int], crossings: Sequence[bool]) -> Iterator[tuple[int, int, int]]:
+    """The R3 sites on flat far ports, in port order: arrivals
+    ``(x0, x1, x2)`` round a 3-gon face on three distinct crossings,
+    where the side from ``x0``'s crossing to ``x1`` is over (or under)
+    at both ends.  Each 3-gon is met from each of its arrivals, so each
+    of its sides is tested once."""
+    for x0 in range(len(far)):
+        s0 = x0 - 3 if x0 & 3 == 3 else x0 + 1  # a face leaves along the next port
+        x1 = far[s0]
+        s1 = x1 - 3 if x1 & 3 == 3 else x1 + 1
+        x2 = far[s1]
+        if far[x2 - 3 if x2 & 3 == 3 else x2 + 1] != x0:
+            continue
+        c0, c1, c2 = x0 >> 2, x1 >> 2, x2 >> 2
+        if c0 != c1 and c1 != c2 and c2 != c0:
+            if ((s0 & 1) == crossings[c0]) == ((x1 & 1) == crossings[c1]):
+                yield x0, x1, x2
+
+
 def r3_sites(d: Diagram) -> tuple[tuple[tuple[Dart, Dart, Dart], int], ...]:
-    """(face darts, slider side index) for every applicable triangle."""
+    """(face darts, slider side index) for every applicable triangle.
+
+    A face's darts start where ``faces()`` starts it, at its least edge
+    label (three distinct crossings make three distinct edges), and side
+    ``k`` runs from the crossing of dart ``k - 1`` to that of dart ``k``;
+    the sites are sorted, which is face order and then side order."""
+    proj = d._proj
+    labels = proj.port_labels
     out = []
-    for face in d.faces():
-        if len(face) != 3:
-            continue
-        crossings = [h[0] for _, h in face]
-        edges = [e for e, _ in face]
-        if len(set(crossings)) != 3 or len(set(edges)) != 3:
-            continue
-        for k in range(3):
-            # side k runs from crossing k-1 to crossing k
-            y = face[(k - 1) % 3][1]
-            z = face[k][1]
-            ya = (y[1] + 1) % 4
-            za = z[1]
-            if _is_over(d, y[0], ya) == _is_over(d, z[0], za):
-                out.append((tuple(face), k))
-    return tuple(out)
+    for site in _r3_scan(proj.far_ports, d.crossings):
+        i = min(range(3), key=lambda j: labels[site[j]])
+        face = tuple((labels[x], (x >> 2, x & 3)) for x in site[i:] + site[:i])
+        out.append((face, (1 - i) % 3))  # the side from site[0] to site[1]
+    return tuple(sorted(out))
 
 
 def r3_apply(d: Diagram, face: Sequence[Dart], slider: int) -> Diagram:
@@ -367,29 +369,9 @@ def replay(d: Diagram, steps: Iterable[MoveStep]) -> Diagram:
 _Taken = tuple[MoveStep, int, Diagram]
 
 
-def _has_r3_site(far: list[int], crossings: Sequence[bool]) -> bool:
-    """Whether ``r3_sites`` has an entry, on flat far ports: arrivals
-    ``x0 -> x1 -> x2 -> x0`` round a face, on three distinct crossings,
-    where the side from ``x0``'s crossing to ``x1`` is over (or under)
-    at both ends.  Each 3-gon is met from each of its arrivals, so each
-    of its sides is tested once."""
-    for x0 in range(len(far)):
-        s0 = x0 - 3 if x0 & 3 == 3 else x0 + 1  # a face leaves along the next port
-        x1 = far[s0]
-        s1 = x1 - 3 if x1 & 3 == 3 else x1 + 1
-        x2 = far[s1]
-        if far[x2 - 3 if x2 & 3 == 3 else x2 + 1] != x0:
-            continue
-        c0, c1, c2 = x0 >> 2, x1 >> 2, x2 >> 2
-        if c0 != c1 and c1 != c2 and c2 != c0:
-            if ((s0 & 1) == crossings[c0]) == ((x1 & 1) == crossings[c1]):
-                return True
-    return False
-
-
 def _applicable_kinds(d: Diagram, max_c: int) -> list[str]:
     """The move kinds with at least one site under ``max_c`` crossings,
-    sorted, each found by a test that lists no site.  R2 can add at any
+    sorted, each found without listing its sites.  R2 can add at any
     crossing: the face of the dart into its port ``i`` goes on along the
     edge at port ``i + 1``, so it has two distinct edges unless one edge
     joins the two ports, and then the face of the dart into ``i + 1``
@@ -405,30 +387,18 @@ def _applicable_kinds(d: Diagram, max_c: int) -> list[str]:
         kinds.append("r2_add")
     if next(_bigon_scan(far, d.crossings), None) is not None:
         kinds.append("r2_remove")
-    if _has_r3_site(far, d.crossings):
+    if next(_r3_scan(far, d.crossings), None) is not None:
         kinds.append("r3")
     return kinds
 
 
-def _r2_add_step(
-    d: Diagram, faces: tuple[tuple[Dart, ...], ...], counts: list[int], i: int
-) -> _Taken:
-    """Step ``i`` of the R2 additions: dart pair ``i // 2`` in
-    ``cofacial_dart_pairs`` order, sent across on top when ``i`` is even."""
-    j = i >> 1
-    for face, n in zip(faces, counts):
-        if j < n:
-            break
-        j -= n
-    pairs = ((d1, d2) for d1 in face for d2 in face if d1[0] != d2[0])
-    d1, d2 = next(islice(pairs, j, None))
-    over_first = i & 1 == 0
-    return MoveStep("r2_add", (d1, d2, over_first)), 0, _r2_push(d, d1, d2, over_first)
-
-
 def _draw_step(d: Diagram, kind: str, rng: random.Random) -> _Taken:
-    """Count the steps of ``kind``, draw one by its index and take it at
-    the site found here, which is not looked up again."""
+    """Draw one step of ``kind`` by its index below the kind's step count
+    and take it at the site found here, which is not looked up again.
+    Each kind's steps come from its site list in that list's order: an
+    R2 addition is dart pair ``i // 2`` of ``cofacial_dart_pairs``, sent
+    across on top when ``i`` is even, and an R3 step is one entry of
+    ``r3_sites``."""
     if kind == "r1_add":
         # per edge in label order, then a free loop if there is one:
         # chirality '+', '-', each on side 'L', 'R'
@@ -443,14 +413,11 @@ def _draw_step(d: Diagram, kind: str, rng: random.Random) -> _Taken:
         sign, splice = kink_rule(d, site)
         return MoveStep(kind, (site[0],)), -sign, d.splice(site[0], splice)
     if kind == "r2_add":
-        faces = d.faces()
-        # a face of m darts on u distinct edges has m^2 - sum of mult(e)^2
-        # ordered pairs of distinct edges; mult(e) is 1 or 2, so that is
-        # m^2 - m - 2 (m - u)
-        counts = [
-            len(face) * (len(face) - 3) + 2 * len({e for e, _ in face}) for face in faces
-        ]
-        return _r2_add_step(d, faces, counts, rng.choice(range(2 * sum(counts))))
+        pairs = cofacial_dart_pairs(d)
+        i = rng.choice(range(2 * len(pairs)))
+        d1, d2 = pairs[i >> 1]
+        over_first = i & 1 == 0
+        return MoveStep(kind, (d1, d2, over_first)), 0, _r2_push(d, d1, d2, over_first)
     if kind == "r2_remove":
         bigon = rng.choice(bigon_sites(d))
         return MoveStep(kind, bigon), 0, d.erase_crossings(bigon)

@@ -23,7 +23,7 @@ from kauffpoly.diagram import (
     disjoint_union,
     parse_pd,
 )
-from kauffpoly.laurent import Y_PLUS_Y_INV, BivariatePoly, LaurentPoly, monotone_coeff
+from kauffpoly.laurent import BivariatePoly, LaurentPoly, monotone_coeff
 from kauffpoly.moves import (
     cofacial_dart_pairs,
     kink_rule,
@@ -58,6 +58,8 @@ BR4X16S2 = (
 )
 
 
+#: The loop value ``y + y^-1`` of the closed formulas.
+Y_PLUS_Y_INV = LaurentPoly({1: 1, -1: 1})
 #: ``y + y^-1 - z``: a split diagram's table is ``T1 * T2 * SPLIT``.
 SPLIT = BivariatePoly({(1, 0): 1, (-1, 0): 1, (0, 1): -1})
 

@@ -19,7 +19,6 @@ from kauffpoly.diagram import (
     DiagramError,
     PDSyntaxError,
     _PortState,
-    _Projection,
     connected_sum,
     disjoint_union,
     parse_pd,
@@ -27,6 +26,7 @@ from kauffpoly.diagram import (
 from kauffpoly.catalog import CATALOG
 from kauffpoly.coeffs import coeff_table
 from kauffpoly.moves import bigon_sites, kink_sites, random_diagram, random_move_walk
+from kauffpoly.series import kauffman_F
 from kauffpoly.verification import verify_diagram
 from kauffpoly.warping import (
     BaseEntry,
@@ -317,6 +317,11 @@ class TestWritheAndMirror:
             parse_pd(HOPF).writhe((1,))
         with pytest.raises(DiagramError):
             parse_pd(KINK).writhe((0,))
+        for bad in (True, False, 1.0, -1.0, "1", None):
+            with pytest.raises(DiagramError, match="must be \\+1 or -1"):
+                parse_pd(HOPF).writhe((bad, bad))
+            with pytest.raises(DiagramError, match="must be \\+1 or -1"):
+                kauffman_F(parse_pd(HOPF), (1, bad))
 
 
 class TestSumsAndUnions:
@@ -418,8 +423,7 @@ class TestFaces:
     def test_parsing_builds_no_faces(self):
         for pd in (KINK, HOPF, TREFOIL, FIGURE8, UNKNOT):
             proj = parse_pd(pd)._proj
-            with pytest.raises(AttributeError):
-                _Projection.faces.__get__(proj)  # the slot is still unset
+            assert "faces" not in vars(proj)  # the cached property is still unset
 
     def test_face_darts_partition(self):
         d = parse_pd(TREFOIL)

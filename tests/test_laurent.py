@@ -5,11 +5,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kauffpoly.coeffs import CoeffTable
-from kauffpoly.laurent import BivariatePoly, LaurentPoly, Y_PLUS_Y_INV, monotone_coeff
+from kauffpoly.laurent import BivariatePoly, LaurentPoly, monotone_coeff
 from kauffpoly.series import unlink_factor
 
 Y = LaurentPoly.monomial(1)
 Y_INV = LaurentPoly.monomial(-1)
+#: The loop value y + y^-1 of the closed formulas.
+Y_PLUS_Y_INV = LaurentPoly({1: 1, -1: 1})
 
 
 def laurents(max_terms=6, max_exp=6, max_coeff=9):

@@ -15,7 +15,7 @@ from kauffpoly.moves import (
     apply_step,
     bigon_sites,
     cofacial_dart_pairs,
-    kink_sign,
+    kink_rule,
     kink_sites,
     r1_add,
     r1_remove,
@@ -35,6 +35,14 @@ KINK = "X(1,2,2,1)"
 HOPF = "X(1,4,2,3) X(3,2,4,1)"
 TREFOIL = "X(1,4,2,5) X(3,6,4,1) X(5,2,6,3)"
 FIGURE8 = "X(4,2,5,1) X(8,6,1,5) X(6,3,7,4) X(2,7,3,8)"
+
+
+def kink_sign(d: Diagram, p: int) -> int:
+    """Sign of the kink at crossing ``p``; independent of traversal direction."""
+    for site in kink_sites(d):
+        if site[0] == p:
+            return kink_rule(d, site)[0]
+    raise MoveSiteError(f"crossing {p} is not a kink")
 
 
 class TestR1:
@@ -259,6 +267,44 @@ class TestR3:
         assert bad_sliders, "expected some side of the triangle to be blocked"
         with pytest.raises(MoveSiteError):
             r3_apply(d, face, bad_sliders[0])
+
+    def test_r3_sites_match_the_face_reference(self):
+        diagrams = [entry.diagram() for entry in CATALOG.values()]
+        starts = [UNKNOT, parse_pd("O O O")] + diagrams
+        for start in starts:
+            for max_c in (7, 10, 12):
+                for seed in range(150):
+                    diagrams.append(random_move_walk(start, 12, seed, max_c)[0])
+        found = 0
+        for d in diagrams:
+            for variant in (d, d.mirror()):
+                sites = r3_sites(variant)
+                assert sites == reference_r3_sites(variant), variant.to_pd()
+                found += bool(sites)
+        assert len(diagrams) == 6312 and 1000 < found < 2 * len(diagrams)
+
+
+def reference_r3_sites(d: Diagram) -> tuple[tuple[tuple, int], ...]:
+    """R3 sites traced face by face: the reference for the port scan
+    behind ``r3_sites`` and the walks' R3 test."""
+    def over(ci, pi):
+        return (pi % 2 == 1) == d.crossings[ci]
+
+    out = []
+    for face in d.faces():
+        if len(face) != 3:
+            continue
+        crossings = [h[0] for _, h in face]
+        edges = [e for e, _ in face]
+        if len(set(crossings)) != 3 or len(set(edges)) != 3:
+            continue
+        for k in range(3):
+            # side k runs from crossing k-1 to crossing k
+            y = face[(k - 1) % 3][1]
+            z = face[k][1]
+            if over(y[0], (y[1] + 1) % 4) == over(z[0], z[1]):
+                out.append((tuple(face), k))
+    return tuple(out)
 
 
 def assert_stored_canonically(d: Diagram) -> None:

@@ -32,12 +32,12 @@ from kauffpoly.moves import (
     apply_step,
     bigon_sites,
     cofacial_dart_pairs,
-    kink_sign,
     kink_sites,
     r3_sites,
     random_diagram,
     random_move_walk,
 )
+from test_moves import kink_sign, reference_r3_sites
 
 GOLDEN = Path(__file__).parent / "data" / "walks.txt"
 
@@ -92,7 +92,7 @@ def _candidate_steps(d: Diagram, max_c: int) -> dict[str, list[MoveStep]]:
     bigons = bigon_sites(d)
     if bigons:
         out["r2_remove"] = [MoveStep("r2_remove", (u, v)) for u, v in bigons]
-    triangles = r3_sites(d)
+    triangles = reference_r3_sites(d)
     if triangles:
         out["r3"] = [MoveStep("r3", (face, k)) for face, k in triangles]
     return out
@@ -151,10 +151,10 @@ def test_drawn_kinds_are_the_kinds_with_sites(monkeypatch):
     for d, _ in seen:
         if d not in sites:
             pairs = cofacial_dart_pairs(d)
-            triangles = r3_sites(d)
-            # the existence tests behind two of the kinds, on their own
+            triangles = reference_r3_sites(d)
+            # the existence test behind r2_add, and the scan behind r3, on their own
             assert bool(pairs) == (d.c > 0), d.to_pd()
-            assert moves._has_r3_site(d._proj.far_ports, d.crossings) == bool(triangles), d.to_pd()
+            assert r3_sites(d) == triangles, d.to_pd()
             sites[d] = (bool(kink_sites(d)), bool(pairs), bool(bigon_sites(d)), bool(triangles))
     assert len(sites) > 6000 and 1000 < sum(found[3] for found in sites.values()) < len(sites)
     for (d, max_c), kinds in seen.items():
