@@ -110,10 +110,11 @@ class BudgetExceededError(RuntimeError):
 
     ``crossings`` and ``components`` describe the diagram the caller
     asked about; ``at_crossings`` and ``at_components`` the node whose
-    expansion the budget could no longer pay for.
+    expansion the budget could no longer pay for: a diagram, or an
+    oracle node, which has the same ``c`` and ``r``.
     """
 
-    def __init__(self, d: Diagram, limit: int, at: Diagram):
+    def __init__(self, d: Diagram, limit: int, at):
         self.crossings = d.c
         self.components = d.r
         self.at_crossings = at.c
@@ -139,7 +140,8 @@ class _Run:
         self.remaining = self.limit
         self.memo = {} if memo is None else memo
 
-    def spend(self, d: Diagram) -> None:
+    def spend(self, d) -> None:
+        """Pay for expanding the node ``d``, which has a ``c`` and an ``r``."""
         self.remaining -= 1
         if self.remaining < 0:
             raise BudgetExceededError(self.top, self.limit, d)
@@ -186,7 +188,7 @@ def _expand(
     component directions it induces.  The flip (a crossing change of
     ``d``) and the two splices are looked up on port states, in that
     order."""
-    warping = _warping(d, encounters)
+    warping = _warping(d.crossings, encounters)
     if pick is not None and pick not in warping:
         raise DiagramError(f"crossing {pick} is not a warping crossing of this base")
     if not warping:

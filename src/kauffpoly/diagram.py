@@ -27,9 +27,12 @@ the first-encounter order, each component's arrival ports in order and
 each crossing's sign with V over; ``r``, ``writhe``, the components,
 each splice's component shift, the canonical first-encounter order and
 the oracle's search for a base of least warping degree read it, so the
-recursions never build ``Component`` objects.  The first-encounter
-order from any other start ports comes from :func:`_first_encounters`,
-which records nothing else.
+recursions never build ``Component`` objects.  The walk is
+:func:`_walk` of the flat port arrays, which the oracle also runs on
+its nodes: they are kept as arrays and never built as diagrams, and
+:func:`_piece_crossings` checks them as the constructor checks a
+diagram.  The first-encounter order from any other start ports comes
+from :func:`_first_encounters`, which records nothing else.
 ``crossing_change`` and ``mirror`` reuse the validated edges and this
 shared data as they are, so a flip costs one tuple and one dict copy.
 Removing crossings is a local edit: the kept edges stay in order, only
@@ -170,6 +173,42 @@ class _Walk(NamedTuple):
     signs: tuple[int, ...]
 
 
+def _walk(far: Sequence[int], starts: Iterable[int], loops: int) -> _Walk:
+    """The canonical traversal of flat far ports ``far`` plus ``loops``
+    free loops, given the lower port of each edge in label order: each
+    component is walked from the first of ``starts`` on it, so from its
+    lowest edge, and components in the order of those edges."""
+    n = len(far) >> 2
+    met = [False] * n
+    encounters: list[tuple[int, int]] = []
+    strands = [-1] * (2 * n)
+    arrivals = [0] * (2 * n)
+    visits: list[tuple[int, ...]] = []
+    for start in starts:
+        if strands[2 * (start >> 2) + (start & 1)] >= 0:  # this edge's component is walked
+            continue
+        k = len(visits)
+        x = start
+        orbit: list[int] = []
+        visit = orbit.append
+        while True:
+            visit(x)
+            ci = x >> 2
+            s = 2 * ci + (x & 1)
+            strands[s] = k
+            arrivals[s] = x
+            if not met[ci]:
+                met[ci] = True
+                encounters.append((ci, x & 1))
+            x = far[x ^ 2]
+            if x == start:
+                break
+        visits.append(tuple(orbit))
+    # V over: +1 when V arrives a counterclockwise quarter turn after U
+    signs = tuple([1 if (arrivals[2 * c + 1] - arrivals[2 * c]) & 3 == 1 else -1 for c in range(n)])
+    return _Walk(len(visits) + loops, tuple(encounters), tuple(visits), tuple(strands), signs)
+
+
 class _Projection:
     """The data of a diagram that its over flags do not touch.
 
@@ -178,7 +217,8 @@ class _Projection:
     arrays, the canonical traversal, the components, the faces) is
     computed once per projection.  Port ``(c, i)`` is index ``4c + i``
     of the flat arrays: ``far_ports`` holds the port at the other end of
-    its edge and ``port_labels`` that edge's label.  ``walk``, ``faces``,
+    its edge and ``port_labels`` that edge's label; ``lower_ports`` lists
+    the lower port of each edge in label order.  ``walk``, ``faces``,
     ``components`` (from the walk's visits), ``edge_map`` and ``kinks``
     (the lower ports of the R1 kinks' loop edges) are cached properties,
     built on first use.  Only this module writes any of it; the
@@ -193,11 +233,13 @@ class _Projection:
         free_loops: int,
         far_ports: list[int],
         port_labels: list[int],
+        lower_ports: list[int],
     ):
         self.edges = edges
         self.free_loops = free_loops
         self.far_ports = far_ports
         self.port_labels = port_labels
+        self.lower_ports = lower_ports
 
     @cached_property
     def edge_map(self) -> dict[int, tuple[Port, Port]]:
@@ -210,40 +252,7 @@ class _Projection:
 
     @cached_property
     def walk(self) -> _Walk:
-        far = self.far_ports
-        n = len(far) >> 2
-        met = [False] * n
-        encounters: list[tuple[int, int]] = []
-        strands = [-1] * (2 * n)
-        arrivals = [0] * (2 * n)
-        visits: list[tuple[int, ...]] = []
-        for _, (ca, pa), _ in self.edges:  # sorted by label, a < b: discovery is canonical
-            if strands[2 * ca + (pa & 1)] >= 0:  # this edge's component is walked
-                continue
-            k = len(visits)
-            start = x = 4 * ca + pa
-            orbit: list[int] = []
-            visit = orbit.append
-            while True:
-                visit(x)
-                ci = x >> 2
-                s = 2 * ci + (x & 1)
-                strands[s] = k
-                arrivals[s] = x
-                if not met[ci]:
-                    met[ci] = True
-                    encounters.append((ci, x & 1))
-                x = far[x ^ 2]
-                if x == start:
-                    break
-            visits.append(tuple(orbit))
-        # V over: +1 when V arrives a counterclockwise quarter turn after U
-        signs = tuple(
-            1 if (arrivals[2 * c + 1] - arrivals[2 * c]) & 3 == 1 else -1 for c in range(n)
-        )
-        return _Walk(
-            len(visits) + self.free_loops, tuple(encounters), tuple(visits), tuple(strands), signs
-        )
+        return _walk(self.far_ports, self.lower_ports, self.free_loops)
 
     @cached_property
     def faces(self) -> tuple[tuple[tuple[int, Port], ...], ...]:
@@ -342,6 +351,7 @@ class Diagram:
         n = len(self.crossings)
         far = [-1] * (4 * n)
         labels = [0] * (4 * n)
+        lows = []
         last = None
         for label, a, b in self.edges:
             if label == last:  # edges are sorted by label
@@ -353,6 +363,7 @@ class Diagram:
             x = 4 * ca + pa
             if far[x] >= 0:
                 raise DiagramError(f"port {a} used by two edges")
+            lows.append(x)
             cb, pb = b
             if not (0 <= cb < n and 0 <= pb < 4):
                 raise DiagramError(f"edge {label} references missing port {b}")
@@ -366,7 +377,9 @@ class Diagram:
             raise DiagramError("some crossing port is not matched by any edge")
         if self.free_loops < 0:
             raise DiagramError("free_loops must be nonnegative")
-        object.__setattr__(self, "_proj", _Projection(self.edges, self.free_loops, far, labels))
+        object.__setattr__(
+            self, "_proj", _Projection(self.edges, self.free_loops, far, labels, lows)
+        )
 
     def _with_crossings(self, crossings: tuple[bool, ...]) -> "Diagram":
         """This diagram with other over flags.  The edges are the same
@@ -522,6 +535,8 @@ class Diagram:
     # orientations and writhe
 
     def _check_orientation(self, orientation: Sequence[int]) -> None:
+        if not isinstance(orientation, Sequence):
+            raise DiagramError(f"orientation {orientation!r} is not a sequence of +1 and -1")
         if len(orientation) != self.r:
             raise DiagramError(
                 f"orientation has {len(orientation)} entries for {self.r} components"
@@ -561,7 +576,7 @@ class Diagram:
         """Crossing sets of the connected pieces of the 4-valent graph."""
         proj = self._proj
         return tuple(
-            frozenset(piece) for piece in _piece_crossings(proj.far_ports, proj.port_labels)
+            frozenset(piece) for piece in _piece_crossings(proj.far_ports, proj.port_labels)[0]
         )
 
     def shape_code(self) -> tuple[int, ...]:
@@ -609,7 +624,8 @@ class Diagram:
         """
         proj = self._proj
         _, faces = _face_ids(proj.far_ports)
-        return faces == self.c + 2 * len(_piece_crossings(proj.far_ports, proj.port_labels))
+        pieces, _ = _piece_crossings(proj.far_ports, proj.port_labels)
+        return faces == self.c + 2 * len(pieces)
 
     # ------------------------------------------------------------------
     # serialization
@@ -632,13 +648,13 @@ class Diagram:
         return self.to_pd()
 
 
-def _first_encounters(d: Diagram, starts: Iterable[int]) -> tuple[tuple[int, int], ...]:
+def _first_encounters(far: Sequence[int], starts: Iterable[int]) -> tuple[tuple[int, int], ...]:
     """Crossings in order of first visit, with the parity of the strand
     met first (0 for U, 1 for V), when the strand of each flat arrival
-    port (``4c + i``) of ``starts`` is walked once round, in turn, from
-    that port on through the opposite port of each crossing."""
-    far = d._proj.far_ports
-    met = [False] * len(d.crossings)
+    port (``4c + i``) of ``starts`` is walked once round on the flat far
+    ports ``far``, in turn, from that port on through the opposite port
+    of each crossing."""
+    met = [False] * (len(far) >> 2)
     found = []
     for start in starts:
         x = start
@@ -665,9 +681,12 @@ def _kink_ports(far: list[int], ports: Iterable[int]) -> list[int]:
     return [x for x in ports if x < (y := far[x]) and x ^ y < 4 and (x ^ y) & 1]
 
 
-def _piece_crossings(far: list[int], labels: list[int]) -> tuple[tuple[int, ...], ...]:
+def _piece_crossings(
+    far: Sequence[int], labels: Sequence[int]
+) -> tuple[tuple[tuple[int, ...], ...], dict[int, int]]:
     """Crossings of each connected piece, ascending, in order of their
-    lowest crossing; a removed crossing, whose ports hold -1, is in none.
+    lowest crossing, and the lower port of each edge by its label; a
+    removed crossing, whose ports hold -1, is in none.
 
     The search makes the constructor's structural checks on every port
     it passes: each port is matched exactly once, by a port of a crossing
@@ -675,7 +694,7 @@ def _piece_crossings(far: list[int], labels: list[int]) -> tuple[tuple[int, ...]
     twice.
     """
     seen = [False] * (len(far) >> 2)
-    used: set[int] = set()
+    lows: dict[int, int] = {}
     out = []
     for start, done in enumerate(seen):
         if done or far[4 * start] < 0:
@@ -691,15 +710,15 @@ def _piece_crossings(far: list[int], labels: list[int]) -> tuple[tuple[int, ...]
                     label = labels[x]
                     if labels[y] != label:
                         raise DiagramError(f"the two ends of edge {label} carry different labels")
-                    if label in used:
+                    if label in lows:
                         raise DiagramError(f"duplicate edge label {label}")
-                    used.add(label)
+                    lows[label] = x
                 if not seen[y >> 2]:
                     seen[y >> 2] = True
                     piece.append(y >> 2)
         piece.sort()
         out.append(tuple(piece))
-    return tuple(out)
+    return tuple(out), lows
 
 
 def _face_ids(far: list[int]) -> tuple[list[int], int]:
@@ -922,7 +941,7 @@ class _PortState:
         negative."""
         if self.loops < 0:
             raise DiagramError("free_loops must be nonnegative")
-        return _piece_crossings(self.far, self.labels)
+        return _piece_crossings(self.far, self.labels)[0]
 
     def shape_code(self, piece: Sequence[int], loops: int) -> tuple[int, ...]:
         return _shape_code(self.far, self.crossings, loops, piece)

@@ -31,38 +31,74 @@ the canonical order.  Either way a flip drops the chosen base's degree
 by at least one, as a crossing change keeps the canonical order, and a
 splice drops the crossing count, so the recursion ends.
 
-Each ``oracle_L`` call carries the table engine's run object down the
-recursion: its node budget and its memo.  The memo maps each labelled
-diagram to its value, so a call expands each diagram it meets once; a
-caller may pass its own memo as ``cache`` to share it across calls.  It
-is keyed by the diagram itself, not by the table engine's shape code,
-so that this path stays separate.  The powers ``d^k`` are exact values,
-built once per process when a leaf first needs them; a leaf then only
-shifts its power by ``y^w``.  The recursion itself, its base choice and
-its freedom from the kink, bigon, connected-sum and disjoint-union laws
-depend on neither the memo nor these powers.
+A node is a :class:`_State`, never a :class:`~kauffpoly.diagram.Diagram`:
+its over flags, the flat far ports and port labels of the projection
+(port ``(c, i)`` at index ``4c + i``, as a diagram's projection holds
+them) and its free loops, all immutable.  A splice merges the chains
+through the crossing with the diagram module's ``_merge_chains``, drops
+the crossing's four ports and renumbers the later crossings in order,
+as ``Diagram.splice`` does, so a state and the diagram the same splices
+would build have equal arrays.  A flip shares its parent's arrays and
+walk.  A state's canonical walk is that of the equal diagram; it is
+built when the node is first expanded, after the diagram constructor's
+structural checks (:func:`kauffpoly.diagram._piece_crossings`) pass on
+the arrays, so a node that hits the memo equals one already checked.
+A memo key is ``(crossings, far, labels, loops)``; the arrays determine
+the labelled edges, so two keys are equal exactly when the labelled
+diagrams are equal, and they never equal a table engine's shape code.
 
-The diagram and warping plumbing is shared with the rest of the package:
-duplicating it would add risk without adding independence where it
-matters.  Like the table engine, each node reads ``r``, the writhe and
-its traversals from the projection's canonical walk
-(:class:`kauffpoly.diagram.Diagram`), and builds no base object; only a
-base passed to :func:`oracle_L_with_base` is validated and walked, and
-only that call's top level uses it.
+The flip at ``p``, the first of a node's warping crossings ``W`` under
+its chosen base, expands with ``W[1:]`` and no new search.  This is
+exact: a flip keeps the projection, so every base meets the crossings
+in the same order, and it changes every base's degree by exactly one,
+down for the bases under which ``p`` warps and up for the others.  The
+new least bases are therefore the old ones under which ``p`` warps,
+which include the chosen one.  The search takes the first least choice
+in a fixed total order, ``(degree, start, forward first)`` per
+component and ``itertools.permutations`` order (or the canonical order
+beyond ``_MAX_PERMUTED``) for the components, so the chosen base stays
+chosen, and under it only ``p`` stops warping.
+
+Each ``oracle_L`` call carries the table engine's run object down the
+recursion: its node budget and its memo.  The memo maps each node's
+key to its value, so a call expands each labelled diagram it meets
+once; a caller may pass its own memo as ``cache`` to share it across
+calls.  The powers ``d^k`` are exact values, built once per process
+when a leaf first needs them; a leaf then only shifts its power by
+``y^w``.  The recursion itself, its base choice and its freedom from
+the kink, bigon, connected-sum and disjoint-union laws depend on
+neither the memo nor these powers.
+
+The chain merge, the checks, the walk and the first-encounter walk are
+shared with the rest of the package: duplicating them would add risk
+without adding independence where it matters.  No node builds a base
+object; only a base passed to :func:`oracle_L_with_base` is validated
+and walked, and only that call's top level uses it.
 """
 
 from __future__ import annotations
 
 import functools
-from typing import MutableMapping
+from typing import MutableMapping, Sequence
 
 from .coeffs import _Run
-from .diagram import Diagram, _first_encounters
+from .diagram import (
+    _A_BRIDGE,
+    _B_BRIDGE,
+    Diagram,
+    _first_encounters,
+    _merge_chains,
+    _piece_crossings,
+    _walk,
+    _Walk,
+)
 from .laurent import BivariatePoly
 from .series import kauffman_L, unlink_factor
 from .warping import BaseSequence, _warping, warping_order
 
-OracleCache = MutableMapping[Diagram, BivariatePoly]
+#: A node's memo key: over flags, flat far ports, port labels, free loops.
+OracleKey = tuple[tuple[bool, ...], tuple[int, ...], tuple[int, ...], int]
+OracleCache = MutableMapping[OracleKey, BivariatePoly]
 
 
 @functools.cache
@@ -81,8 +117,11 @@ def _d_power(k: int) -> BivariatePoly:
 _MAX_PERMUTED = 6
 
 
-def _least_warping(d: Diagram) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """A base of least warping degree and its warping crossings.
+def _least_warping(
+    crossings: tuple[bool, ...], far: Sequence[int], walk: _Walk
+) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """A base of least warping degree and its warping crossings, given
+    the over flags, the flat far ports and their canonical walk.
 
     The base is the flat port (``4c + i``) at which each component's
     traversal arrives first, in traversal order; the warping crossings
@@ -98,9 +137,6 @@ def _least_warping(d: Diagram) -> tuple[tuple[int, ...], tuple[int, ...]]:
     Ties go to the first minimum: the earliest start, forward before
     reversed, and the earliest order in ``itertools.permutations``.
     """
-    walk = d._proj.walk
-    far = d._proj.far_ports
-    crossings = d.crossings
     strands = walk.strands
     m = len(walk.visits)
     under = [[0] * m for _ in range(m)]  # under[i][j]: i passes under j
@@ -133,7 +169,7 @@ def _least_warping(d: Diagram) -> tuple[tuple[int, ...], tuple[int, ...]]:
             starts.append(visits[t_low])
     if 1 < m <= _MAX_PERMUTED:
         starts = [starts[k] for k in _least_order(under)]
-    return tuple(starts), _warping(d, _first_encounters(d, starts))
+    return tuple(starts), _warping(crossings, _first_encounters(far, starts))
 
 
 def _least_order(under: list[list[int]]) -> list[int]:
@@ -177,22 +213,108 @@ def _least_order(under: list[list[int]]) -> list[int]:
     return order
 
 
-def _oracle_step(d: Diagram, warping: tuple[int, ...], run: _Run) -> BivariatePoly:
-    """One node, given its warping crossings under some base."""
+class _State:
+    """A node of the recursion: over flags, flat far ports and port
+    labels as tuples, free loops, and the canonical walk once built."""
+
+    __slots__ = ("crossings", "far", "labels", "loops", "_walk")
+
+    def __init__(
+        self,
+        crossings: tuple[bool, ...],
+        far: tuple[int, ...],
+        labels: tuple[int, ...],
+        loops: int,
+        walk: _Walk | None = None,
+    ):
+        self.crossings = crossings
+        self.far = far
+        self.labels = labels
+        self.loops = loops
+        self._walk = walk
+
+    @classmethod
+    def of(cls, d: Diagram) -> "_State":
+        """The state of a diagram, sharing its checked walk."""
+        proj = d._proj
+        return cls(
+            d.crossings, tuple(proj.far_ports), tuple(proj.port_labels), d.free_loops, proj.walk
+        )
+
+    @property
+    def key(self) -> OracleKey:
+        return (self.crossings, self.far, self.labels, self.loops)
+
+    @property
+    def walk(self) -> _Walk:
+        """The canonical walk of the equal diagram, built on first use
+        once the constructor's structural checks pass on the arrays."""
+        walk = self._walk
+        if walk is None:
+            _, lows = _piece_crossings(self.far, self.labels)
+            walk = self._walk = _walk(self.far, [lows[k] for k in sorted(lows)], self.loops)
+        return walk
+
+    @property
+    def c(self) -> int:
+        return len(self.crossings)
+
+    @property
+    def r(self) -> int:
+        return self.walk.r
+
+    def flip(self, p: int) -> "_State":
+        crossings = self.crossings
+        flipped = crossings[:p] + (not crossings[p],) + crossings[p + 1 :]
+        return _State(flipped, self.far, self.labels, self.loops, self._walk)
+
+    def splice(self, p: int, bridge: int) -> "_State":
+        """Remove crossing ``p``, joining each of its ports ``i`` to port
+        ``i ^ bridge``; later crossings move down by one."""
+        far, labels = list(self.far), list(self.labels)
+        chains, closed = _merge_chains(far, labels, (p,), bridge)
+        for low, x, y in chains:
+            far[x] = y
+            far[y] = x
+            labels[x] = labels[y] = low
+        cut = 4 * p
+        del far[cut : cut + 4], labels[cut : cut + 4]
+        crossings = self.crossings
+        return _State(
+            crossings[:p] + crossings[p + 1 :],
+            tuple([y - 4 if y > cut else y for y in far]),
+            tuple(labels),
+            self.loops + closed,
+        )
+
+
+def _expand(
+    s: _State, warping: tuple[int, ...], run: _Run, rest: tuple[int, ...] | None
+) -> BivariatePoly:
+    """One node, given its warping crossings under some base; ``rest``
+    is the flip's warping crossings under its least base, or None to
+    search for them."""
     if not warping:
-        return _d_power(d.r - 1).shift_y(d.writhe((1,) * d.r))
+        walk = s.walk
+        writhe = sum(sign if over else -sign for over, sign in zip(s.crossings, walk.signs))
+        return _d_power(walk.r - 1).shift_y(writhe)
     p = warping[0]
     return (
-        -_oracle(d.crossing_change(p), run)
-        + (_oracle(d.splice(p, "A"), run) + _oracle(d.splice(p, "B"), run)).shift_z(1)
+        -_oracle(s.flip(p), run, rest)
+        + (_oracle(s.splice(p, _A_BRIDGE), run) + _oracle(s.splice(p, _B_BRIDGE), run)).shift_z(1)
     )
 
 
-def _oracle(d: Diagram, run: _Run) -> BivariatePoly:
-    value = run.memo.get(d)
+def _oracle(s: _State, run: _Run, warping: tuple[int, ...] | None = None) -> BivariatePoly:
+    """A node's value.  A miss expands it from ``warping``, its warping
+    crossings under its least base, found by the search when not given."""
+    key = s.key
+    value = run.memo.get(key)
     if value is None:
-        run.spend(d)
-        value = run.memo[d] = _oracle_step(d, _least_warping(d)[1], run)
+        run.spend(s)
+        if warping is None:
+            warping = _least_warping(s.crossings, s.far, s.walk)[1]
+        value = run.memo[key] = _expand(s, warping, run, warping[1:])
     return value
 
 
@@ -203,7 +325,7 @@ def oracle_L(
     cache: OracleCache | None = None,
 ) -> BivariatePoly:
     """Regular-isotopy Kauffman polynomial by whole-polynomial recursion."""
-    return _oracle(d, _Run(d, budget, cache))
+    return _oracle(_State.of(d), _Run(d, budget, cache))
 
 
 def oracle_L_with_base(
@@ -214,11 +336,12 @@ def oracle_L_with_base(
     cache: OracleCache | None = None,
 ) -> BivariatePoly:
     """Oracle value with the top-level monotone test and warping choice
-    driven by a caller-supplied base; must equal :func:`oracle_L`."""
+    driven by a caller-supplied base; must equal :func:`oracle_L`.  The
+    base need not be least, so the flip's base is searched for."""
     warping = warping_order(d, base)
     run = _Run(d, budget, cache)
     run.spend(d)
-    return _oracle_step(d, warping, run)
+    return _expand(_State.of(d), warping, run, None)
 
 
 def uniqueness_check(

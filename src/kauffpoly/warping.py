@@ -110,7 +110,7 @@ def _base_walk(
         starts.append(4 * ci + pi)
         if (entry.edge, entry.toward) not in comps[entry.component].orbit:
             signs[entry.component] = -1
-    return _first_encounters(d, starts), tuple(signs)
+    return _first_encounters(d._proj.far_ports, starts), tuple(signs)
 
 
 def first_encounter(d: Diagram, base: BaseSequence) -> tuple[tuple[int, int], ...]:
@@ -121,13 +121,14 @@ def first_encounter(d: Diagram, base: BaseSequence) -> tuple[tuple[int, int], ..
 
 def warping_order(d: Diagram, base: BaseSequence) -> tuple[int, ...]:
     """Warping crossings in first-encounter order."""
-    return _warping(d, first_encounter(d, base))
+    return _warping(d.crossings, first_encounter(d, base))
 
 
-def _warping(d: Diagram, encounters: tuple[tuple[int, int], ...]) -> tuple[int, ...]:
+def _warping(
+    crossings: tuple[bool, ...], encounters: tuple[tuple[int, int], ...]
+) -> tuple[int, ...]:
     """The crossings of a first-encounter order whose strand met first
-    passes under."""
-    crossings = d.crossings
+    passes under, given the over flags."""
     return tuple(ci for ci, parity in encounters if (parity == 1) != crossings[ci])
 
 

@@ -322,6 +322,11 @@ class TestWritheAndMirror:
                 parse_pd(HOPF).writhe((bad, bad))
             with pytest.raises(DiagramError, match="must be \\+1 or -1"):
                 kauffman_F(parse_pd(HOPF), (1, bad))
+        for bad in (1, None):  # not a sequence at all
+            with pytest.raises(DiagramError, match="is not a sequence"):
+                parse_pd(HOPF).writhe(bad)
+            with pytest.raises(DiagramError, match="is not a sequence"):
+                kauffman_F(parse_pd(KINK), bad)
 
 
 class TestSumsAndUnions:

@@ -6,16 +6,27 @@ import random
 import pytest
 
 from test_coeffs import braid_closure
+from test_verification import _hopf_chain
 
 from kauffpoly import oracle
 from kauffpoly.catalog import CATALOG
-from kauffpoly.coeffs import BudgetExceededError
-from kauffpoly.diagram import Diagram, _PortState, connected_sum, disjoint_union, parse_pd
+from kauffpoly.coeffs import BudgetExceededError, _Run
+from kauffpoly.diagram import (
+    _A_BRIDGE,
+    _B_BRIDGE,
+    Diagram,
+    DiagramError,
+    _PortState,
+    connected_sum,
+    disjoint_union,
+    parse_pd,
+)
 from kauffpoly.laurent import BivariatePoly
 from kauffpoly.moves import r1_add, random_diagram, random_move_walk
 from kauffpoly.oracle import (
     _least_order,
     _least_warping,
+    _State,
     agree_at_y_one,
     oracle_L,
     oracle_L_with_base,
@@ -28,6 +39,11 @@ from kauffpoly.warping import (
     warping_degree,
     warping_order,
 )
+
+
+#: Seven components, each passing over the next twice, so the canonical
+#: order warps all twelve crossings and the reverse none.
+SEVEN_RINGS = braid_closure(7, [1, -1, 2, -2, 3, -3, 4, -4, 5, -5, 6, -6])
 
 
 class NeverHits(dict):
@@ -146,6 +162,12 @@ class TestUniqueness:
         assert oracle_L(d) == kauffman_L(d)
 
 
+def least(d: Diagram) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """``_least_warping`` on a diagram's arrays and canonical walk."""
+    proj = d._proj
+    return _least_warping(d.crossings, proj.far_ports, proj.walk)
+
+
 def least_degree(d: Diagram) -> int:
     """The least warping degree by brute force: every base, in every
     order of its entries."""
@@ -191,11 +213,11 @@ class TestLeastWarping:
 
     def test_degree_is_the_least_over_all_bases_and_orders(self, least_cases):
         for d in least_cases:
-            assert len(_least_warping(d)[1]) == least_degree(d), d.to_pd()
+            assert len(least(d)[1]) == least_degree(d), d.to_pd()
 
     def test_crossings_are_the_warping_order_of_their_base(self, least_cases):
         for d in least_cases:
-            starts, warping = _least_warping(d)
+            starts, warping = least(d)
             assert warping_order(d, base_from_starts(d, starts)) == warping, d.to_pd()
 
     def test_order_search_picks_the_first_least_permutation(self):
@@ -218,10 +240,8 @@ class TestLeastWarping:
         assert tied > 150
 
     def test_beyond_the_order_search_keeps_the_canonical_order(self, monkeypatch):
-        # seven components, each passing over the next twice, so the
-        # canonical order warps all twelve crossings and the reverse none
-        d = braid_closure(7, [1, -1, 2, -2, 3, -3, 4, -4, 5, -5, 6, -6])
-        starts, warping = _least_warping(d)
+        d = SEVEN_RINGS
+        starts, warping = least(d)
         assert len(starts) == 7 > oracle._MAX_PERMUTED
         base = base_from_starts(d, starts)
         assert [entry.component for entry in base] == list(range(7))
@@ -230,4 +250,224 @@ class TestLeastWarping:
         for link in [d] + [d.crossing_change(p) for p in range(d.c)]:
             assert oracle_L(link) == kauffman_L(link), link.to_pd()
         monkeypatch.setattr(oracle, "_MAX_PERMUTED", 7)
-        assert _least_warping(d)[1] == ()
+        assert least(d)[1] == ()
+
+
+# ----------------------------------------------------------------------
+# the recursion on flat port arrays against the one on diagrams
+
+
+def reference_oracle(d: Diagram, run: _Run) -> BivariatePoly:
+    """The oracle's recursion on :class:`Diagram` nodes, as it stood
+    before nodes became port-array states: each node is a built diagram,
+    keyed in the memo by itself, and every node searches for its least
+    base."""
+    value = run.memo.get(d)
+    if value is None:
+        run.spend(d)
+        value = run.memo[d] = reference_step(d, least(d)[1], run)
+    return value
+
+
+def reference_step(d: Diagram, warping: tuple[int, ...], run: _Run) -> BivariatePoly:
+    if not warping:
+        return (unlink_factor() ** (d.r - 1)).shift_y(d.writhe((1,) * d.r))
+    p = warping[0]
+    return -reference_oracle(d.crossing_change(p), run) + (
+        reference_oracle(d.splice(p, "A"), run) + reference_oracle(d.splice(p, "B"), run)
+    ).shift_z(1)
+
+
+def random_link(seed: int) -> Diagram:
+    """A 3-component link: a seeded move walk from three free loops,
+    then coin-flip crossing changes."""
+    d, _ = random_move_walk(parse_pd("O O O"), 30, seed, 10)
+    rng = random.Random(f"flips:{seed}")
+    for p in range(d.c):
+        if rng.random() < 0.5:
+            d = d.crossing_change(p)
+    return d
+
+
+CATALOG_DIAGRAMS = [entry.diagram() for entry in CATALOG.values()]
+RANDOM_INPUTS = [random_diagram(s, 10, walk_steps=30) for s in range(25)] + [
+    random_link(s) for s in range(25)
+]
+CHAINS = [_hopf_chain(rings) for rings in (6, 7, 8)]
+#: Inputs, each group run with one shared memo.
+GROUPS = {
+    "catalog": CATALOG_DIAGRAMS,
+    "random": RANDOM_INPUTS,
+    **{f"chain{d.r}": [d] for d in CHAINS},
+    "seven_rings": [SEVEN_RINGS] + [SEVEN_RINGS.crossing_change(p) for p in range(SEVEN_RINGS.c)],
+}
+
+
+@pytest.fixture(scope="module")
+def reference_runs():
+    """Per group: the reference values and the memo of the run."""
+    out = {}
+    for name, ds in GROUPS.items():
+        run = _Run(ds[0], None, None)
+        out[name] = ([reference_oracle(d, run) for d in ds], run.memo)
+    return out
+
+
+class TestFlatRecursion:
+    @pytest.mark.parametrize("name", GROUPS)
+    def test_values_and_memo_sizes_match_the_reference(self, name, reference_runs):
+        expected, memo = reference_runs[name]
+        cache = {}
+        assert [oracle_L(d, cache=cache) for d in GROUPS[name]] == expected
+        assert len(cache) == len(memo)
+
+    def test_reference_node_counts(self, reference_runs):
+        sizes = {name: len(memo) for name, (_, memo) in reference_runs.items()}
+        assert sizes["catalog"] == 290
+        assert (sizes["chain6"], sizes["chain7"], sizes["chain8"]) == (660, 3117, 12904)
+
+    def test_with_base_matches_the_reference(self):
+        cases = 0
+        for d in CATALOG_DIAGRAMS:
+            if d.c > 5:
+                continue
+            for base in enumerate_bases(d):
+                cache = {}
+                run = _Run(d, None, None)
+                run.spend(d)
+                expected = reference_step(d, warping_order(d, base), run)
+                assert oracle_L_with_base(d, base, cache=cache) == expected
+                assert len(cache) == len(run.memo)
+                cases += 1
+        assert cases >= 80
+
+    @pytest.mark.parametrize("d", CATALOG_DIAGRAMS[4:] + RANDOM_INPUTS[::5] + CHAINS[:1])
+    def test_budget_runs_out_at_the_same_node(self, d):
+        run = _Run(d, None, None)
+        reference_oracle(d, run)
+        n = len(run.memo)
+        assert oracle_L(d, budget=n) == reference_oracle(d, _Run(d, n, None))
+        with pytest.raises(BudgetExceededError) as expected:
+            reference_oracle(d, _Run(d, n - 1, None))
+        with pytest.raises(BudgetExceededError) as got:
+            oracle_L(d, budget=n - 1)
+        for attr in ("crossings", "components", "at_crossings", "at_components", "limit"):
+            assert getattr(got.value, attr) == getattr(expected.value, attr)
+        assert str(got.value) == str(expected.value)
+
+    def test_no_node_builds_a_diagram(self, monkeypatch):
+        f8 = parse_pd(FIGURE8)
+        d = connected_sum(f8, f8)
+        expected = kauffman_L(f8) * kauffman_L(f8)
+        calls = {"_from_sorted": 0, "_remove": 0}
+        real_from_sorted, real_remove = Diagram._from_sorted.__func__, Diagram._remove
+
+        def from_sorted(cls, *args):
+            calls["_from_sorted"] += 1
+            return real_from_sorted(cls, *args)
+
+        def remove(self, *args):
+            calls["_remove"] += 1
+            return real_remove(self, *args)
+
+        monkeypatch.setattr(Diagram, "_from_sorted", classmethod(from_sorted))
+        monkeypatch.setattr(Diagram, "_remove", remove)
+        assert oracle_L(d) == expected
+        assert calls == {"_from_sorted": 0, "_remove": 0}
+        d.splice(0, "A")  # the counters see a diagram's splice
+        assert calls == {"_from_sorted": 1, "_remove": 1}
+
+
+class TestFlipChain:
+    @pytest.mark.parametrize("name", GROUPS)
+    def test_the_flip_keeps_the_least_base(self, name, reference_runs):
+        _, memo = reference_runs[name]
+        flips = 0
+        for d in memo:
+            starts, warping = least(d)
+            if warping:
+                assert least(d.crossing_change(warping[0])) == (starts, warping[1:]), d.to_pd()
+                flips += 1
+        assert flips >= len(memo) // 4
+
+    def test_a_flip_expands_without_a_search(self, monkeypatch):
+        # 96 of the catalog's 290 nodes are first met as the flip at their
+        # parent's first warping crossing, and take its other ones
+        calls = []
+        real = oracle._least_warping
+
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(oracle, "_least_warping", counting)
+        cache = {}
+        for d in CATALOG_DIAGRAMS:
+            oracle_L(d, cache=cache)
+        assert (len(calls), len(cache)) == (194, 290)
+
+    def test_the_seven_rings_keep_the_canonical_order(self, reference_runs):
+        _, memo = reference_runs["seven_rings"]
+        assert max(len(least(d)[0]) for d in memo) == 7 > oracle._MAX_PERMUTED
+
+
+def splice_cases():
+    """Every splice of each catalog and random input and of each of
+    their crossing changes: (diagram, its state)."""
+    for d in CATALOG_DIAGRAMS + RANDOM_INPUTS:
+        for e in [d] + [d.crossing_change(p) for p in range(d.c)]:
+            s = _State.of(e)
+            yield e, s
+            for p in range(e.c):
+                for kind, bridge in (("A", _A_BRIDGE), ("B", _B_BRIDGE)):
+                    yield e.splice(p, kind), s.splice(p, bridge)
+
+
+class TestStateSplice:
+    def test_arrays_loops_and_walk_equal_the_spliced_diagram(self):
+        cases = 0
+        for e, s in splice_cases():
+            proj = e._proj
+            assert s.crossings == e.crossings
+            assert s.far == tuple(proj.far_ports)
+            assert s.labels == tuple(proj.port_labels)
+            assert s.loops == e.free_loops
+            assert s.walk == proj.walk
+            assert (s.c, s.r) == (e.c, e.r)
+            cases += 1
+        assert cases >= 6_000
+
+    def test_a_flip_shares_the_arrays_and_walk(self):
+        for d in CATALOG_DIAGRAMS:
+            s = _State.of(d)
+            for p in range(d.c):
+                flip = s.flip(p)
+                assert flip.key == _State.of(d.crossing_change(p)).key
+                assert flip.far is s.far and flip.labels is s.labels and flip.walk is s.walk
+
+    def test_keys_are_equal_exactly_when_the_diagrams_are(self):
+        pairs = {(e, s.key) for e, s in splice_cases()}
+        diagrams = {e for e, _ in pairs}
+        keys = {key for _, key in pairs}
+        assert len(pairs) == len(diagrams) == len(keys)
+        assert len(pairs) < sum(1 for _ in splice_cases())  # equal ones were met
+
+    def test_a_state_with_a_label_used_twice_is_refused(self):
+        d = parse_pd(TREFOIL)
+        s = _State.of(d)
+        labels = list(s.labels)
+        x, y = 0, s.far[0]
+        other = next(label for label in labels if label != labels[x])
+        labels[x] = labels[y] = other
+        bad = _State(s.crossings, s.far, tuple(labels), s.loops)
+        with pytest.raises(DiagramError, match="duplicate edge label"):
+            bad.walk
+        with pytest.raises(DiagramError, match="duplicate edge label"):
+            oracle._oracle(bad, _Run(d, None, None))
+
+    def test_a_state_with_an_unmatched_port_is_refused(self):
+        s = _State.of(parse_pd(TREFOIL))
+        far = list(s.far)
+        far[0] = far[1]
+        with pytest.raises(DiagramError, match="not matched"):
+            _State(s.crossings, tuple(far), s.labels, s.loops).walk
