@@ -56,14 +56,15 @@ table is assembled from theirs.  A caller-supplied base
 The independent evaluator in :mod:`kauffpoly.oracle` deliberately uses
 none of the four laws.
 
-Every lookup runs on a port state (``diagram._PortState``): the two
-splices of a node, the kink removals, the bigon erasures, the cuts, the
+A node is the oracle's ``diagram._State``; no ``Diagram`` is built
+below the top of a call.  Every lookup runs on a port state
+(``diagram._PortState``) of a node or of its flip, which shares its
+arrays and walk: the splices, kink removals, bigon erasures, cuts, the
 split into pieces and the shape codes are edits and scans of one flat
-port array, checked as the constructor checks a diagram before any
-code is looked up.  A state copies the arrays of the diagram it starts
-from once, when it is made; a node's flip is its ``crossing_change``,
-which shares the node's checked arrays.  A ``Diagram`` is built only
-for a core the memo misses, which is the only core expanded.
+port array, checked as the constructor checks a diagram before any code
+is looked up.  A core the memo misses is cut out as a renumbered node,
+checked again before its walk is built; the splice shifts and a leaf's
+writhe come off that walk, as in ``Diagram.delta_shift`` and ``writhe``.
 
 All functions are pure.  Every call memoises: the memo maps the shape
 code of each core (:meth:`kauffpoly.diagram.Diagram.shape_code`) to its
@@ -91,7 +92,7 @@ from __future__ import annotations
 import logging
 from typing import Mapping, MutableMapping
 
-from .diagram import Diagram, DiagramError, _PortState
+from .diagram import Diagram, DiagramError, _PortState, _splice_shift, _State, _writhe
 from .laurent import BivariatePoly, LaurentPoly, monotone_coeff
 from .moves import kink_rule
 from .warping import BaseSequence, _base_walk, _warping
@@ -110,8 +111,9 @@ class BudgetExceededError(RuntimeError):
 
     ``crossings`` and ``components`` describe the diagram the caller
     asked about; ``at_crossings`` and ``at_components`` the node whose
-    expansion the budget could no longer pay for: a diagram, or an
-    oracle node, which has the same ``c`` and ``r``.
+    expansion the budget could no longer pay for: the caller's diagram
+    at the top, else a node (``diagram._State``), which has the same
+    ``c`` and ``r``.
     """
 
     def __init__(self, d: Diagram, limit: int, at):
@@ -178,30 +180,32 @@ class CoeffTable(BivariatePoly):
 
 
 def _expand(
-    d: Diagram,
+    node: _State,
     encounters: tuple[tuple[int, int], ...],
     orientation: tuple[int, ...],
     pick: int | None,
     run: _Run,
 ) -> CoeffTable:
     """One node under a traversal: its first-encounter order and the
-    component directions it induces.  The flip (a crossing change of
-    ``d``) and the two splices are looked up on port states, in that
-    order."""
-    warping = _warping(d.crossings, encounters)
-    if pick is not None and pick not in warping:
-        raise DiagramError(f"crossing {pick} is not a warping crossing of this base")
+    component directions it induces.  The flip, which shares the node's
+    arrays and walk, and the two splices are looked up on port states,
+    in that order."""
+    warping = _warping(node.crossings, encounters)
+    if pick is not None and (type(pick) is not int or pick not in warping):
+        # a bool or a float equal to a warping crossing is not one
+        raise DiagramError(f"crossing {pick!r} is not a warping crossing of this base")
+    walk = node.walk
     if not warping:
-        w = d.writhe(orientation)
-        r = d.r
+        w = _writhe(node.crossings, walk, orientation)
+        r = walk.r
         return CoeffTable.from_dict({n: monotone_coeff(w, n, r) for n in range(r)})
     p = warping[0] if pick is None else pick
 
-    table = -_table(_PortState(d.crossing_change(p)), run)
+    table = -_table(_PortState(node.flip(p)), run)
     for kind in "AB":
-        spliced = _PortState(d)
+        spliced = _PortState(node)
         spliced.splice(p, kind)
-        table = table + _table(spliced, run).shift_z(1 - d.delta_shift(p, kind))
+        table = table + _table(spliced, run).shift_z(1 - _splice_shift(walk, p, kind))
     return table
 
 
@@ -251,10 +255,10 @@ def _core_table(s: _PortState, piece: tuple[int, ...], loops: int, run: _Run) ->
     key = probe if probe is not None and probe in memo else s.shape_code(piece, loops)
     table = memo.get(key)
     if table is None:
-        d = s.diagram(piece, loops)  # the only diagram a lookup builds
-        run.spend(d)
-        walk = d._proj.walk
-        table = memo[key] = _expand(d, walk.encounters, (1,) * walk.r, None, run)
+        node = s.node(piece, loops)
+        walk = node.walk  # after the constructor's checks on the node
+        run.spend(node)
+        table = memo[key] = _expand(node, walk.encounters, (1,) * walk.r, None, run)
     return table
 
 
@@ -291,7 +295,7 @@ def coeff_table(
         Relabelled copies of a core share its entry, which is sound
         because the table is a link invariant.
     """
-    return _table(_PortState(d), _Run(d, budget, cache))
+    return _table(_PortState(_State.of(d)), _Run(d, budget, cache))
 
 
 def coeff_table_with_base(
@@ -312,7 +316,7 @@ def coeff_table_with_base(
     encounters, orientation = _base_walk(d, base)
     run = _Run(d, budget, cache)
     run.spend(d)
-    return _expand(d, encounters, orientation, warping_crossing, run)
+    return _expand(_State.of(d), encounters, orientation, warping_crossing, run)
 
 
 def _skein_terms(

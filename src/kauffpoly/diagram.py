@@ -24,15 +24,16 @@ faces traced on the flat port arrays.  The walk starts each component
 at its lowest edge and, in one pass over the port array, records the
 component count ``r``,
 the first-encounter order, each component's arrival ports in order and
-each crossing's sign with V over; ``r``, ``writhe``, the components,
-each splice's component shift, the canonical first-encounter order and
-the oracle's search for a base of least warping degree read it, so the
-recursions never build ``Component`` objects.  The walk is
-:func:`_walk` of the flat port arrays, which the oracle also runs on
-its nodes: they are kept as arrays and never built as diagrams, and
-:func:`_piece_crossings` checks them as the constructor checks a
-diagram.  The first-encounter order from any other start ports comes
-from :func:`_first_encounters`, which records nothing else.
+each crossing's sign with V over; ``r``, the writhe (:func:`_writhe`),
+the components, each splice's component shift (:func:`_splice_shift`),
+the canonical first-encounter order and the oracle's search for a base
+of least warping degree read it, so the recursions never build
+``Component`` objects.  The walk is :func:`_walk` of the flat port
+arrays, which both recursions also run on their nodes: they are kept as
+arrays and never built as diagrams, and :func:`_piece_crossings` checks
+them as the constructor checks a diagram.  The first-encounter order
+from any other start ports comes from :func:`_first_encounters`, which
+records nothing else.
 ``crossing_change`` and ``mirror`` reuse the validated edges and this
 shared data as they are, so a flip costs one tuple and one dict copy.
 Removing crossings is a local edit: the kept edges stay in order, only
@@ -42,15 +43,18 @@ without sorting again.  One chain merge serves every removal: a splice
 takes off one crossing, and ``erase_crossings`` all of its crossings in
 one edit, so an R2 bigon comes off with one diagram built.
 
-The coefficient engine edits its sub-diagrams without building them: a
-``_PortState`` holds the over flags, the flat port arrays and the free
-loops of a diagram, copies the arrays once and edits the copies in
-place.  It splices, strips kinks, erases bigons, splits connected sums
-at their cuts, splits into pieces and computes shape codes on those
-arrays, with the same chain merge, kink scan, bigon scan, face rule and
-shape code as :class:`Diagram`, and checks its arrays as the
-constructor checks a diagram's.  It builds a :class:`Diagram` only for
-a core it is asked for.
+Both recursions expand nodes, not diagrams.  A :class:`_State` holds
+the over flags, the flat port arrays and the free loops as tuples, and
+the walk and kinks of the equal diagram; its arrays pass the
+constructor's checks before its walk is built.  The oracle splices a
+node into new nodes.  The coefficient engine edits a node's
+sub-diagrams without building them: a ``_PortState`` copies a node's
+arrays once and edits the copies in place.  It splices, strips kinks,
+erases bigons, splits connected sums at their cuts, splits into pieces
+and computes shape codes on those arrays, with the same chain merge,
+kink scan, bigon scan, face rule and shape code as :class:`Diagram`,
+and checks its arrays as the constructor checks a diagram's.  A core it
+is asked for is cut out as a renumbered node.
 
 PD text input: whitespace-separated tokens ``X(a,b,c,d)`` listing the
 edge labels at ports 0..3 counterclockwise with the under-strand
@@ -207,6 +211,30 @@ def _walk(far: Sequence[int], starts: Iterable[int], loops: int) -> _Walk:
     # V over: +1 when V arrives a counterclockwise quarter turn after U
     signs = tuple([1 if (arrivals[2 * c + 1] - arrivals[2 * c]) & 3 == 1 else -1 for c in range(n)])
     return _Walk(len(visits) + loops, tuple(encounters), tuple(visits), tuple(strands), signs)
+
+
+def _writhe(crossings: Sequence[bool], walk: _Walk, orientation: Sequence[int]) -> int:
+    """The writhe of over flags ``crossings`` on the projection of ``walk``,
+    component ``k`` directed by ``orientation[k]`` relative to the walk."""
+    strands = walk.strands
+    total = 0
+    for p, (over, sign) in enumerate(zip(crossings, walk.signs)):
+        if orientation[strands[2 * p]] != orientation[strands[2 * p + 1]]:
+            sign = -sign
+        total += sign if over else -sign
+    return total
+
+
+def _splice_shift(walk: _Walk, p: int, kind: str) -> int:
+    """``r(splice) - r`` of the ``kind`` splice at ``p`` of ``walk``'s
+    projection: -1 where two components cross, else +1 for the smoothing
+    that follows the walk (B if ``signs[p] == 1``, else A), 0 for the other."""
+    bridge = _splice_bridge(kind)
+    strands = walk.strands
+    if strands[2 * p] != strands[2 * p + 1]:
+        return -1
+    follows = _B_BRIDGE if walk.signs[p] == 1 else _A_BRIDGE
+    return 1 if bridge == follows else 0
 
 
 class _Projection:
@@ -521,15 +549,9 @@ class Diagram:
         return Diagram._from_sorted(tuple(kept), tuple(edges), self.free_loops + closed)
 
     def delta_shift(self, p: int, kind: str) -> int:
-        """``r(splice) - r``, read off the canonical walk: -1 where two
-        components cross, else +1 for the smoothing that follows the
-        traversal (B if ``walk.signs[p] == 1``, else A) and 0 for the other."""
-        joins = self.delta_p(p)
-        bridge = _splice_bridge(kind)
-        if joins:
-            return -1
-        follows = _B_BRIDGE if self._proj.walk.signs[p] == 1 else _A_BRIDGE
-        return 1 if bridge == follows else 0
+        """``r(splice) - r``, read off the canonical walk by :func:`_splice_shift`."""
+        self._check_crossing(p)
+        return _splice_shift(self._proj.walk, p, kind)
 
     # ------------------------------------------------------------------
     # orientations and writhe
@@ -550,14 +572,7 @@ class Diagram:
         under-strand direction maps to the over-strand direction by a
         counterclockwise quarter turn."""
         self._check_orientation(orientation)
-        walk = self._proj.walk
-        strands = walk.strands
-        total = 0
-        for p, (over, sign) in enumerate(zip(self.crossings, walk.signs)):
-            if orientation[strands[2 * p]] != orientation[strands[2 * p + 1]]:
-                sign = -sign
-            total += sign if over else -sign
-        return total
+        return _writhe(self.crossings, self._proj.walk, orientation)
 
     # ------------------------------------------------------------------
     # faces
@@ -789,34 +804,44 @@ def _least_code(
 ) -> tuple[int, ...]:
     """The least breadth-first code of ``n`` crossings over ``starts``,
     each a crossing and the port that becomes its port 0, advancing the
-    starts together one crossing at a time."""
+    starts together one crossing at a time.
+
+    Per start, ``place[c]`` is 4 times the discovery index of ``c`` plus
+    its port that became port 0, and ``order`` lists those ports flat."""
     size = len(over)
-    live = []  # (crossing -> discovery index, crossing -> its port 0, discovery order)
+    live = []  # (place, the port 0 of each crossing in discovery order)
     for s, q in starts:
-        index = [-1] * size
-        rot = [0] * size
-        index[s] = 0
-        rot[s] = q
-        live.append((index, rot, [s]))
+        place = [-1] * size
+        place[s] = q
+        live.append((place, [4 * s + q]))
     code = [loops]
     for k in range(n):
-        if len(live[0][2]) == k:  # every start in the running has found k crossings
+        if len(live[0][1]) == k:  # every start in the running has found k crossings
             raise DiagramError("shape codes exist only for connected diagrams")
         least = keep = None
         for state in live:
-            index, rot, order = state
-            c = order[k]
-            r = rot[c]
-            block = [over[c] ^ (r & 1)]
-            for j in (r, (r + 1) & 3, (r + 2) & 3, (r + 3) & 3):
-                f = far[4 * c + j]
-                c2 = f >> 2
-                i = index[c2]
-                if i < 0:
-                    i = index[c2] = len(order)
-                    rot[c2] = f & 3
-                    order.append(c2)
-                block.append(4 * i + ((f - rot[c2]) & 3))
+            place, order = state
+            x = order[k]
+            f = far[x]
+            if (t := place[f >> 2]) < 0:
+                t = place[f >> 2] = 4 * len(order) + (f & 3)
+                order.append(f)
+            e0 = (t & ~3) + ((f - t) & 3)
+            f = far[x - 3 if x & 3 == 3 else x + 1]
+            if (t := place[f >> 2]) < 0:
+                t = place[f >> 2] = 4 * len(order) + (f & 3)
+                order.append(f)
+            e1 = (t & ~3) + ((f - t) & 3)
+            f = far[x ^ 2]
+            if (t := place[f >> 2]) < 0:
+                t = place[f >> 2] = 4 * len(order) + (f & 3)
+                order.append(f)
+            e2 = (t & ~3) + ((f - t) & 3)
+            f = far[x + 3 if x & 3 == 0 else x - 1]
+            if (t := place[f >> 2]) < 0:
+                t = place[f >> 2] = 4 * len(order) + (f & 3)
+                order.append(f)
+            block = (over[x >> 2] ^ (x & 1), e0, e1, e2, (t & ~3) + ((f - t) & 3))
             if least is None or block < least:
                 least = block
                 keep = [state]
@@ -827,15 +852,103 @@ def _least_code(
     return tuple(code)
 
 
+class _State:
+    """An immutable node of both recursions: over flags, flat far ports
+    and port labels as tuples (the layout of :class:`_Projection`), free
+    loops, and the walk and kink ports of the equal diagram.  The walk is
+    built on first use, after :func:`_piece_crossings` makes the
+    constructor's structural checks on the arrays; the kinks are scanned
+    on first use unless given.  A flip shares all but the over flags."""
+
+    __slots__ = ("crossings", "far", "labels", "loops", "_walk", "_kinks")
+
+    def __init__(
+        self,
+        crossings: tuple[bool, ...],
+        far: tuple[int, ...],
+        labels: tuple[int, ...],
+        loops: int,
+        walk: _Walk | None = None,
+        kinks: Sequence[int] | None = None,
+    ):
+        self.crossings = crossings
+        self.far = far
+        self.labels = labels
+        self.loops = loops
+        self._walk = walk
+        self._kinks = kinks
+
+    @classmethod
+    def of(cls, d: Diagram) -> "_State":
+        """The node of a diagram, sharing its checked walk and its kinks."""
+        proj = d._proj
+        far, labels = tuple(proj.far_ports), tuple(proj.port_labels)
+        return cls(d.crossings, far, labels, d.free_loops, proj.walk, proj.kinks)
+
+    @property
+    def key(self) -> tuple[tuple[bool, ...], tuple[int, ...], tuple[int, ...], int]:
+        return (self.crossings, self.far, self.labels, self.loops)
+
+    @property
+    def walk(self) -> _Walk:
+        """The canonical walk of the equal diagram, built on first use
+        once the constructor's structural checks pass on the arrays."""
+        walk = self._walk
+        if walk is None:
+            _, lows = _piece_crossings(self.far, self.labels)
+            walk = self._walk = _walk(self.far, [lows[k] for k in sorted(lows)], self.loops)
+        return walk
+
+    @property
+    def kinks(self) -> Sequence[int]:
+        kinks = self._kinks
+        if kinks is None:
+            kinks = self._kinks = _kink_ports(self.far, range(len(self.far)))
+        return kinks
+
+    @property
+    def c(self) -> int:
+        return len(self.crossings)
+
+    @property
+    def r(self) -> int:
+        return self.walk.r
+
+    def flip(self, p: int) -> "_State":
+        crossings = self.crossings
+        flipped = crossings[:p] + (not crossings[p],) + crossings[p + 1 :]
+        return _State(flipped, self.far, self.labels, self.loops, self._walk, self._kinks)
+
+    def splice(self, p: int, bridge: int) -> "_State":
+        """Remove crossing ``p``, joining each of its ports ``i`` to port
+        ``i ^ bridge``; later crossings move down by one, as
+        :meth:`Diagram.splice` renumbers them."""
+        far, labels = list(self.far), list(self.labels)
+        chains, closed = _merge_chains(far, labels, (p,), bridge)
+        for low, x, y in chains:
+            far[x] = y
+            far[y] = x
+            labels[x] = labels[y] = low
+        cut = 4 * p
+        del far[cut : cut + 4], labels[cut : cut + 4]
+        crossings = self.crossings
+        return _State(
+            crossings[:p] + crossings[p + 1 :],
+            tuple([y - 4 if y > cut else y for y in far]),
+            tuple(labels),
+            self.loops + closed,
+        )
+
+
 class _PortState:
-    """A diagram under edit by the coefficient engine: over flags, flat
+    """A node under edit by the coefficient engine: over flags, flat
     far ports and labels (the layout of :class:`_Projection`) and free
     loops, changed in place.
 
-    The state copies the projection arrays of the diagram it starts
-    from once, when it is made.  A removal writes a few array entries;
+    The state copies the arrays of the :class:`_State` it starts from
+    once, when it is made.  A removal writes a few array entries;
     a removed crossing keeps its index and its ports hold -1, so no
-    crossing is renumbered until :meth:`diagram` cuts out a core.  A
+    crossing is renumbered until :meth:`node` cuts out a core.  A
     splice and a bigon erasure are each one removal, and every removal
     merges its chains with :func:`_merge_chains`, as
     :meth:`Diagram._remove` does, so a state and the diagrams the same
@@ -846,13 +959,12 @@ class _PortState:
 
     __slots__ = ("crossings", "far", "labels", "loops", "kinks")
 
-    def __init__(self, d: Diagram):
-        proj = d._proj
-        self.crossings = d.crossings
-        self.far = proj.far_ports[:]
-        self.labels = proj.port_labels[:]
-        self.loops = d.free_loops
-        self.kinks = proj.kinks
+    def __init__(self, node: _State):
+        self.crossings = node.crossings
+        self.far = list(node.far)
+        self.labels = list(node.labels)
+        self.loops = node.loops
+        self.kinks = node.kinks
 
     def splice(self, p: int, kind: str) -> None:
         self._remove((p,), _splice_bridge(kind))
@@ -955,19 +1067,23 @@ class _PortState:
         over = self.crossings
         return _least_code(self.far, over, loops, len(piece), [(s, int(over[s]))])
 
-    def diagram(self, piece: Sequence[int], loops: int) -> Diagram:
-        """The crossings ``piece`` with ``loops`` free loops as a diagram,
-        renumbered in order; every check of the constructor runs."""
-        far, labels = self.far, self.labels
-        index = {c: k for k, c in enumerate(piece)}
-        edges = sorted(
-            (labels[x], (index[c], x & 3), (index[y >> 2], y & 3))
-            for c in piece
-            for x in range(4 * c, 4 * c + 4)
-            if x < (y := far[x])
+    def node(self, piece: Sequence[int], loops: int) -> _State:
+        """The crossings ``piece`` with ``loops`` free loops cut out as a
+        node, renumbered in order.  The structural checks run on the
+        node's arrays when its walk is first built."""
+        far, labels, crossings = self.far, self.labels, self.crossings
+        index = [-1] * len(crossings)
+        for k, c in enumerate(piece):
+            index[c] = k
+        ports = [x for c in piece for x in range(4 * c, 4 * c + 4)]
+        return _State(
+            tuple([crossings[c] for c in piece]),
+            tuple([4 * index[y >> 2] + (y & 3) for y in map(far.__getitem__, ports)]),
+            tuple(map(labels.__getitem__, ports)),
+            loops,
+            None,
+            [4 * index[x >> 2] + (x & 3) for x in self.kinks if index[x >> 2] >= 0],
         )
-        crossings = self.crossings
-        return Diagram._from_sorted(tuple([crossings[c] for c in piece]), tuple(edges), loops)
 
 
 _X_TOKEN = re.compile(r"^X\((\d+),(\d+),(\d+),(\d+)\)$")

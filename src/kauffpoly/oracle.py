@@ -31,18 +31,20 @@ the canonical order.  Either way a flip drops the chosen base's degree
 by at least one, as a crossing change keeps the canonical order, and a
 splice drops the crossing count, so the recursion ends.
 
-A node is a :class:`_State`, never a :class:`~kauffpoly.diagram.Diagram`:
-its over flags, the flat far ports and port labels of the projection
-(port ``(c, i)`` at index ``4c + i``, as a diagram's projection holds
-them) and its free loops, all immutable.  A splice merges the chains
-through the crossing with the diagram module's ``_merge_chains``, drops
-the crossing's four ports and renumbers the later crossings in order,
-as ``Diagram.splice`` does, so a state and the diagram the same splices
-would build have equal arrays.  A flip shares its parent's arrays and
-walk.  A state's canonical walk is that of the equal diagram; it is
-built when the node is first expanded, after the diagram constructor's
-structural checks (:func:`kauffpoly.diagram._piece_crossings`) pass on
-the arrays, so a node that hits the memo equals one already checked.
+A node is a :class:`~kauffpoly.diagram._State`, never a
+:class:`~kauffpoly.diagram.Diagram`, and the table engine expands the
+same node type: its over flags, the flat far ports and port labels of
+the projection (port ``(c, i)`` at index ``4c + i``, as a diagram's
+projection holds them) and its free loops, all immutable.  A splice
+(``_State.splice``) merges the chains through the crossing with the
+diagram module's ``_merge_chains``, drops the crossing's four ports and
+renumbers the later crossings in order, as ``Diagram.splice`` does, so
+a state and the diagram the same splices would build have equal
+arrays.  A flip shares its parent's arrays and walk.  A state's
+canonical walk is that of the equal diagram; it is built when the node
+is first expanded, after the diagram constructor's structural checks
+(:func:`kauffpoly.diagram._piece_crossings`) pass on the arrays, so a
+node that hits the memo equals one already checked.
 A memo key is ``(crossings, far, labels, loops)``; the arrays determine
 the labelled edges, so two keys are equal exactly when the labelled
 diagrams are equal, and they never equal a table engine's shape code.
@@ -82,16 +84,7 @@ import functools
 from typing import MutableMapping, Sequence
 
 from .coeffs import _Run
-from .diagram import (
-    _A_BRIDGE,
-    _B_BRIDGE,
-    Diagram,
-    _first_encounters,
-    _merge_chains,
-    _piece_crossings,
-    _walk,
-    _Walk,
-)
+from .diagram import _A_BRIDGE, _B_BRIDGE, Diagram, _first_encounters, _State, _Walk
 from .laurent import BivariatePoly
 from .series import kauffman_L, unlink_factor
 from .warping import BaseSequence, _warping, warping_order
@@ -211,81 +204,6 @@ def _least_order(under: list[list[int]]) -> list[int]:
         order.append(first[s])
         s ^= 1 << first[s]
     return order
-
-
-class _State:
-    """A node of the recursion: over flags, flat far ports and port
-    labels as tuples, free loops, and the canonical walk once built."""
-
-    __slots__ = ("crossings", "far", "labels", "loops", "_walk")
-
-    def __init__(
-        self,
-        crossings: tuple[bool, ...],
-        far: tuple[int, ...],
-        labels: tuple[int, ...],
-        loops: int,
-        walk: _Walk | None = None,
-    ):
-        self.crossings = crossings
-        self.far = far
-        self.labels = labels
-        self.loops = loops
-        self._walk = walk
-
-    @classmethod
-    def of(cls, d: Diagram) -> "_State":
-        """The state of a diagram, sharing its checked walk."""
-        proj = d._proj
-        return cls(
-            d.crossings, tuple(proj.far_ports), tuple(proj.port_labels), d.free_loops, proj.walk
-        )
-
-    @property
-    def key(self) -> OracleKey:
-        return (self.crossings, self.far, self.labels, self.loops)
-
-    @property
-    def walk(self) -> _Walk:
-        """The canonical walk of the equal diagram, built on first use
-        once the constructor's structural checks pass on the arrays."""
-        walk = self._walk
-        if walk is None:
-            _, lows = _piece_crossings(self.far, self.labels)
-            walk = self._walk = _walk(self.far, [lows[k] for k in sorted(lows)], self.loops)
-        return walk
-
-    @property
-    def c(self) -> int:
-        return len(self.crossings)
-
-    @property
-    def r(self) -> int:
-        return self.walk.r
-
-    def flip(self, p: int) -> "_State":
-        crossings = self.crossings
-        flipped = crossings[:p] + (not crossings[p],) + crossings[p + 1 :]
-        return _State(flipped, self.far, self.labels, self.loops, self._walk)
-
-    def splice(self, p: int, bridge: int) -> "_State":
-        """Remove crossing ``p``, joining each of its ports ``i`` to port
-        ``i ^ bridge``; later crossings move down by one."""
-        far, labels = list(self.far), list(self.labels)
-        chains, closed = _merge_chains(far, labels, (p,), bridge)
-        for low, x, y in chains:
-            far[x] = y
-            far[y] = x
-            labels[x] = labels[y] = low
-        cut = 4 * p
-        del far[cut : cut + 4], labels[cut : cut + 4]
-        crossings = self.crossings
-        return _State(
-            crossings[:p] + crossings[p + 1 :],
-            tuple([y - 4 if y > cut else y for y in far]),
-            tuple(labels),
-            self.loops + closed,
-        )
 
 
 def _expand(

@@ -19,6 +19,7 @@ from kauffpoly.diagram import (
     Diagram,
     DiagramError,
     _PortState,
+    _State,
     connected_sum,
     disjoint_union,
     parse_pd,
@@ -41,7 +42,7 @@ from kauffpoly.warping import (
     induced_writhe,
     warping_order,
 )
-from test_diagram import piece_diagrams
+from test_diagram import assert_node_equals, piece_diagrams, state_diagram
 
 KINK = "X(1,2,2,1)"
 KINK_NEG = "X(2,2,1,1)"
@@ -636,17 +637,21 @@ class TestConnectedSumLaw:
     def test_a_cut_splits_off_one_summand(self):
         f8 = parse_pd(FIGURE8)
         d = connected_sum(connected_sum(f8, f8), f8)
-        s = _PortState(d)
+        s = _PortState(_State.of(d))
         for pieces in (2, 3):
             s.rejoin(*s.cut())
             assert len(s.pieces()) == pieces
-            assert [s.diagram(piece, 0).r for piece in s.pieces()] == [1] * pieces
+            summands = piece_diagrams(state_diagram(s))
+            assert len(summands) == len(s.pieces()) == pieces
+            for piece, summand in zip(s.pieces(), summands):
+                assert_node_equals(s.node(piece, 0), summand)
+                assert summand.r == 1
         assert s.cut() is None
         assert {s.shape_code(piece, 0) for piece in s.pieces()} == {f8.shape_code()}
 
     @pytest.mark.parametrize("pd", [HOPF, TREFOIL, FIGURE8, BORROMEAN, BR4X16S2])
     def test_prime_diagrams_have_no_cut(self, pd):
-        assert _PortState(parse_pd(pd)).cut() is None
+        assert _PortState(_State.of(parse_pd(pd))).cut() is None
 
 
 def _reference_first_bigon(d: Diagram):
@@ -795,21 +800,22 @@ class TestPortStateKernel:
         kinks, loops, cuts, cores = coeffs_mod._cores(s)
         ref_kinks, ref_loops, ref_cuts, ref_cores = reference_cores(d)
         assert (kinks, loops, cuts) == (ref_kinks, ref_loops, ref_cuts), where
-        built = [s.diagram(piece, core_loops) for piece, core_loops in cores]
-        assert built == list(ref_cores), where
-        assert [b.edges for b in built] == [c.edges for c in ref_cores], where
+        nodes = [s.node(*core) for core in cores]
+        assert len(nodes) == len(ref_cores), where
+        for node, ref in zip(nodes, ref_cores):
+            assert_node_equals(node, ref, where)
         assert [s.shape_code(*core) for core in cores] == [c.shape_code() for c in ref_cores]
         # each cut splits one component in two
-        assert sum(b.r for b in built) + loops == d.r + cuts, where
+        assert sum(node.r for node in nodes) + loops == d.r + cuts, where
 
     @pytest.mark.parametrize("d", list(_kernel_inputs()))
     def test_cores_and_nodes_match_the_reference(self, d):
-        self.assert_same_reduction(_PortState(d), d, "as given")
+        self.assert_same_reduction(_PortState(_State.of(d)), d, "as given")
         for p in range(d.c):
             flipped = d.crossing_change(p)
-            self.assert_same_reduction(_PortState(flipped), flipped, f"flip {p}")
+            self.assert_same_reduction(_PortState(_State.of(flipped)), flipped, f"flip {p}")
             for kind in "AB":
-                s = _PortState(d)
+                s = _PortState(_State.of(d))
                 s.splice(p, kind)
                 self.assert_same_reduction(s, d.splice(p, kind), f"{kind} at {p}")
         memo: dict = {}
@@ -818,7 +824,7 @@ class TestPortStateKernel:
 
     @staticmethod
     def spliced_figure8() -> _PortState:
-        s = _PortState(parse_pd(FIGURE8))
+        s = _PortState(_State.of(parse_pd(FIGURE8)))
         s.splice(0, "A")  # crossings 1-3 are left, on ports 4-15
         s.pieces()
         return s
@@ -912,11 +918,152 @@ class TestMemoProbe:
         memo: dict = {}
         coeff_table(tre, cache=memo)
         run = coeffs_mod._Run(tre, None, memo)
-        s = _PortState(disjoint_union(tre, parse_pd(HOPF)))
+        s = _PortState(_State.of(disjoint_union(tre, parse_pd(HOPF))))
         with pytest.raises(DiagramError, match="connected"):
             coeffs_mod._core_table(s, tuple(range(5)), 0, run)  # two pieces as one
         with pytest.raises(DiagramError, match="connected"):
-            coeffs_mod._core_table(_PortState(tre), (0, 1, 2), 1, run)  # a loop beside it
+            coeffs_mod._core_table(_PortState(_State.of(tre)), (0, 1, 2), 1, run)  # a loop beside it
+
+
+class TestWarpingCrossingGuard:
+    """``coeff_table_with_base`` takes a warping crossing only as an int:
+    ``True == 1`` and ``1.0 == 1``, so a membership test alone would
+    take either as crossing 1."""
+
+    def test_a_pick_that_is_not_an_int_is_refused(self):
+        tre = parse_pd(TREFOIL)
+        base = next(b for b in enumerate_bases(tre) if 1 in warping_order(tre, b))
+        assert coeff_table_with_base(tre, base, warping_crossing=1) == coeff_table(tre)
+        for pick in (True, 1.0):
+            with pytest.raises(DiagramError, match="not a warping crossing"):
+                coeff_table_with_base(tre, base, warping_crossing=pick)
+
+
+class TestNodesBelowTheTop:
+    """Below the top of a call the engine expands ``_State`` nodes and
+    builds no ``Diagram``; every node still passes the structural checks."""
+
+    @pytest.mark.parametrize(
+        "d",
+        [CATALOG["figure8_figure8"].diagram(), braid_closure(2, [1] * 7)],
+        ids=["figure8#figure8", "T(2,7)"],
+    )
+    def test_no_diagram_is_built(self, d, monkeypatch):
+        base = canonical_base(d)
+        expected = coeff_table(d), coeff_table_with_base(d, base)
+        calls = dict.fromkeys(["_from_sorted", "__post_init__", "crossing_change"], 0)
+        real_from_sorted = Diagram._from_sorted.__func__
+        real_post_init, real_change = Diagram.__post_init__, Diagram.crossing_change
+
+        def from_sorted(cls, *args):
+            calls["_from_sorted"] += 1
+            return real_from_sorted(cls, *args)
+
+        def post_init(self):
+            calls["__post_init__"] += 1
+            real_post_init(self)
+
+        def crossing_change(self, p):
+            calls["crossing_change"] += 1
+            return real_change(self, p)
+
+        monkeypatch.setattr(Diagram, "_from_sorted", classmethod(from_sorted))
+        monkeypatch.setattr(Diagram, "__post_init__", post_init)
+        monkeypatch.setattr(Diagram, "crossing_change", crossing_change)
+        assert (coeff_table(d), coeff_table_with_base(d, base)) == expected
+        assert coeff_table(d, cache={}) == expected[0]
+        assert calls == {"_from_sorted": 0, "__post_init__": 0, "crossing_change": 0}
+        Diagram(d.crossings, d.edges).crossing_change(0).splice(0, "A")  # the counters see these
+        assert calls == {"_from_sorted": 1, "__post_init__": 1, "crossing_change": 1}
+
+    def test_a_cut_out_node_is_checked_before_its_walk(self):
+        import kauffpoly.coeffs as coeffs_mod
+
+        s = _PortState(_State.of(parse_pd(TREFOIL)))
+        node = s.node((0, 1), 0)  # crossing 2 left out: its neighbours' ports dangle
+        with pytest.raises(DiagramError, match="not matched"):
+            node.walk
+        tre = parse_pd(TREFOIL)
+        with pytest.raises(DiagramError, match="not matched"):
+            coeffs_mod._core_table(s, (0, 1), 0, coeffs_mod._Run(tre, None, {}))
+
+
+def reference_least_code(far, over, loops, n, starts):
+    """The breadth-first code search as it was written with a loop over
+    each crossing's four ports, kept to pin the codes byte for byte."""
+    size = len(over)
+    live = []
+    for s, q in starts:
+        index = [-1] * size
+        rot = [0] * size
+        index[s] = 0
+        rot[s] = q
+        live.append((index, rot, [s]))
+    code = [loops]
+    for k in range(n):
+        if len(live[0][2]) == k:
+            raise DiagramError("shape codes exist only for connected diagrams")
+        least = keep = None
+        for state in live:
+            index, rot, order = state
+            c = order[k]
+            r = rot[c]
+            block = [over[c] ^ (r & 1)]
+            for j in (r, (r + 1) & 3, (r + 2) & 3, (r + 3) & 3):
+                f = far[4 * c + j]
+                c2 = f >> 2
+                i = index[c2]
+                if i < 0:
+                    i = index[c2] = len(order)
+                    rot[c2] = f & 3
+                    order.append(c2)
+                block.append(4 * i + ((f - rot[c2]) & 3))
+            if least is None or block < least:
+                least = block
+                keep = [state]
+            elif block == least:
+                keep.append(state)
+        live = keep
+        code += least
+    return tuple(code)
+
+
+def _code_inputs():
+    for name, entry in CATALOG.items():
+        d = entry.diagram()
+        yield f"{name}", d
+        yield f"{name}:mirror", d.mirror()
+    for seed in range(300):
+        yield f"random:{seed}", random_diagram(seed, 12, walk_steps=40)
+    for n in range(3, 14):
+        yield f"T(2,{n})", braid_closure(2, [1] * n)
+    f8 = parse_pd(FIGURE8)
+    yield "figure8#figure8", connected_sum(f8, f8)
+    yield "figure8#figure8#figure8", connected_sum(connected_sum(f8, f8), f8)
+
+
+class TestShapeCodeReference:
+    def test_codes_are_byte_identical_to_the_reference(self):
+        from kauffpoly.diagram import _shape_code
+
+        pieces = 0
+        for name, d in _code_inputs():
+            s = _PortState(_State.of(d))
+            over = list(map(int, s.crossings))
+            for piece in s.pieces():
+                n = len(piece)
+                starts = [(c, q) for c in piece for q in (over[c], over[c] + 2)]
+                expected = reference_least_code(s.far, over, 0, n, starts)
+                assert repr(_shape_code(s.far, s.crossings, 0, piece)) == repr(expected), name
+                assert repr(s.shape_code(piece, 0)) == repr(expected), name
+                first = [(piece[0], over[piece[0]])]
+                expected = reference_least_code(s.far, over, 0, n, first)
+                assert repr(s.start_code(piece, 0)) == repr(expected), name
+                pieces += 1
+            if d.c and len(s.pieces()) == 1 and not d.free_loops:
+                expected = reference_least_code(s.far, over, 0, d.c, starts)
+                assert repr(d.shape_code()) == repr(expected), name
+        assert pieces > 320
 
 
 class TestSplitLaw:

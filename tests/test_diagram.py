@@ -19,6 +19,7 @@ from kauffpoly.diagram import (
     DiagramError,
     PDSyntaxError,
     _PortState,
+    _State,
     connected_sum,
     disjoint_union,
     parse_pd,
@@ -103,6 +104,33 @@ def piece_diagrams(d: Diagram) -> tuple[Diagram, ...]:
         ]
         out.append(Diagram(tuple(d.crossings[ci] for ci in order), tuple(edges)))
     return tuple(out)
+
+
+def state_diagram(s: _PortState) -> Diagram:
+    """The crossings a port state has not removed, renumbered in order,
+    with its free loops, as the public constructor builds them."""
+    kept = [c for c in range(len(s.crossings)) if s.far[4 * c] >= 0]
+    index = {c: k for k, c in enumerate(kept)}
+    edges = [
+        (s.labels[x], (index[c], x & 3), (index[y >> 2], y & 3))
+        for c in kept
+        for x in range(4 * c, 4 * c + 4)
+        if x < (y := s.far[x])
+    ]
+    return Diagram(tuple(s.crossings[c] for c in kept), edges, s.loops)
+
+
+def assert_node_equals(node: _State, d: Diagram, where=None) -> None:
+    """A node holds the over flags, flat arrays, free loops, walk and
+    kinks of the diagram it stands for."""
+    proj = d._proj
+    assert node.crossings == d.crossings, where
+    assert node.far == tuple(proj.far_ports), where
+    assert node.labels == tuple(proj.port_labels), where
+    assert node.loops == d.free_loops, where
+    assert node.walk == proj.walk, where
+    assert sorted(node.kinks) == sorted(proj.kinks), where
+    assert (node.c, node.r) == (d.c, d.r), where
 
 
 class TestParse:
@@ -670,7 +698,7 @@ class TestLocalRemoval:
             edits = [((p,), kind) for p in range(d.c) for kind in "AB"]
             edits += [(bigon, "erase") for bigon in bigon_sites(d)]
             for gone, kind in edits:
-                s = _PortState(d)
+                s = _PortState(_State.of(d))
                 if kind == "erase":
                     s.erase(*gone)
                     expected = d.erase_crossings(gone)
@@ -678,11 +706,11 @@ class TestLocalRemoval:
                     s.splice(gone[0], kind)
                     expected = d.splice(gone[0], kind)
                 kept = [c for c in range(d.c) if c not in gone]
-                built = s.diagram(kept, s.loops)
-                assert built == expected
+                assert state_diagram(s) == expected
                 assert sorted(s.labels[x] for x in s.kinks) == [
-                    label for _, label, _ in kink_sites(built)
+                    label for _, label, _ in kink_sites(expected)
                 ]
+                assert_node_equals(s.node(kept, s.loops), expected)
                 cases += 1
         assert cases > 4000
 

@@ -6,7 +6,7 @@ import pytest
 
 from kauffpoly.catalog import CATALOG
 from kauffpoly.coeffs import coeff_table
-from kauffpoly.diagram import Diagram, DiagramError, _PortState, parse_pd
+from kauffpoly.diagram import Diagram, DiagramError, _PortState, _State, parse_pd
 from kauffpoly.laurent import BivariatePoly
 from kauffpoly.moves import (
     MoveSiteError,
@@ -184,7 +184,7 @@ class TestR2:
             d = random_diagram(seed, 10, walk_steps=20)
             for variant in (d, d.mirror(), d.crossing_change(0) if d.c else d):
                 sites = bigon_sites(variant)
-                bigon = _PortState(variant).bigon()
+                bigon = _PortState(_State.of(variant)).bigon()
                 if sites:
                     assert bigon in sites, (seed, variant.to_pd())
                     found += 1

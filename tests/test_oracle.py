@@ -17,6 +17,7 @@ from kauffpoly.diagram import (
     Diagram,
     DiagramError,
     _PortState,
+    _State,
     connected_sum,
     disjoint_union,
     parse_pd,
@@ -26,7 +27,6 @@ from kauffpoly.moves import r1_add, random_diagram, random_move_walk
 from kauffpoly.oracle import (
     _least_order,
     _least_warping,
-    _State,
     agree_at_y_one,
     oracle_L,
     oracle_L_with_base,
