@@ -56,15 +56,16 @@ table is assembled from theirs.  A caller-supplied base
 The independent evaluator in :mod:`kauffpoly.oracle` deliberately uses
 none of the four laws.
 
-A node is the oracle's ``diagram._State``; no ``Diagram`` is built
-below the top of a call.  Every lookup runs on a port state
-(``diagram._PortState``) of a node or of its flip, which shares its
-arrays and walk: the splices, kink removals, bigon erasures, cuts, the
-split into pieces and the shape codes are edits and scans of one flat
-port array, checked as the constructor checks a diagram before any code
-is looked up.  A core the memo misses is cut out as a renumbered node,
-checked again before its walk is built; the splice shifts and a leaf's
-writhe come off that walk, as in ``Diagram.delta_shift`` and ``writhe``.
+A node is a ``Diagram`` built from port arrays, as in the oracle; no
+node runs the constructor's checks or derives its edge tuple.  Every
+lookup runs on a port state (``diagram._PortState``) of a node or of its
+flip, which shares its projection: the splices, kink removals, bigon
+erasures, cuts, the split into pieces and the shape codes are edits and
+scans of one flat port array, checked as the constructor checks a
+diagram before any code is looked up.  A core the memo misses is cut
+out as a renumbered diagram, checked again before its walk is built;
+the splice shifts and a leaf's writhe come off that walk, as in
+``Diagram.delta_shift`` and ``writhe``.
 
 All functions are pure.  Every call memoises: the memo maps the shape
 code of each core (:meth:`kauffpoly.diagram.Diagram.shape_code`) to its
@@ -92,7 +93,7 @@ from __future__ import annotations
 import logging
 from typing import Mapping, MutableMapping
 
-from .diagram import Diagram, DiagramError, _PortState, _splice_shift, _State, _writhe
+from .diagram import Diagram, DiagramError, _PortState, _splice_shift, _writhe
 from .laurent import BivariatePoly, LaurentPoly, monotone_coeff
 from .moves import kink_rule
 from .warping import BaseSequence, _base_walk, _warping
@@ -112,11 +113,10 @@ class BudgetExceededError(RuntimeError):
     ``crossings`` and ``components`` describe the diagram the caller
     asked about; ``at_crossings`` and ``at_components`` the node whose
     expansion the budget could no longer pay for: the caller's diagram
-    at the top, else a node (``diagram._State``), which has the same
-    ``c`` and ``r``.
+    at the top, else a diagram built from port arrays.
     """
 
-    def __init__(self, d: Diagram, limit: int, at):
+    def __init__(self, d: Diagram, limit: int, at: Diagram):
         self.crossings = d.c
         self.components = d.r
         self.at_crossings = at.c
@@ -131,19 +131,21 @@ class BudgetExceededError(RuntimeError):
 
 class _Run:
     """One call of a recursion, this engine's or the oracle's: the
-    diagram it was asked about, the nodes it may still expand, and its
-    memo of finished results."""
+    diagram it was asked about, the nodes it may still expand (an int
+    budget, or ``DEFAULT_BUDGET``), and its memo of finished results."""
 
     __slots__ = ("top", "limit", "remaining", "memo")
 
     def __init__(self, top: Diagram, budget: int | None, memo: MutableMapping | None):
+        if budget is not None and type(budget) is not int:  # a bool is an int, but not a count
+            raise TypeError(f"budget {budget!r} is not an int")
         self.top = top
         self.limit = DEFAULT_BUDGET if budget is None else budget
         self.remaining = self.limit
         self.memo = {} if memo is None else memo
 
-    def spend(self, d) -> None:
-        """Pay for expanding the node ``d``, which has a ``c`` and an ``r``."""
+    def spend(self, d: Diagram) -> None:
+        """Pay for expanding the node ``d``."""
         self.remaining -= 1
         if self.remaining < 0:
             raise BudgetExceededError(self.top, self.limit, d)
@@ -180,7 +182,7 @@ class CoeffTable(BivariatePoly):
 
 
 def _expand(
-    node: _State,
+    node: Diagram,
     encounters: tuple[tuple[int, int], ...],
     orientation: tuple[int, ...],
     pick: int | None,
@@ -188,20 +190,20 @@ def _expand(
 ) -> CoeffTable:
     """One node under a traversal: its first-encounter order and the
     component directions it induces.  The flip, which shares the node's
-    arrays and walk, and the two splices are looked up on port states,
-    in that order."""
+    projection, and the two splices are looked up on port states, in
+    that order."""
     warping = _warping(node.crossings, encounters)
     if pick is not None and (type(pick) is not int or pick not in warping):
         # a bool or a float equal to a warping crossing is not one
         raise DiagramError(f"crossing {pick!r} is not a warping crossing of this base")
-    walk = node.walk
+    walk = node._proj.walk
     if not warping:
         w = _writhe(node.crossings, walk, orientation)
         r = walk.r
         return CoeffTable.from_dict({n: monotone_coeff(w, n, r) for n in range(r)})
     p = warping[0] if pick is None else pick
 
-    table = -_table(_PortState(node.flip(p)), run)
+    table = -_table(_PortState(node._flip(p)), run)
     for kind in "AB":
         spliced = _PortState(node)
         spliced.splice(p, kind)
@@ -256,7 +258,7 @@ def _core_table(s: _PortState, piece: tuple[int, ...], loops: int, run: _Run) ->
     table = memo.get(key)
     if table is None:
         node = s.node(piece, loops)
-        walk = node.walk  # after the constructor's checks on the node
+        walk = node._proj.walk  # after the constructor's checks on the node
         run.spend(node)
         table = memo[key] = _expand(node, walk.encounters, (1,) * walk.r, None, run)
     return table
@@ -288,14 +290,15 @@ def coeff_table(
     d : Diagram
     budget : int, optional
         Cap on recursion nodes (default ``DEFAULT_BUDGET``); exceeding it
-        raises :class:`BudgetExceededError`.
+        raises :class:`BudgetExceededError`, and a budget that is not an
+        int (a float or a bool) raises ``TypeError``.
     cache : mutable mapping, optional
         Memo from the shape code of each core to its table, to share
         across calls; without one the call memoises in a fresh dict.
         Relabelled copies of a core share its entry, which is sound
         because the table is a link invariant.
     """
-    return _table(_PortState(_State.of(d)), _Run(d, budget, cache))
+    return _table(_PortState(d), _Run(d, budget, cache))
 
 
 def coeff_table_with_base(
@@ -316,7 +319,7 @@ def coeff_table_with_base(
     encounters, orientation = _base_walk(d, base)
     run = _Run(d, budget, cache)
     run.spend(d)
-    return _expand(_State.of(d), encounters, orientation, warping_crossing, run)
+    return _expand(d, encounters, orientation, warping_crossing, run)
 
 
 def _skein_terms(

@@ -15,46 +15,45 @@ or a free loop, which the constructor checks.  Labels survive crossing
 changes unchanged, and a splice names each merged edge after the
 smallest label it absorbed, which keeps derived diagrams deterministic.
 
-Diagrams that differ only in over flags share their projection data: the
-flat port arrays the constructor's checks build and, each computed on
-first use, one walk of the canonical traversal, the faces, the edge map
-and the components.  The face tuple is built only for callers of
-:meth:`Diagram.faces`: the planarity check that parsing makes counts
-faces traced on the flat port arrays.  The walk starts each component
-at its lowest edge and, in one pass over the port array, records the
-component count ``r``,
-the first-encounter order, each component's arrival ports in order and
+Diagrams that differ only in over flags share their projection data:
+the flat port arrays, as tuples, and, each computed on first use, the
+lower port of each edge, one walk of the canonical traversal, the kinks,
+the edges, the faces, the edge map and the components.  Equality and
+hashing read the over flags, the port arrays and the free loops.  The
+face tuple is built only for callers of :meth:`Diagram.faces`: the
+planarity check that parsing makes counts faces traced on the flat port
+arrays.  The walk starts each component at its lowest edge and, in one
+pass over the port array, records the component count ``r``, the
+first-encounter order, each component's arrival ports in order and
 each crossing's sign with V over; ``r``, the writhe (:func:`_writhe`),
 the components, each splice's component shift (:func:`_splice_shift`),
 the canonical first-encounter order and the oracle's search for a base
 of least warping degree read it, so the recursions never build
-``Component`` objects.  The walk is :func:`_walk` of the flat port
-arrays, which both recursions also run on their nodes: they are kept as
-arrays and never built as diagrams, and :func:`_piece_crossings` checks
-them as the constructor checks a diagram.  The first-encounter order
-from any other start ports comes from :func:`_first_encounters`, which
-records nothing else.
-``crossing_change`` and ``mirror`` reuse the validated edges and this
-shared data as they are, so a flip costs one tuple and one dict copy.
-Removing crossings is a local edit: the kept edges stay in order, only
-the chains of edges through the removed crossings are merged and
-inserted in place, and every structural check runs on the result
-without sorting again.  One chain merge serves every removal: a splice
-takes off one crossing, and ``erase_crossings`` all of its crossings in
-one edit, so an R2 bigon comes off with one diagram built.
+``Component`` objects.  The first-encounter order from any other start
+ports comes from :func:`_first_encounters`, which records nothing else.
+``crossing_change`` and ``mirror`` share the projection as it is, so a
+flip costs one tuple and one diagram.
 
-Both recursions expand nodes, not diagrams.  A :class:`_State` holds
-the over flags, the flat port arrays and the free loops as tuples, and
-the walk and kinks of the equal diagram; its arrays pass the
-constructor's checks before its walk is built.  The oracle splices a
-node into new nodes.  The coefficient engine edits a node's
-sub-diagrams without building them: a ``_PortState`` copies a node's
-arrays once and edits the copies in place.  It splices, strips kinks,
-erases bigons, splits connected sums at their cuts, splits into pieces
-and computes shape codes on those arrays, with the same chain merge,
-kink scan, bigon scan, face rule and shape code as :class:`Diagram`,
-and checks its arrays as the constructor checks a diagram's.  A core it
-is asked for is cut out as a renumbered node.
+Removing crossings is an edit of the port arrays: only the chains of
+edges through the removed crossings are merged, their ports are cut
+out and the later crossings move down.  One chain merge serves every
+removal: a splice takes off one crossing, and ``erase_crossings`` all
+of its crossings in one edit, so an R2 bigon comes off with one diagram
+built.  A diagram made by an edit is built from its arrays
+(:meth:`Diagram._from_arrays`), without the constructor's checks or a
+sort; :func:`_piece_crossings` makes those checks on the arrays when
+the diagram first needs its lower ports, for its walk, its edges or
+its faces, and the edge tuple is derived only when it is read.
+
+Both recursions expand such diagrams.  The oracle splices and flips
+them.  The coefficient engine edits a diagram's sub-diagrams without
+building them: a ``_PortState`` copies a diagram's arrays once and
+edits the copies in place.  It splices, strips kinks, erases bigons,
+splits connected sums at their cuts, splits into pieces and computes
+shape codes on those arrays, with the same chain merge, kink scan,
+bigon scan, face rule and shape code as :class:`Diagram`, and checks its
+arrays as the constructor checks a diagram's.  A core it is asked for
+is cut out as a renumbered diagram built from arrays.
 
 PD text input: whitespace-separated tokens ``X(a,b,c,d)`` listing the
 edge labels at ports 0..3 counterclockwise with the under-strand
@@ -66,7 +65,6 @@ orientations are supplied separately, one direction per component.
 from __future__ import annotations
 
 import re
-from bisect import insort
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Collection, Iterable, Iterator, NamedTuple, Sequence
@@ -241,55 +239,87 @@ class _Projection:
     """The data of a diagram that its over flags do not touch.
 
     Every diagram that ``crossing_change`` or ``mirror`` derives from
-    another holds the same instance, so each value here (the port
-    arrays, the canonical traversal, the components, the faces) is
-    computed once per projection.  Port ``(c, i)`` is index ``4c + i``
-    of the flat arrays: ``far_ports`` holds the port at the other end of
-    its edge and ``port_labels`` that edge's label; ``lower_ports`` lists
-    the lower port of each edge in label order.  ``walk``, ``faces``,
-    ``components`` (from the walk's visits), ``edge_map`` and ``kinks``
-    (the lower ports of the R1 kinks' loop edges) are cached properties,
-    built on first use.  Only this module writes any of it; the
-    recursions read its canonical traversal, and the oracle's base
-    search and the move site searches of :mod:`kauffpoly.moves` its port
-    array.
+    another holds the same instance, so each value here is computed once
+    per projection.  Port ``(c, i)`` is index ``4c + i`` of the flat
+    tuples: ``far_ports`` holds the port at the other end of its edge and
+    ``port_labels`` that edge's label.  ``lower_ports`` lists the lower
+    port of each edge in label order; the constructor's checks give it,
+    and for arrays made by an edit it is found on first use by
+    :func:`_piece_crossings`, which makes those checks on the arrays.
+    ``walk`` and ``kinks`` (the lower ports of the R1 kinks' loop edges)
+    are built on first use unless given; ``edges``, ``edge_map``,
+    ``faces`` and ``components`` (from the walk's visits) are cached
+    properties, and ``edges`` is given by the constructor.  Only this
+    module writes any of it; the recursions read the arrays and the
+    canonical traversal, and the oracle's base search and the move site
+    searches of :mod:`kauffpoly.moves` the arrays.
     """
+
+    # every recursion node builds a projection and reads its walk, so the
+    # per-node values are slots behind plain properties (before Python
+    # 3.12 a cached_property takes a lock on each first read); the cold
+    # cached properties live in the instance dict
+    __slots__ = (
+        "far_ports", "port_labels", "free_loops", "_lower_ports", "_walk", "_kinks", "__dict__"
+    )
 
     def __init__(
         self,
-        edges: tuple[tuple[int, Port, Port], ...],
+        far_ports: tuple[int, ...],
+        port_labels: tuple[int, ...],
         free_loops: int,
-        far_ports: list[int],
-        port_labels: list[int],
-        lower_ports: list[int],
+        lower_ports: list[int] | None = None,
+        kinks: Sequence[int] | None = None,
     ):
-        self.edges = edges
-        self.free_loops = free_loops
         self.far_ports = far_ports
         self.port_labels = port_labels
-        self.lower_ports = lower_ports
+        self.free_loops = free_loops
+        self._lower_ports = lower_ports
+        self._walk = None
+        self._kinks = kinks
+
+    @property
+    def lower_ports(self) -> list[int]:
+        lows = self._lower_ports
+        if lows is None:
+            _, by_label = _piece_crossings(self.far_ports, self.port_labels)
+            lows = self._lower_ports = [by_label[k] for k in sorted(by_label)]
+        return lows
+
+    @property
+    def walk(self) -> _Walk:
+        walk = self._walk
+        if walk is None:
+            walk = self._walk = _walk(self.far_ports, self.lower_ports, self.free_loops)
+        return walk
+
+    @property
+    def kinks(self) -> Sequence[int]:
+        kinks = self._kinks
+        if kinks is None:
+            far = self.far_ports
+            kinks = self._kinks = _kink_ports(far, range(len(far)))
+        return kinks
+
+    @cached_property
+    def edges(self) -> tuple[tuple[int, Port, Port], ...]:
+        far, labels = self.far_ports, self.port_labels
+        return tuple(
+            [(labels[x], (x >> 2, x & 3), (far[x] >> 2, far[x] & 3)) for x in self.lower_ports]
+        )
 
     @cached_property
     def edge_map(self) -> dict[int, tuple[Port, Port]]:
         return {label: (a, b) for label, a, b in self.edges}
 
     @cached_property
-    def kinks(self) -> tuple[int, ...]:
-        far = self.far_ports
-        return tuple(_kink_ports(far, range(len(far))))
-
-    @cached_property
-    def walk(self) -> _Walk:
-        return _walk(self.far_ports, self.lower_ports, self.free_loops)
-
-    @cached_property
     def faces(self) -> tuple[tuple[tuple[int, Port], ...], ...]:
         far, labels = self.far_ports, self.port_labels
         out: list[tuple[tuple[int, Port], ...]] = []
         visited = [False] * len(far)
-        # edges are sorted by label with a < b, so the darts come out sorted
-        for _, a, b in self.edges:
-            for head in (4 * a[0] + a[1], 4 * b[0] + b[1]):
+        # lower ports come in label order, so the darts come out sorted
+        for low in self.lower_ports:
+            for head in (low, far[low]):
                 face = []
                 x = head
                 while not visited[x]:  # the face closes at its first dart
@@ -322,8 +352,11 @@ class Diagram:
     (label, port, port) triples sorted by label, each port pair sorted,
     whatever order they were passed in; this canonical storage makes
     structural equality coincide with equality of labeled diagrams.
-    The shared projection data takes no part in equality, hashing or
-    repr.
+    Equality and hashing compare the over flags, the flat port arrays of
+    the projection and the free loops, which determine the edges and are
+    determined by them.  A diagram built from port arrays
+    (:meth:`_from_arrays`) derives its edges on first use.  The shared
+    projection data takes no part in repr.
     """
 
     crossings: tuple[bool, ...]
@@ -374,6 +407,26 @@ class Diagram:
         d._check_and_project()
         return d
 
+    @classmethod
+    def _from_arrays(
+        cls,
+        crossings: tuple[bool, ...],
+        far: tuple[int, ...],
+        labels: tuple[int, ...],
+        loops: int,
+        kinks: Sequence[int] | None = None,
+    ) -> "Diagram":
+        """A diagram from flat port arrays that an edit of a checked
+        diagram's arrays made, and the lower ports of its kinks' loop
+        edges when known.  The constructor's structural checks run on
+        the arrays when the projection first needs its lower ports: for
+        the walk, the edges or the faces.  The callers pass bools and a
+        nonnegative int."""
+        d = object.__new__(cls)
+        proj = _Projection(far, labels, loops, None, kinks)
+        vars(d).update(crossings=crossings, free_loops=loops, _proj=proj)
+        return d
+
     def _check_and_project(self) -> None:
         """Check the canonically stored edges and attach their projection."""
         n = len(self.crossings)
@@ -405,30 +458,44 @@ class Diagram:
             raise DiagramError("some crossing port is not matched by any edge")
         if self.free_loops < 0:
             raise DiagramError("free_loops must be nonnegative")
-        object.__setattr__(
-            self, "_proj", _Projection(self.edges, self.free_loops, far, labels, lows)
-        )
+        proj = _Projection(tuple(far), tuple(labels), self.free_loops, lows)
+        proj.edges = self.edges
+        object.__setattr__(self, "_proj", proj)
+
+    def __getattr__(self, name: str):
+        # only the edges of a diagram built from port arrays are ever missing
+        if name != "edges":
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        edges = self._proj.edges
+        object.__setattr__(self, "edges", edges)
+        return edges
 
     def _with_crossings(self, crossings: tuple[bool, ...]) -> "Diagram":
-        """This diagram with other over flags.  The edges are the same
-        validated tuple, so there is nothing to check again, and the
-        projection is shared; nothing the diagram caches for itself,
-        such as its hash, comes along."""
+        """This diagram with other over flags.  The projection is shared,
+        and with it the checked arrays and the edges, so there is nothing
+        to check again."""
         d = object.__new__(Diagram)
-        vars(d).update(
-            crossings=crossings, edges=self.edges, free_loops=self.free_loops, _proj=self._proj
-        )
+        vars(d).update(crossings=crossings, free_loops=self.free_loops, _proj=self._proj)
         return d
 
+    def _flip(self, p: int) -> "Diagram":
+        """The crossing change at ``p``, which the caller knows exists."""
+        crossings = self.crossings
+        return self._with_crossings(crossings[:p] + (not crossings[p],) + crossings[p + 1 :])
+
+    @property
+    def _key(self) -> tuple[tuple[bool, ...], tuple[int, ...], tuple[int, ...], int]:
+        """Over flags, flat far ports, port labels and free loops."""
+        proj = self._proj
+        return (self.crossings, proj.far_ports, proj.port_labels, self.free_loops)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not Diagram:
+            return NotImplemented
+        return self._key == other._key
+
     def __hash__(self) -> int:
-        # a memo keyed by diagrams hashes each one on lookup and on store,
-        # and the nested edge tuples are the bulk of that work
-        try:
-            return self._hash
-        except AttributeError:
-            h = hash((self.crossings, self.edges, self.free_loops))
-            object.__setattr__(self, "_hash", h)
-            return h
+        return hash(self._key)
 
     # ------------------------------------------------------------------
     # basic data
@@ -483,8 +550,7 @@ class Diagram:
     def crossing_change(self, p: int) -> "Diagram":
         """Flip which strand passes over at ``p``; everything else is unchanged."""
         self._check_crossing(p)
-        crossings = self.crossings
-        return self._with_crossings(crossings[:p] + (not crossings[p],) + crossings[p + 1 :])
+        return self._flip(p)
 
     def mirror(self) -> "Diagram":
         """Flip every crossing."""
@@ -519,34 +585,26 @@ class Diagram:
         """Drop the crossings ``gone``, joining each port ``i`` of each of
         them to port ``i ^ bridge`` of the same crossing.
 
-        The kept crossings are renumbered in order, and the edges that
-        miss ``gone`` are kept in storage order.  Each chain that
-        :func:`_merge_chains` merges becomes one edge, inserted in place;
-        a chain that closes up becomes a free loop.
+        An edit of the port arrays: each chain that :func:`_merge_chains`
+        merges is written over the ports it joins, under its smallest
+        label, and a chain that closes up becomes a free loop.  Then the
+        ports of ``gone`` are cut out, the last crossing first, and the
+        later crossings move down, so the kept ones keep their order.
         """
-        crossings = self.crossings
-        first = min(gone)  # crossings below it keep their index
-        index = list(range(first))  # old index -> new index, -1 if gone
-        kept = list(crossings[:first])
-        for c in range(first, len(crossings)):
-            if c in gone:
-                index.append(-1)
-            else:
-                index.append(len(kept))
-                kept.append(crossings[c])
-        edges = []
-        for label, a, b in self.edges:  # the kept edges stay sorted and normalised
-            ia, ib = index[a[0]], index[b[0]]
-            if ia >= 0 and ib >= 0:
-                edges.append(
-                    (label, a if ia == a[0] else (ia, a[1]), b if ib == b[0] else (ib, b[1]))
-                )
         proj = self._proj
-        chains, closed = _merge_chains(proj.far_ports, proj.port_labels, gone, bridge)
+        far, labels = list(proj.far_ports), list(proj.port_labels)
+        chains, closed = _merge_chains(far, labels, gone, bridge)
         for low, x, y in chains:
-            a, b = (index[x >> 2], x & 3), (index[y >> 2], y & 3)
-            insort(edges, (low, a, b) if a < b else (low, b, a))  # its label is new
-        return Diagram._from_sorted(tuple(kept), tuple(edges), self.free_loops + closed)
+            far[x] = y
+            far[y] = x
+            labels[x] = labels[y] = low
+        crossings = self.crossings
+        for p in sorted(gone, reverse=True):
+            cut = 4 * p
+            del far[cut : cut + 4], labels[cut : cut + 4]
+            far = [y - 4 if y > cut else y for y in far]
+            crossings = crossings[:p] + crossings[p + 1 :]
+        return Diagram._from_arrays(crossings, tuple(far), tuple(labels), self.free_loops + closed)
 
     def delta_shift(self, p: int, kind: str) -> int:
         """``r(splice) - r``, read off the canonical walk by :func:`_splice_shift`."""
@@ -852,101 +910,13 @@ def _least_code(
     return tuple(code)
 
 
-class _State:
-    """An immutable node of both recursions: over flags, flat far ports
-    and port labels as tuples (the layout of :class:`_Projection`), free
-    loops, and the walk and kink ports of the equal diagram.  The walk is
-    built on first use, after :func:`_piece_crossings` makes the
-    constructor's structural checks on the arrays; the kinks are scanned
-    on first use unless given.  A flip shares all but the over flags."""
-
-    __slots__ = ("crossings", "far", "labels", "loops", "_walk", "_kinks")
-
-    def __init__(
-        self,
-        crossings: tuple[bool, ...],
-        far: tuple[int, ...],
-        labels: tuple[int, ...],
-        loops: int,
-        walk: _Walk | None = None,
-        kinks: Sequence[int] | None = None,
-    ):
-        self.crossings = crossings
-        self.far = far
-        self.labels = labels
-        self.loops = loops
-        self._walk = walk
-        self._kinks = kinks
-
-    @classmethod
-    def of(cls, d: Diagram) -> "_State":
-        """The node of a diagram, sharing its checked walk and its kinks."""
-        proj = d._proj
-        far, labels = tuple(proj.far_ports), tuple(proj.port_labels)
-        return cls(d.crossings, far, labels, d.free_loops, proj.walk, proj.kinks)
-
-    @property
-    def key(self) -> tuple[tuple[bool, ...], tuple[int, ...], tuple[int, ...], int]:
-        return (self.crossings, self.far, self.labels, self.loops)
-
-    @property
-    def walk(self) -> _Walk:
-        """The canonical walk of the equal diagram, built on first use
-        once the constructor's structural checks pass on the arrays."""
-        walk = self._walk
-        if walk is None:
-            _, lows = _piece_crossings(self.far, self.labels)
-            walk = self._walk = _walk(self.far, [lows[k] for k in sorted(lows)], self.loops)
-        return walk
-
-    @property
-    def kinks(self) -> Sequence[int]:
-        kinks = self._kinks
-        if kinks is None:
-            kinks = self._kinks = _kink_ports(self.far, range(len(self.far)))
-        return kinks
-
-    @property
-    def c(self) -> int:
-        return len(self.crossings)
-
-    @property
-    def r(self) -> int:
-        return self.walk.r
-
-    def flip(self, p: int) -> "_State":
-        crossings = self.crossings
-        flipped = crossings[:p] + (not crossings[p],) + crossings[p + 1 :]
-        return _State(flipped, self.far, self.labels, self.loops, self._walk, self._kinks)
-
-    def splice(self, p: int, bridge: int) -> "_State":
-        """Remove crossing ``p``, joining each of its ports ``i`` to port
-        ``i ^ bridge``; later crossings move down by one, as
-        :meth:`Diagram.splice` renumbers them."""
-        far, labels = list(self.far), list(self.labels)
-        chains, closed = _merge_chains(far, labels, (p,), bridge)
-        for low, x, y in chains:
-            far[x] = y
-            far[y] = x
-            labels[x] = labels[y] = low
-        cut = 4 * p
-        del far[cut : cut + 4], labels[cut : cut + 4]
-        crossings = self.crossings
-        return _State(
-            crossings[:p] + crossings[p + 1 :],
-            tuple([y - 4 if y > cut else y for y in far]),
-            tuple(labels),
-            self.loops + closed,
-        )
-
-
 class _PortState:
-    """A node under edit by the coefficient engine: over flags, flat
+    """A diagram under edit by the coefficient engine: over flags, flat
     far ports and labels (the layout of :class:`_Projection`) and free
     loops, changed in place.
 
-    The state copies the arrays of the :class:`_State` it starts from
-    once, when it is made.  A removal writes a few array entries;
+    The state copies the arrays of the diagram it starts from once,
+    when it is made.  A removal writes a few array entries;
     a removed crossing keeps its index and its ports hold -1, so no
     crossing is renumbered until :meth:`node` cuts out a core.  A
     splice and a bigon erasure are each one removal, and every removal
@@ -959,12 +929,13 @@ class _PortState:
 
     __slots__ = ("crossings", "far", "labels", "loops", "kinks")
 
-    def __init__(self, node: _State):
-        self.crossings = node.crossings
-        self.far = list(node.far)
-        self.labels = list(node.labels)
-        self.loops = node.loops
-        self.kinks = node.kinks
+    def __init__(self, d: Diagram):
+        proj = d._proj
+        self.crossings = d.crossings
+        self.far = list(proj.far_ports)
+        self.labels = list(proj.port_labels)
+        self.loops = d.free_loops
+        self.kinks = proj.kinks
 
     def splice(self, p: int, kind: str) -> None:
         self._remove((p,), _splice_bridge(kind))
@@ -1067,21 +1038,20 @@ class _PortState:
         over = self.crossings
         return _least_code(self.far, over, loops, len(piece), [(s, int(over[s]))])
 
-    def node(self, piece: Sequence[int], loops: int) -> _State:
+    def node(self, piece: Sequence[int], loops: int) -> Diagram:
         """The crossings ``piece`` with ``loops`` free loops cut out as a
-        node, renumbered in order.  The structural checks run on the
-        node's arrays when its walk is first built."""
+        diagram, renumbered in order, with its kinks.  The structural
+        checks run on its arrays when its walk is first built."""
         far, labels, crossings = self.far, self.labels, self.crossings
         index = [-1] * len(crossings)
         for k, c in enumerate(piece):
             index[c] = k
         ports = [x for c in piece for x in range(4 * c, 4 * c + 4)]
-        return _State(
+        return Diagram._from_arrays(
             tuple([crossings[c] for c in piece]),
             tuple([4 * index[y >> 2] + (y & 3) for y in map(far.__getitem__, ports)]),
             tuple(map(labels.__getitem__, ports)),
             loops,
-            None,
             [4 * index[x >> 2] + (x & 3) for x in self.kinks if index[x >> 2] >= 0],
         )
 

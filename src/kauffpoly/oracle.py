@@ -31,23 +31,21 @@ the canonical order.  Either way a flip drops the chosen base's degree
 by at least one, as a crossing change keeps the canonical order, and a
 splice drops the crossing count, so the recursion ends.
 
-A node is a :class:`~kauffpoly.diagram._State`, never a
-:class:`~kauffpoly.diagram.Diagram`, and the table engine expands the
-same node type: its over flags, the flat far ports and port labels of
-the projection (port ``(c, i)`` at index ``4c + i``, as a diagram's
-projection holds them) and its free loops, all immutable.  A splice
-(``_State.splice``) merges the chains through the crossing with the
-diagram module's ``_merge_chains``, drops the crossing's four ports and
-renumbers the later crossings in order, as ``Diagram.splice`` does, so
-a state and the diagram the same splices would build have equal
-arrays.  A flip shares its parent's arrays and walk.  A state's
-canonical walk is that of the equal diagram; it is built when the node
-is first expanded, after the diagram constructor's structural checks
-(:func:`kauffpoly.diagram._piece_crossings`) pass on the arrays, so a
-node that hits the memo equals one already checked.
-A memo key is ``(crossings, far, labels, loops)``; the arrays determine
-the labelled edges, so two keys are equal exactly when the labelled
-diagrams are equal, and they never equal a table engine's shape code.
+A node is a :class:`~kauffpoly.diagram.Diagram`, and the table engine
+expands the same kind of node.  A splice (``Diagram._remove``) is an
+edit of the flat port arrays of the projection (port ``(c, i)`` at index
+``4c + i``): it merges the chains through the crossing with the diagram
+module's ``_merge_chains``, cuts out the crossing's four ports and
+moves the later crossings down, and builds the result from its arrays,
+so it runs none of the constructor's checks and sorts no edges.  A flip
+shares its parent's projection and walk.  A node's canonical walk is
+built when it is first expanded, after the diagram constructor's
+structural checks (:func:`kauffpoly.diagram._piece_crossings`) pass on
+the arrays, so a node that hits the memo equals one already checked.
+A memo key is ``(crossings, far, labels, loops)``, the tuple diagram
+equality compares; the arrays determine the labelled edges, so two keys
+are equal exactly when the labelled diagrams are equal, and they never
+equal a table engine's shape code.
 
 The flip at ``p``, the first of a node's warping crossings ``W`` under
 its chosen base, expands with ``W[1:]`` and no new search.  This is
@@ -84,7 +82,7 @@ import functools
 from typing import MutableMapping, Sequence
 
 from .coeffs import _Run
-from .diagram import _A_BRIDGE, _B_BRIDGE, Diagram, _first_encounters, _State, _Walk
+from .diagram import _A_BRIDGE, _B_BRIDGE, Diagram, _first_encounters, _Walk
 from .laurent import BivariatePoly
 from .series import kauffman_L, unlink_factor
 from .warping import BaseSequence, _warping, warping_order
@@ -207,31 +205,31 @@ def _least_order(under: list[list[int]]) -> list[int]:
 
 
 def _expand(
-    s: _State, warping: tuple[int, ...], run: _Run, rest: tuple[int, ...] | None
+    s: Diagram, warping: tuple[int, ...], run: _Run, rest: tuple[int, ...] | None
 ) -> BivariatePoly:
     """One node, given its warping crossings under some base; ``rest``
     is the flip's warping crossings under its least base, or None to
     search for them."""
     if not warping:
-        walk = s.walk
+        walk = s._proj.walk
         writhe = sum(sign if over else -sign for over, sign in zip(s.crossings, walk.signs))
         return _d_power(walk.r - 1).shift_y(writhe)
     p = warping[0]
-    return (
-        -_oracle(s.flip(p), run, rest)
-        + (_oracle(s.splice(p, _A_BRIDGE), run) + _oracle(s.splice(p, _B_BRIDGE), run)).shift_z(1)
-    )
+    flip = _oracle(s._flip(p), run, rest)
+    spliced = _oracle(s._remove((p,), _A_BRIDGE), run) + _oracle(s._remove((p,), _B_BRIDGE), run)
+    return -flip + spliced.shift_z(1)
 
 
-def _oracle(s: _State, run: _Run, warping: tuple[int, ...] | None = None) -> BivariatePoly:
+def _oracle(s: Diagram, run: _Run, warping: tuple[int, ...] | None = None) -> BivariatePoly:
     """A node's value.  A miss expands it from ``warping``, its warping
     crossings under its least base, found by the search when not given."""
-    key = s.key
+    key = s._key
     value = run.memo.get(key)
     if value is None:
         run.spend(s)
         if warping is None:
-            warping = _least_warping(s.crossings, s.far, s.walk)[1]
+            proj = s._proj
+            warping = _least_warping(s.crossings, proj.far_ports, proj.walk)[1]
         value = run.memo[key] = _expand(s, warping, run, warping[1:])
     return value
 
@@ -243,7 +241,7 @@ def oracle_L(
     cache: OracleCache | None = None,
 ) -> BivariatePoly:
     """Regular-isotopy Kauffman polynomial by whole-polynomial recursion."""
-    return _oracle(_State.of(d), _Run(d, budget, cache))
+    return _oracle(d, _Run(d, budget, cache))
 
 
 def oracle_L_with_base(
@@ -259,7 +257,7 @@ def oracle_L_with_base(
     warping = warping_order(d, base)
     run = _Run(d, budget, cache)
     run.spend(d)
-    return _expand(_State.of(d), warping, run, None)
+    return _expand(d, warping, run, None)
 
 
 def uniqueness_check(

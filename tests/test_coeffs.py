@@ -19,7 +19,6 @@ from kauffpoly.diagram import (
     Diagram,
     DiagramError,
     _PortState,
-    _State,
     connected_sum,
     disjoint_union,
     parse_pd,
@@ -42,7 +41,7 @@ from kauffpoly.warping import (
     induced_writhe,
     warping_order,
 )
-from test_diagram import assert_node_equals, piece_diagrams, state_diagram
+from test_diagram import assert_cut_out_equals, count_builds, piece_diagrams, state_diagram
 
 KINK = "X(1,2,2,1)"
 KINK_NEG = "X(2,2,1,1)"
@@ -433,6 +432,15 @@ class TestBudgetAndCache:
         e = err.value
         assert (e.at_crossings, e.at_components) == (e.crossings, e.components) == (4, 1)
 
+    def test_a_budget_that_is_not_an_int_is_refused(self):
+        # 2.5 would be run against as it stands, and True as a budget of 1
+        tre = parse_pd(TREFOIL)
+        for budget in (2.5, True, 100.0):
+            for run in (coeff_table, kauffman_L, oracle_L):
+                with pytest.raises(TypeError, match="is not an int"):
+                    run(tre, budget=budget)
+        assert coeff_table(tre, budget=100) == coeff_table(tre, budget=None)
+
     def test_cache_matches_reference_path(self):
         shared = HitCountingCache()
         for seed in range(15):
@@ -637,21 +645,21 @@ class TestConnectedSumLaw:
     def test_a_cut_splits_off_one_summand(self):
         f8 = parse_pd(FIGURE8)
         d = connected_sum(connected_sum(f8, f8), f8)
-        s = _PortState(_State.of(d))
+        s = _PortState(d)
         for pieces in (2, 3):
             s.rejoin(*s.cut())
             assert len(s.pieces()) == pieces
             summands = piece_diagrams(state_diagram(s))
             assert len(summands) == len(s.pieces()) == pieces
             for piece, summand in zip(s.pieces(), summands):
-                assert_node_equals(s.node(piece, 0), summand)
+                assert_cut_out_equals(s.node(piece, 0), summand)
                 assert summand.r == 1
         assert s.cut() is None
         assert {s.shape_code(piece, 0) for piece in s.pieces()} == {f8.shape_code()}
 
     @pytest.mark.parametrize("pd", [HOPF, TREFOIL, FIGURE8, BORROMEAN, BR4X16S2])
     def test_prime_diagrams_have_no_cut(self, pd):
-        assert _PortState(_State.of(parse_pd(pd))).cut() is None
+        assert _PortState(parse_pd(pd)).cut() is None
 
 
 def _reference_first_bigon(d: Diagram):
@@ -803,19 +811,19 @@ class TestPortStateKernel:
         nodes = [s.node(*core) for core in cores]
         assert len(nodes) == len(ref_cores), where
         for node, ref in zip(nodes, ref_cores):
-            assert_node_equals(node, ref, where)
+            assert_cut_out_equals(node, ref, where)
         assert [s.shape_code(*core) for core in cores] == [c.shape_code() for c in ref_cores]
         # each cut splits one component in two
         assert sum(node.r for node in nodes) + loops == d.r + cuts, where
 
     @pytest.mark.parametrize("d", list(_kernel_inputs()))
     def test_cores_and_nodes_match_the_reference(self, d):
-        self.assert_same_reduction(_PortState(_State.of(d)), d, "as given")
+        self.assert_same_reduction(_PortState(d), d, "as given")
         for p in range(d.c):
             flipped = d.crossing_change(p)
-            self.assert_same_reduction(_PortState(_State.of(flipped)), flipped, f"flip {p}")
+            self.assert_same_reduction(_PortState(flipped), flipped, f"flip {p}")
             for kind in "AB":
-                s = _PortState(_State.of(d))
+                s = _PortState(d)
                 s.splice(p, kind)
                 self.assert_same_reduction(s, d.splice(p, kind), f"{kind} at {p}")
         memo: dict = {}
@@ -824,7 +832,7 @@ class TestPortStateKernel:
 
     @staticmethod
     def spliced_figure8() -> _PortState:
-        s = _PortState(_State.of(parse_pd(FIGURE8)))
+        s = _PortState(parse_pd(FIGURE8))
         s.splice(0, "A")  # crossings 1-3 are left, on ports 4-15
         s.pieces()
         return s
@@ -918,11 +926,11 @@ class TestMemoProbe:
         memo: dict = {}
         coeff_table(tre, cache=memo)
         run = coeffs_mod._Run(tre, None, memo)
-        s = _PortState(_State.of(disjoint_union(tre, parse_pd(HOPF))))
+        s = _PortState(disjoint_union(tre, parse_pd(HOPF)))
         with pytest.raises(DiagramError, match="connected"):
             coeffs_mod._core_table(s, tuple(range(5)), 0, run)  # two pieces as one
         with pytest.raises(DiagramError, match="connected"):
-            coeffs_mod._core_table(_PortState(_State.of(tre)), (0, 1, 2), 1, run)  # a loop beside it
+            coeffs_mod._core_table(_PortState(tre), (0, 1, 2), 1, run)  # a loop beside it
 
 
 class TestWarpingCrossingGuard:
@@ -940,49 +948,40 @@ class TestWarpingCrossingGuard:
 
 
 class TestNodesBelowTheTop:
-    """Below the top of a call the engine expands ``_State`` nodes and
-    builds no ``Diagram``; every node still passes the structural checks."""
+    """Below the top of a call the engine expands diagrams cut out of
+    its port states as arrays: none runs the constructor's checks or
+    sorts edges, and none derives its edge tuple; every node still
+    passes the structural checks before its walk is built."""
 
     @pytest.mark.parametrize(
         "d",
         [CATALOG["figure8_figure8"].diagram(), braid_closure(2, [1] * 7)],
         ids=["figure8#figure8", "T(2,7)"],
     )
-    def test_no_diagram_is_built(self, d, monkeypatch):
+    def test_nodes_are_built_from_arrays_alone(self, d, monkeypatch):
         base = canonical_base(d)
         expected = coeff_table(d), coeff_table_with_base(d, base)
-        calls = dict.fromkeys(["_from_sorted", "__post_init__", "crossing_change"], 0)
-        real_from_sorted = Diagram._from_sorted.__func__
-        real_post_init, real_change = Diagram.__post_init__, Diagram.crossing_change
-
-        def from_sorted(cls, *args):
-            calls["_from_sorted"] += 1
-            return real_from_sorted(cls, *args)
-
-        def post_init(self):
-            calls["__post_init__"] += 1
-            real_post_init(self)
-
-        def crossing_change(self, p):
-            calls["crossing_change"] += 1
-            return real_change(self, p)
-
-        monkeypatch.setattr(Diagram, "_from_sorted", classmethod(from_sorted))
-        monkeypatch.setattr(Diagram, "__post_init__", post_init)
-        monkeypatch.setattr(Diagram, "crossing_change", crossing_change)
+        calls = count_builds(monkeypatch)
         assert (coeff_table(d), coeff_table_with_base(d, base)) == expected
-        assert coeff_table(d, cache={}) == expected[0]
-        assert calls == {"_from_sorted": 0, "__post_init__": 0, "crossing_change": 0}
-        Diagram(d.crossings, d.edges).crossing_change(0).splice(0, "A")  # the counters see these
-        assert calls == {"_from_sorted": 1, "__post_init__": 1, "crossing_change": 1}
+        calls["_from_arrays"] = 0
+        memo: dict = {}
+        assert coeff_table(d, cache=memo) == expected[0]
+        assert calls["_from_arrays"] == len(memo) > 0  # each expanded node is cut out once
+        calls["_from_arrays"] = 0
+        assert calls == dict.fromkeys(calls, 0)
+        # the counters see these
+        Diagram(d.crossings, d.edges).crossing_change(0).splice(0, "A").edges
+        assert calls == dict(
+            __post_init__=1, _from_sorted=0, _from_arrays=1, crossing_change=1, edges=1
+        )
 
     def test_a_cut_out_node_is_checked_before_its_walk(self):
         import kauffpoly.coeffs as coeffs_mod
 
-        s = _PortState(_State.of(parse_pd(TREFOIL)))
+        s = _PortState(parse_pd(TREFOIL))
         node = s.node((0, 1), 0)  # crossing 2 left out: its neighbours' ports dangle
         with pytest.raises(DiagramError, match="not matched"):
-            node.walk
+            node._proj.walk
         tre = parse_pd(TREFOIL)
         with pytest.raises(DiagramError, match="not matched"):
             coeffs_mod._core_table(s, (0, 1), 0, coeffs_mod._Run(tre, None, {}))
@@ -1048,7 +1047,7 @@ class TestShapeCodeReference:
 
         pieces = 0
         for name, d in _code_inputs():
-            s = _PortState(_State.of(d))
+            s = _PortState(d)
             over = list(map(int, s.crossings))
             for piece in s.pieces():
                 n = len(piece)

@@ -8,6 +8,7 @@ under test.
 import itertools
 import random
 import re
+from functools import cached_property
 from typing import NamedTuple
 
 import pytest
@@ -19,7 +20,7 @@ from kauffpoly.diagram import (
     DiagramError,
     PDSyntaxError,
     _PortState,
-    _State,
+    _Projection,
     connected_sum,
     disjoint_union,
     parse_pd,
@@ -120,17 +121,38 @@ def state_diagram(s: _PortState) -> Diagram:
     return Diagram(tuple(s.crossings[c] for c in kept), edges, s.loops)
 
 
-def assert_node_equals(node: _State, d: Diagram, where=None) -> None:
-    """A node holds the over flags, flat arrays, free loops, walk and
-    kinks of the diagram it stands for."""
-    proj = d._proj
-    assert node.crossings == d.crossings, where
-    assert node.far == tuple(proj.far_ports), where
-    assert node.labels == tuple(proj.port_labels), where
-    assert node.loops == d.free_loops, where
-    assert node.walk == proj.walk, where
-    assert sorted(node.kinks) == sorted(proj.kinks), where
-    assert (node.c, node.r) == (d.c, d.r), where
+def assert_cut_out_equals(node: Diagram, d: Diagram, where=None) -> None:
+    """A diagram a port state cut out equals ``d`` and carries the kinks
+    that ``d``'s arrays give, though the state never scanned for them."""
+    assert node == d, where
+    assert sorted(node._proj.kinks) == sorted(d._proj.kinks), where
+
+
+def count_builds(monkeypatch) -> dict[str, int]:
+    """From now on, count the diagrams built with the constructor's
+    checks (``__post_init__``, ``_from_sorted``) and from port arrays
+    (``_from_arrays``), the public crossing changes, and the edge tuples
+    derived from port arrays."""
+    calls = dict.fromkeys(
+        ["__post_init__", "_from_sorted", "_from_arrays", "crossing_change", "edges"], 0
+    )
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for name in ("__post_init__", "crossing_change"):
+        monkeypatch.setattr(Diagram, name, counting(name, getattr(Diagram, name)))
+    for name in ("_from_sorted", "_from_arrays"):
+        fn = getattr(Diagram, name).__func__
+        monkeypatch.setattr(Diagram, name, classmethod(counting(name, fn)))
+    edges = cached_property(counting("edges", _Projection.edges.func))
+    edges.__set_name__(_Projection, "edges")
+    monkeypatch.setattr(_Projection, "edges", edges)
+    return calls
 
 
 class TestParse:
@@ -698,7 +720,7 @@ class TestLocalRemoval:
             edits = [((p,), kind) for p in range(d.c) for kind in "AB"]
             edits += [(bigon, "erase") for bigon in bigon_sites(d)]
             for gone, kind in edits:
-                s = _PortState(_State.of(d))
+                s = _PortState(d)
                 if kind == "erase":
                     s.erase(*gone)
                     expected = d.erase_crossings(gone)
@@ -710,7 +732,7 @@ class TestLocalRemoval:
                 assert sorted(s.labels[x] for x in s.kinks) == [
                     label for _, label, _ in kink_sites(expected)
                 ]
-                assert_node_equals(s.node(kept, s.loops), expected)
+                assert_cut_out_equals(s.node(kept, s.loops), expected)
                 cases += 1
         assert cases > 4000
 

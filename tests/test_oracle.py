@@ -6,18 +6,16 @@ import random
 import pytest
 
 from test_coeffs import braid_closure
+from test_diagram import count_builds
 from test_verification import _hopf_chain
 
 from kauffpoly import oracle
 from kauffpoly.catalog import CATALOG
 from kauffpoly.coeffs import BudgetExceededError, _Run
 from kauffpoly.diagram import (
-    _A_BRIDGE,
-    _B_BRIDGE,
     Diagram,
     DiagramError,
     _PortState,
-    _State,
     connected_sum,
     disjoint_union,
     parse_pd,
@@ -254,14 +252,13 @@ class TestLeastWarping:
 
 
 # ----------------------------------------------------------------------
-# the recursion on flat port arrays against the one on diagrams
+# the recursion on array-built nodes against the one through the public API
 
 
 def reference_oracle(d: Diagram, run: _Run) -> BivariatePoly:
-    """The oracle's recursion on :class:`Diagram` nodes, as it stood
-    before nodes became port-array states: each node is a built diagram,
-    keyed in the memo by itself, and every node searches for its least
-    base."""
+    """The oracle's recursion through the public diagram operations: each
+    node comes from ``splice`` or ``crossing_change``, is keyed in the
+    memo by itself, and searches for its least base."""
     value = run.memo.get(d)
     if value is None:
         run.spend(d)
@@ -355,27 +352,21 @@ class TestFlatRecursion:
             assert getattr(got.value, attr) == getattr(expected.value, attr)
         assert str(got.value) == str(expected.value)
 
-    def test_no_node_builds_a_diagram(self, monkeypatch):
+    def test_nodes_are_built_from_arrays_alone(self, monkeypatch):
+        # a node is spliced as arrays: it runs none of the constructor's
+        # checks, sorts no edges and never derives its edge tuple
         f8 = parse_pd(FIGURE8)
         d = connected_sum(f8, f8)
         expected = kauffman_L(f8) * kauffman_L(f8)
-        calls = {"_from_sorted": 0, "_remove": 0}
-        real_from_sorted, real_remove = Diagram._from_sorted.__func__, Diagram._remove
-
-        def from_sorted(cls, *args):
-            calls["_from_sorted"] += 1
-            return real_from_sorted(cls, *args)
-
-        def remove(self, *args):
-            calls["_remove"] += 1
-            return real_remove(self, *args)
-
-        monkeypatch.setattr(Diagram, "_from_sorted", classmethod(from_sorted))
-        monkeypatch.setattr(Diagram, "_remove", remove)
+        calls = count_builds(monkeypatch)
         assert oracle_L(d) == expected
-        assert calls == {"_from_sorted": 0, "_remove": 0}
-        d.splice(0, "A")  # the counters see a diagram's splice
-        assert calls == {"_from_sorted": 1, "_remove": 1}
+        assert calls["_from_arrays"] > 0
+        calls["_from_arrays"] = 0
+        assert calls == dict.fromkeys(calls, 0)
+        d.crossing_change(0).splice(0, "A").edges  # the counters see these
+        assert calls == dict(
+            __post_init__=0, _from_sorted=0, _from_arrays=1, crossing_change=1, edges=1
+        )
 
 
 class TestFlipChain:
@@ -411,63 +402,70 @@ class TestFlipChain:
         assert max(len(least(d)[0]) for d in memo) == 7 > oracle._MAX_PERMUTED
 
 
-def splice_cases():
+def array_built_cases():
     """Every splice of each catalog and random input and of each of
-    their crossing changes: (diagram, its state)."""
+    their crossing changes, and the erasures of each run of one, two and
+    three crossings of each input: diagrams built from port arrays."""
     for d in CATALOG_DIAGRAMS + RANDOM_INPUTS:
         for e in [d] + [d.crossing_change(p) for p in range(d.c)]:
-            s = _State.of(e)
-            yield e, s
             for p in range(e.c):
-                for kind, bridge in (("A", _A_BRIDGE), ("B", _B_BRIDGE)):
-                    yield e.splice(p, kind), s.splice(p, bridge)
+                yield e.splice(p, "A")
+                yield e.splice(p, "B")
+        for p in range(d.c):
+            for run in range(1, min(d.c, 3) + 1):
+                yield d.erase_crossings({(p + k) % d.c for k in range(run)})
 
 
-class TestStateSplice:
-    def test_arrays_loops_and_walk_equal_the_spliced_diagram(self):
+class TestArrayBuiltDiagrams:
+    def test_equal_to_the_rebuilt_diagram(self):
         cases = 0
-        for e, s in splice_cases():
-            proj = e._proj
-            assert s.crossings == e.crossings
-            assert s.far == tuple(proj.far_ports)
-            assert s.labels == tuple(proj.port_labels)
-            assert s.loops == e.free_loops
-            assert s.walk == proj.walk
-            assert (s.c, s.r) == (e.c, e.r)
+        for x in array_built_cases():
+            rebuilt = Diagram(x.crossings, x.edges, x.free_loops)
+            assert x.edges == rebuilt.edges and repr(x) == repr(rebuilt)
+            assert x == rebuilt and hash(x) == hash(rebuilt)
+            assert x.to_pd() == rebuilt.to_pd()
+            assert x.components == rebuilt.components
+            assert x.faces() == rebuilt.faces()
             cases += 1
         assert cases >= 6_000
 
-    def test_a_flip_shares_the_arrays_and_walk(self):
-        for d in CATALOG_DIAGRAMS:
-            s = _State.of(d)
-            for p in range(d.c):
-                flip = s.flip(p)
-                assert flip.key == _State.of(d.crossing_change(p)).key
-                assert flip.far is s.far and flip.labels is s.labels and flip.walk is s.walk
-
-    def test_keys_are_equal_exactly_when_the_diagrams_are(self):
-        pairs = {(e, s.key) for e, s in splice_cases()}
-        diagrams = {e for e, _ in pairs}
+    def test_keys_are_equal_exactly_when_the_edges_are(self):
+        pairs = {((x.crossings, x.edges, x.free_loops), x._key) for x in array_built_cases()}
+        diagrams = {labelled for labelled, _ in pairs}
         keys = {key for _, key in pairs}
         assert len(pairs) == len(diagrams) == len(keys)
-        assert len(pairs) < sum(1 for _ in splice_cases())  # equal ones were met
+        assert len(pairs) < sum(1 for _ in array_built_cases())  # equal ones were met
 
-    def test_a_state_with_a_label_used_twice_is_refused(self):
+    def test_a_flip_shares_the_projection(self):
+        for d in CATALOG_DIAGRAMS:
+            spliced = d.splice(0, "A") if d.c > 1 else d
+            for e in (d, spliced):
+                for p in range(e.c):
+                    flip = e._flip(p)
+                    assert flip == e.crossing_change(p)
+                    assert flip._proj is e._proj
+
+    def test_a_label_used_twice_is_refused(self):
         d = parse_pd(TREFOIL)
-        s = _State.of(d)
-        labels = list(s.labels)
-        x, y = 0, s.far[0]
+        proj = d._proj
+        labels = list(proj.port_labels)
+        x, y = 0, proj.far_ports[0]
         other = next(label for label in labels if label != labels[x])
         labels[x] = labels[y] = other
-        bad = _State(s.crossings, s.far, tuple(labels), s.loops)
+        bad = Diagram._from_arrays(d.crossings, proj.far_ports, tuple(labels), d.free_loops)
         with pytest.raises(DiagramError, match="duplicate edge label"):
-            bad.walk
+            bad._proj.walk
+        with pytest.raises(DiagramError, match="duplicate edge label"):
+            bad.edges
         with pytest.raises(DiagramError, match="duplicate edge label"):
             oracle._oracle(bad, _Run(d, None, None))
 
-    def test_a_state_with_an_unmatched_port_is_refused(self):
-        s = _State.of(parse_pd(TREFOIL))
-        far = list(s.far)
+    def test_an_unmatched_port_is_refused(self):
+        d = parse_pd(TREFOIL)
+        far = list(d._proj.far_ports)
         far[0] = far[1]
+        bad = Diagram._from_arrays(d.crossings, tuple(far), d._proj.port_labels, d.free_loops)
         with pytest.raises(DiagramError, match="not matched"):
-            _State(s.crossings, tuple(far), s.labels, s.loops).walk
+            bad._proj.walk
+        with pytest.raises(DiagramError, match="not matched"):
+            oracle._oracle(bad, _Run(d, None, None))
