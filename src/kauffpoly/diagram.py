@@ -34,16 +34,17 @@ ports comes from :func:`_first_encounters`, which records nothing else.
 ``crossing_change`` and ``mirror`` share the projection as it is, so a
 flip costs one tuple and one diagram.
 
-Removing crossings is an edit of the port arrays: only the chains of
-edges through the removed crossings are merged, their ports are cut
-out and the later crossings move down.  One chain merge serves every
-removal: a splice takes off one crossing, and ``erase_crossings`` all
-of its crossings in one edit, so an R2 bigon comes off with one diagram
-built.  A diagram made by an edit is built from its arrays
-(:meth:`Diagram._from_arrays`), without the constructor's checks or a
-sort; :func:`_piece_crossings` makes those checks on the arrays when
-the diagram first needs its lower ports, for its walk, its edges or
-its faces, and the edge tuple is derived only when it is read.
+Every diagram derived from another is an edit of copies of its flat
+port arrays, built by :meth:`Diagram._from_arrays` without a sort, so
+the constructor runs only on outside input.  A removal merges only the
+chains of edges through the removed crossings (one edit for a splice or
+for all of ``erase_crossings``), cuts their ports out and moves the
+later crossings down.  A sum or a union places two diagrams' arrays
+side by side, and the moves of :mod:`kauffpoly.moves` append ports or
+rewire them; new labels go above the highest.  :func:`_piece_crossings`
+makes the constructor's checks on the arrays when the diagram first
+needs its lower ports; sums, unions and moves read them before they
+return.  The edge tuple is derived only when it is read.
 
 Both recursions expand such diagrams.  The oracle splices and flips
 them.  The coefficient engine edits a diagram's sub-diagrams without
@@ -71,6 +72,12 @@ from typing import Collection, Iterable, Iterator, NamedTuple, Sequence
 
 Port = tuple[int, int]  # (crossing index, port index 0..3)
 EdgeRef = int | None  # an edge label, or None meaning "a free loop"
+
+
+def _is_port(p: object) -> bool:
+    """Whether ``p`` is a pair of ints; a bool is an int, but not a
+    crossing or port index."""
+    return type(p) is tuple and len(p) == 2 and type(p[0]) is int and type(p[1]) is int
 
 
 class DiagramError(ValueError):
@@ -379,62 +386,17 @@ class Diagram:
         for label, a, b in self.edges:
             if isinstance(label, bool) or not isinstance(label, int) or label < 1:
                 raise DiagramError(f"edge label {label!r} is not a positive integer")
-            if not (  # a bool is an int, but not a crossing or port index
-                type(a) is tuple
-                and type(b) is tuple
-                and len(a) == 2
-                and len(b) == 2
-                and type(a[0]) is int
-                and type(a[1]) is int
-                and type(b[0]) is int
-                and type(b[1]) is int
-            ):
+            if not (_is_port(a) and _is_port(b)):
                 raise DiagramError(f"edge {label} joins {a!r} and {b!r}, not two pairs of ints")
             edges.append((label, a, b) if a < b else (label, b, a))
-        object.__setattr__(self, "edges", tuple(sorted(edges)))
-        self._check_and_project()
-
-    @classmethod
-    def _from_sorted(
-        cls, crossings: tuple[bool, ...], edges: tuple[tuple[int, Port, Port], ...], loops: int
-    ) -> "Diagram":
-        """A diagram from edges that are already in the canonical storage
-        order, each port pair sorted and the triples sorted by label.
-        Nothing is sorted again, but every structural check of
-        ``__post_init__`` runs; the callers pass bools and an int."""
-        d = object.__new__(cls)
-        vars(d).update(crossings=crossings, edges=edges, free_loops=loops)
-        d._check_and_project()
-        return d
-
-    @classmethod
-    def _from_arrays(
-        cls,
-        crossings: tuple[bool, ...],
-        far: tuple[int, ...],
-        labels: tuple[int, ...],
-        loops: int,
-        kinks: Sequence[int] | None = None,
-    ) -> "Diagram":
-        """A diagram from flat port arrays that an edit of a checked
-        diagram's arrays made, and the lower ports of its kinks' loop
-        edges when known.  The constructor's structural checks run on
-        the arrays when the projection first needs its lower ports: for
-        the walk, the edges or the faces.  The callers pass bools and a
-        nonnegative int."""
-        d = object.__new__(cls)
-        proj = _Projection(far, labels, loops, None, kinks)
-        vars(d).update(crossings=crossings, free_loops=loops, _proj=proj)
-        return d
-
-    def _check_and_project(self) -> None:
-        """Check the canonically stored edges and attach their projection."""
-        n = len(self.crossings)
+        edges = tuple(sorted(edges))
+        object.__setattr__(self, "edges", edges)
+        n = len(crossings)
         far = [-1] * (4 * n)
         labels = [0] * (4 * n)
         lows = []
         last = None
-        for label, a, b in self.edges:
+        for label, a, b in edges:
             if label == last:  # edges are sorted by label
                 raise DiagramError(f"duplicate edge label {label}")
             last = label
@@ -456,11 +418,31 @@ class Diagram:
             labels[x] = labels[y] = label
         if -1 in far:
             raise DiagramError("some crossing port is not matched by any edge")
-        if self.free_loops < 0:
+        if loops < 0:
             raise DiagramError("free_loops must be nonnegative")
-        proj = _Projection(tuple(far), tuple(labels), self.free_loops, lows)
-        proj.edges = self.edges
+        proj = _Projection(tuple(far), tuple(labels), loops, lows)
+        proj.edges = edges
         object.__setattr__(self, "_proj", proj)
+
+    @classmethod
+    def _from_arrays(
+        cls,
+        crossings: tuple[bool, ...],
+        far: tuple[int, ...],
+        labels: tuple[int, ...],
+        loops: int,
+        kinks: Sequence[int] | None = None,
+    ) -> "Diagram":
+        """A diagram from flat port arrays that an edit of a checked
+        diagram's arrays made, and the lower ports of its kinks' loop
+        edges when known.  The constructor's structural checks run on
+        the arrays when the projection first needs its lower ports: for
+        the walk, the edges or the faces.  The callers pass bools and a
+        nonnegative int."""
+        d = object.__new__(cls)
+        proj = _Projection(far, labels, loops, None, kinks)
+        vars(d).update(crossings=crossings, free_loops=loops, _proj=proj)
+        return d
 
     def __getattr__(self, name: str):
         # only the edges of a diagram built from port arrays are ever missing
@@ -516,9 +498,6 @@ class Diagram:
 
     def edge_labels(self) -> tuple[int, ...]:
         return tuple(label for label, _, _ in self.edges)
-
-    def has_edge(self, label: int) -> bool:
-        return label in self.edge_map
 
     def _check_crossing(self, p: int) -> None:
         if type(p) is not int:  # a bool is an int, but not a crossing index
@@ -1100,28 +1079,44 @@ def parse_pd(text: str) -> Diagram:
     return d
 
 
-def _relabel(d: Diagram, label_offset: int, crossing_offset: int) -> list[tuple[int, Port, Port]]:
-    return [
-        (label + label_offset, (a[0] + crossing_offset, a[1]), (b[0] + crossing_offset, b[1]))
-        for label, a, b in d.edges
-    ]
+def _checked(d: Diagram) -> Diagram:
+    """``d`` once the constructor's checks pass on its arrays: reading
+    its lower ports runs :func:`_piece_crossings` and keeps the result."""
+    d._proj.lower_ports
+    return d
+
+
+def _lower_port(d: Diagram, e: object) -> int | None:
+    """The lower flat port of the edge of ``d`` that ``e`` names, or None
+    unless ``e`` is an int label of an edge (a bool names label 1)."""
+    labels = d._proj.port_labels
+    return labels.index(e) if isinstance(e, int) and e in labels else None
+
+
+def _side_by_side(d: Diagram, d2: Diagram) -> tuple[tuple[bool, ...], list[int], list[int]]:
+    """Over flags, far ports and labels of ``d`` and then ``d2``, whose
+    labels are moved above ``d``'s highest."""
+    proj, proj2 = d._proj, d2._proj
+    shift, offset = 4 * d.c, max(proj.port_labels, default=0)
+    far = list(proj.far_ports) + [y + shift for y in proj2.far_ports]
+    labels = list(proj.port_labels) + [label + offset for label in proj2.port_labels]
+    return d.crossings + d2.crossings, far, labels
 
 
 def disjoint_union(d: Diagram, d2: Diagram) -> Diagram:
     """Place two diagrams side by side; components simply add up."""
-    offset = max(d.edge_labels(), default=0)
-    edges = list(d.edges) + _relabel(d2, offset, d.c)
-    return Diagram(d.crossings + d2.crossings, edges, d.free_loops + d2.free_loops)
+    crossings, far, labels = _side_by_side(d, d2)
+    loops = d.free_loops + d2.free_loops
+    return _checked(Diagram._from_arrays(crossings, tuple(far), tuple(labels), loops))
 
 
-def _resolve_edge_ref(d: Diagram, e: EdgeRef) -> EdgeRef:
-    if e is not None:
-        if not d.has_edge(e):
-            raise DiagramError(f"no edge {e} in diagram {d.to_pd()!r}")
-        return e
-    if d.free_loops:
-        return None
-    return d.edges[0][0]
+def _sum_port(d: Diagram, e: EdgeRef) -> int | None:
+    """The lower port of the edge ``connected_sum`` cuts; None for a loop."""
+    if e is None:
+        return None if d.free_loops else d._proj.lower_ports[0]
+    if (x := _lower_port(d, e)) is None:
+        raise DiagramError(f"no edge {e} in diagram {d.to_pd()!r}")
+    return x
 
 
 def connected_sum(d: Diagram, d2: Diagram, e: EdgeRef = None, e2: EdgeRef = None) -> Diagram:
@@ -1129,25 +1124,20 @@ def connected_sum(d: Diagram, d2: Diagram, e: EdgeRef = None, e2: EdgeRef = None
 
     The result has r + r' - 1 components and c + c' crossings.  Passing
     ``None`` for an edge picks a free loop when one exists, otherwise
-    the lowest-labeled edge.
+    the lowest-labeled edge.  The two joined edges take the two labels
+    above the highest, the one at the lower ports first.
     """
-    e = _resolve_edge_ref(d, e)
-    e2 = _resolve_edge_ref(d2, e2)
-    offset = max(d.edge_labels(), default=0)
-    crossings = d.crossings + d2.crossings
-    edges = list(d.edges) + _relabel(d2, offset, d.c)
+    x, x2 = _sum_port(d, e), _sum_port(d2, e2)
+    crossings, far, labels = _side_by_side(d, d2)
     loops = d.free_loops + d2.free_loops
-
-    if e is None or e2 is None:
+    if x is None or x2 is None:
         # a cut free loop joins the other cut free loop or edge
-        return Diagram(crossings, edges, loops - 1)
-
-    a, b = d.edge_map[e]
-    a2, b2 = d2.edge_map[e2]
-    a2 = (a2[0] + d.c, a2[1])
-    b2 = (b2[0] + d.c, b2[1])
-    keep = [edge for edge in edges if edge[0] not in (e, e2 + offset)]
-    top = max(label for label, _, _ in edges)
-    keep.append((top + 1, a, a2))
-    keep.append((top + 2, b, b2))
-    return Diagram(crossings, keep, loops)
+        loops -= 1
+    else:
+        x2 += 4 * d.c
+        y, y2 = far[x], far[x2]
+        top = max(labels)
+        far[x], far[x2], far[y], far[y2] = x2, x, y2, y
+        labels[x] = labels[x2] = top + 1
+        labels[y] = labels[y2] = top + 2
+    return _checked(Diagram._from_arrays(crossings, tuple(far), tuple(labels), loops))

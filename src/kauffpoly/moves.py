@@ -18,10 +18,12 @@ index at the site it found, without looking the site up again.  The
 index draw, ``rng.choice(range(count))``, takes from the seeded stream
 exactly what a draw from the list of that kind's steps would, so walks,
 their traces and every input built from them depend only on the order
-in which each kind's steps are indexed.  Every move builds its diagram
-with the edges already in storage order (a kept label keeps its place,
-new labels follow the highest), so nothing is sorted again, while every
-structural check of the constructor still runs.
+in which each kind's steps are indexed.
+
+Every move edits copies of the flat port arrays and builds its diagram
+with :meth:`Diagram._from_arrays`: a kept edge keeps its label, new
+labels go above the highest, and the constructor's structural checks
+run on the arrays before the move returns.
 
 Site conventions (ports counterclockwise, face tracing as in
 :meth:`kauffpoly.diagram.Diagram.faces`):
@@ -32,14 +34,13 @@ Site conventions (ports counterclockwise, face tracing as in
   strand passes over (or under) at both;
 * an R3 site is a 3-gon face on three distinct crossings together with a
   side whose strand passes over both other strands or under both.  The
-  slide is a pure rewiring of eight edge endpoints; crossings, over
-  flags, and edge labels are untouched.
+  slide, :func:`_r3_rewire` on the scan's arrival ports, rewires eight
+  edge ends in place; crossings, over flags and edge labels stay.
 """
 
 from __future__ import annotations
 
 import random
-from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
@@ -49,7 +50,11 @@ from .diagram import (
     EdgeRef,
     Port,
     _bigon_scan,
+    _checked,
+    _face_ids,
+    _is_port,
     _kink_site,
+    _lower_port,
     _PortState,
 )
 
@@ -93,35 +98,30 @@ def r1_add(d: Diagram, e: EdgeRef, chirality: str, side: str = "R") -> Diagram:
         raise MoveSiteError(f"chirality must be '+' or '-', not {chirality!r}")
     if side not in ("L", "R"):
         raise MoveSiteError(f"side must be 'L' or 'R', not {side!r}")
-    k = d.c
-    top = d.edges[-1][0] if d.edges else 0
     # side R puts the loop on ports (1,2), side L on (2,3); the sign of a
     # (1,2)- or (3,0)-loop kink equals over_v, of the other two its negation
     over_v = (chirality == "+") if side == "R" else (chirality == "-")
-    crossings = d.crossings + (over_v,)
-
-    # edges are built in storage order: the new crossing k comes after
-    # every old port, and new labels after ``top``
+    k = 4 * d.c  # the new crossing's port 0; the strand leaves by port j
+    j, l1, l2 = (k + 3, k + 1, k + 2) if side == "R" else (k + 1, k + 2, k + 3)
+    far, labels = list(d._proj.far_ports) + [0] * 4, list(d._proj.port_labels) + [0] * 4
+    top = max(labels)
     if e is None:
         if not d.free_loops:
             raise MoveSiteError("no free loop to kink")
-        if side == "R":
-            new = ((top + 1, (k, 0), (k, 3)), (top + 2, (k, 1), (k, 2)))
-        else:
-            new = ((top + 1, (k, 0), (k, 1)), (top + 2, (k, 2), (k, 3)))
-        return Diagram._from_sorted(crossings, d.edges + new, d.free_loops - 1)
-
-    edges = list(d.edges)
-    i = bisect_left(edges, (e,)) if isinstance(e, int) else len(edges)
-    if i == len(edges) or edges[i][0] != e:
-        raise MoveSiteError(f"no edge {e}")
-    label, a, b = edges[i]  # the stored label, which ``e`` only equals
-    edges[i] = (label, a, (k, 0))
-    if side == "R":
-        edges += ((top + 1, b, (k, 3)), (top + 2, (k, 1), (k, 2)))
+        loops = d.free_loops - 1
+        far[k], far[j] = j, k
+        labels[k] = labels[j] = top + 1
     else:
-        edges += ((top + 1, b, (k, 1)), (top + 2, (k, 2), (k, 3)))
-    return Diagram._from_sorted(crossings, tuple(edges), d.free_loops)
+        if (x := _lower_port(d, e)) is None:
+            raise MoveSiteError(f"no edge {e}")
+        loops = d.free_loops
+        y = far[x]  # the edge keeps its label from x to port 0
+        far[x], far[k], far[y], far[j] = k, x, j, y
+        labels[k] = labels[x]
+        labels[y] = labels[j] = top + 1
+    far[l1], far[l2] = l2, l1
+    labels[l1] = labels[l2] = top + 2
+    return _checked(Diagram._from_arrays(d.crossings + (over_v,), tuple(far), tuple(labels), loops))
 
 
 def r1_remove(d: Diagram, p: int) -> Diagram:
@@ -146,47 +146,51 @@ def cofacial_dart_pairs(d: Diagram) -> tuple[tuple[Dart, Dart], ...]:
     return tuple(out)
 
 
+def _dart_port(d: Diagram, dart: Dart) -> int:
+    """The flat head port of ``dart``, whose head must be a pair of ints
+    naming a port of ``d`` on the edge its int label names."""
+    e, h = dart
+    if _is_port(h):
+        x = 4 * h[0] + h[1]
+        if isinstance(e, int) and 0 <= h[0] < d.c and 0 <= h[1] < 4 and d._proj.port_labels[x] == e:
+            return x
+    raise MoveSiteError(f"dart ({e}, {h}) does not exist")
+
+
 def r2_add_at(d: Diagram, dart1: Dart, dart2: Dart, over_first: bool = True) -> Diagram:
     """Push the strand of ``dart1`` across the face it shares with
     ``dart2`` onto the strand of ``dart2``, creating a bigon;
     ``over_first`` sends it across on top."""
-    e1, h1 = dart1
-    e2, h2 = dart2
-    if e1 == e2:
+    if dart1[0] == dart2[0]:
         raise MoveSiteError("the two edges of an R2 move must differ")
-    for e, h in ((e1, h1), (e2, h2)):
-        if not d.has_edge(e) or h not in d.edge_map[e]:
-            raise MoveSiteError(f"dart ({e}, {h}) does not exist")
-    if not any(dart1 in face and dart2 in face for face in d.faces()):
+    x1, x2 = _dart_port(d, dart1), _dart_port(d, dart2)
+    face, _ = _face_ids(d._proj.far_ports)
+    if face[x1] != face[x2]:
         raise MoveSiteError(f"darts {dart1} and {dart2} do not share a face")
-    return _r2_push(d, dart1, dart2, over_first)
+    return _r2_push(d, x1, x2, over_first)
 
 
-def _r2_push(d: Diagram, dart1: Dart, dart2: Dart, over_first: bool) -> Diagram:
-    """``r2_add_at`` at a dart pair already known to share a face."""
-    u = d.c
-    v = d.c + 1
-    edges = list(d.edges)
-    top = edges[-1][0]
-    # each pushed edge keeps its stored label and its place and now runs
-    # from its tail to the new crossings, which come after every old port
-    for (e, h), port in ((dart1, (u, 0)), (dart2, (v, 1))):
-        i = bisect_left(edges, (e,))
-        label, a, b = edges[i]
-        edges[i] = (label, b if h == a else a, port)
-    edges += (
-        (top + 1, dart1[1], (v, 2)),
-        (top + 2, dart2[1], (u, 1)),
-        (top + 3, (u, 2), (v, 0)),
-        (top + 4, (u, 3), (v, 3)),
-    )
-    over_v = not over_first  # strand 1 runs through the U ports of both crossings
-    crossings = d.crossings + (over_v, over_v)
-    return Diagram._from_sorted(crossings, tuple(edges), d.free_loops)
+def _r2_push(d: Diagram, x1: int, x2: int, over_first: bool) -> Diagram:
+    """``r2_add_at`` at the flat head ports of a dart pair known to share
+    a face.  The pushed edges keep their labels from their tails on, to
+    port 0 of the new crossing u and port 1 of v."""
+    u, v = 4 * d.c, 4 * d.c + 4
+    far, labels = list(d._proj.far_ports) + [0] * 8, list(d._proj.port_labels) + [0] * 8
+    top = max(labels)
+    t1, t2 = far[x1], far[x2]
+    joins = ((t1, u, labels[t1]), (t2, v + 1, labels[t2]), (x1, v + 2, top + 1))
+    joins += ((x2, u + 1, top + 2), (u + 2, v, top + 3), (u + 3, v + 3, top + 4))
+    for x, y, label in joins:
+        far[x], far[y] = y, x
+        labels[x] = labels[y] = label
+    crossings = d.crossings + (not over_first,) * 2  # strand 1 runs through U at both
+    return _checked(Diagram._from_arrays(crossings, tuple(far), tuple(labels), d.free_loops))
 
 
 def r2_add(d: Diagram, e1: int, e2: int, over_first: bool = True) -> Diagram:
     """R2 move along the first face shared by edges ``e1`` and ``e2``."""
+    if not (isinstance(e1, int) and isinstance(e2, int)):  # a bool names label 1
+        raise MoveSiteError(f"edges {e1!r} and {e2!r} are not int labels")
     for face in d.faces():
         d1 = next((dart for dart in face if dart[0] == e1), None)
         d2 = next((dart for dart in face if dart[0] == e2), None)
@@ -258,32 +262,33 @@ def r3_apply(d: Diagram, face: Sequence[Dart], slider: int) -> Diagram:
 
 
 def _r3_slide(d: Diagram, face: Sequence[Dart], slider: int) -> Diagram:
-    """``r3_apply`` at a site already known to be one of ``r3_sites``."""
-    hy = face[(slider - 1) % 3][1]
-    hz = face[slider][1]
-    hx = face[(slider + 1) % 3][1]
-    Y, y_b = hy[0], hy[1]
-    Z, z_a = hz[0], hz[1]
-    X, x_c = hx[0], hx[1]
-    y_a = (y_b + 1) % 4
-    z_c = (z_a + 1) % 4
-    x_b = (x_c + 1) % 4
+    """``r3_apply`` at a site known to be one of ``r3_sites``, slid as
+    the ``_r3_scan`` arrivals of its face from the side's first dart."""
+    darts = (face[slider - 1], face[slider], face[(slider + 1) % 3])
+    x0, x1, x2 = (4 * c + i for _, (c, i) in darts)
+    far, labels = list(d._proj.far_ports), list(d._proj.port_labels)
+    _r3_rewire(far, labels, x0, x1, x2)
+    return _checked(Diagram._from_arrays(d.crossings, tuple(far), tuple(labels), d.free_loops))
 
-    sub: dict[Port, Port] = {
-        (X, x_b): (X, (x_b + 2) % 4),
-        (X, (x_b + 2) % 4): (Y, (y_b + 2) % 4),
-        (Y, (y_b + 2) % 4): (X, x_b),
-        (X, x_c): (X, (x_c + 2) % 4),
-        (X, (x_c + 2) % 4): (Z, (z_c + 2) % 4),
-        (Z, (z_c + 2) % 4): (X, x_c),
-        (Y, (y_a + 2) % 4): (Z, (z_a + 2) % 4),
-        (Z, (z_a + 2) % 4): (Y, (y_a + 2) % 4),
+
+def _r3_rewire(far: list[int], labels: list[int], x0: int, x1: int, x2: int) -> None:
+    """Slide the side from ``x0``'s crossing Y to ``x1``'s crossing Z
+    across the third crossing X, in place on flat port arrays, given the
+    arrivals round a 3-gon that ``_r3_scan`` yields; labels stay."""
+    xc, xb = x2, x2 - 3 if x2 & 3 == 3 else x2 + 1  # X's ports on the face
+    ya = x0 - 3 if x0 & 3 == 3 else x0 + 1
+    zc = x1 - 3 if x1 & 3 == 3 else x1 + 1
+    # the edge that ended at port p now ends at port sub[p]
+    sub = {
+        xb: xb ^ 2, xb ^ 2: x0 ^ 2, x0 ^ 2: xb,
+        xc: xc ^ 2, xc ^ 2: zc ^ 2, zc ^ 2: xc,
+        ya ^ 2: x1 ^ 2, x1 ^ 2: ya ^ 2,
     }
-    edges = []
-    for label, a, b in d.edges:  # labels stay, so only a pair can fall out of order
-        a, b = sub.get(a, a), sub.get(b, b)
-        edges.append((label, a, b) if a < b else (label, b, a))
-    return Diagram._from_sorted(d.crossings, tuple(edges), d.free_loops)
+    ends = [(p, far[p], labels[p]) for p in sub]
+    for p, y, label in ends:
+        x, y = sub[p], sub.get(y, y)
+        far[x], far[y] = y, x
+        labels[x] = labels[y] = label
 
 
 # ----------------------------------------------------------------------
@@ -402,9 +407,9 @@ def _draw_step(d: Diagram, kind: str, rng: random.Random) -> _Taken:
     if kind == "r1_add":
         # per edge in label order, then a free loop if there is one:
         # chirality '+', '-', each on side 'L', 'R'
-        edges = d.edges
-        i = rng.choice(range(4 * (len(edges) + (d.free_loops > 0))))
-        e = edges[i >> 2][0] if i >> 2 < len(edges) else None
+        lows = d._proj.lower_ports
+        i = rng.choice(range(4 * (len(lows) + (d.free_loops > 0))))
+        e = d._proj.port_labels[lows[i >> 2]] if i >> 2 < len(lows) else None
         chirality, side = "+-"[i >> 1 & 1], "LR"[i & 1]
         step = MoveStep(kind, (e, chirality, side))
         return step, (1 if chirality == "+" else -1), r1_add(d, e, chirality, side)
@@ -417,7 +422,9 @@ def _draw_step(d: Diagram, kind: str, rng: random.Random) -> _Taken:
         i = rng.choice(range(2 * len(pairs)))
         d1, d2 = pairs[i >> 1]
         over_first = i & 1 == 0
-        return MoveStep(kind, (d1, d2, over_first)), 0, _r2_push(d, d1, d2, over_first)
+        (_, (c1, i1)), (_, (c2, i2)) = d1, d2
+        out = _r2_push(d, 4 * c1 + i1, 4 * c2 + i2, over_first)
+        return MoveStep(kind, (d1, d2, over_first)), 0, out
     if kind == "r2_remove":
         bigon = rng.choice(bigon_sites(d))
         return MoveStep(kind, bigon), 0, d.erase_crossings(bigon)

@@ -971,9 +971,7 @@ class TestNodesBelowTheTop:
         assert calls == dict.fromkeys(calls, 0)
         # the counters see these
         Diagram(d.crossings, d.edges).crossing_change(0).splice(0, "A").edges
-        assert calls == dict(
-            __post_init__=1, _from_sorted=0, _from_arrays=1, crossing_change=1, edges=1
-        )
+        assert calls == dict(__post_init__=1, _from_arrays=1, crossing_change=1, edges=1)
 
     def test_a_cut_out_node_is_checked_before_its_walk(self):
         import kauffpoly.coeffs as coeffs_mod

@@ -29,7 +29,7 @@ from kauffpoly.catalog import CATALOG
 from kauffpoly.coeffs import coeff_table
 from kauffpoly.moves import bigon_sites, kink_sites, random_diagram, random_move_walk
 from kauffpoly.series import kauffman_F
-from kauffpoly.verification import verify_diagram
+from kauffpoly.verification import PRODUCT_PARTNERS, verify_diagram
 from kauffpoly.warping import (
     BaseEntry,
     base_orientation,
@@ -129,13 +129,11 @@ def assert_cut_out_equals(node: Diagram, d: Diagram, where=None) -> None:
 
 
 def count_builds(monkeypatch) -> dict[str, int]:
-    """From now on, count the diagrams built with the constructor's
-    checks (``__post_init__``, ``_from_sorted``) and from port arrays
-    (``_from_arrays``), the public crossing changes, and the edge tuples
-    derived from port arrays."""
-    calls = dict.fromkeys(
-        ["__post_init__", "_from_sorted", "_from_arrays", "crossing_change", "edges"], 0
-    )
+    """From now on, count the diagrams built by the constructor
+    (``__post_init__``) and from port arrays (``_from_arrays``), the
+    public crossing changes, and the edge tuples derived from port
+    arrays."""
+    calls = dict.fromkeys(["__post_init__", "_from_arrays", "crossing_change", "edges"], 0)
 
     def counting(name, fn):
         def wrapper(*args, **kwargs):
@@ -146,9 +144,8 @@ def count_builds(monkeypatch) -> dict[str, int]:
 
     for name in ("__post_init__", "crossing_change"):
         monkeypatch.setattr(Diagram, name, counting(name, getattr(Diagram, name)))
-    for name in ("_from_sorted", "_from_arrays"):
-        fn = getattr(Diagram, name).__func__
-        monkeypatch.setattr(Diagram, name, classmethod(counting(name, fn)))
+    fn = Diagram._from_arrays.__func__
+    monkeypatch.setattr(Diagram, "_from_arrays", classmethod(counting("_from_arrays", fn)))
     edges = cached_property(counting("edges", _Projection.edges.func))
     edges.__set_name__(_Projection, "edges")
     monkeypatch.setattr(_Projection, "edges", edges)
@@ -419,6 +416,96 @@ class TestSumsAndUnions:
     def test_connected_sum_invalid_edge(self):
         with pytest.raises(DiagramError):
             connected_sum(parse_pd(TREFOIL), parse_pd(HOPF), 99, 1)
+
+
+def reference_relabel(d: Diagram, label_offset: int, crossing_offset: int) -> list:
+    return [
+        (label + label_offset, (a[0] + crossing_offset, a[1]), (b[0] + crossing_offset, b[1]))
+        for label, a, b in d.edges
+    ]
+
+
+def reference_disjoint_union(d: Diagram, d2: Diagram) -> Diagram:
+    """``disjoint_union`` on edge lists, built by the public constructor:
+    the reference for the arrays placed side by side."""
+    offset = max(d.edge_labels(), default=0)
+    edges = list(d.edges) + reference_relabel(d2, offset, d.c)
+    return Diagram(d.crossings + d2.crossings, edges, d.free_loops + d2.free_loops)
+
+
+def reference_connected_sum(d: Diagram, d2: Diagram, e=None, e2=None) -> Diagram:
+    """``connected_sum`` on edge lists, built by the public constructor."""
+    if e is None and not d.free_loops:
+        e = d.edges[0][0]
+    if e2 is None and not d2.free_loops:
+        e2 = d2.edges[0][0]
+    offset = max(d.edge_labels(), default=0)
+    crossings = d.crossings + d2.crossings
+    edges = list(d.edges) + reference_relabel(d2, offset, d.c)
+    loops = d.free_loops + d2.free_loops
+    if e is None or e2 is None:
+        return Diagram(crossings, edges, loops - 1)
+    a, b = d.edge_map[e]
+    a2, b2 = d2.edge_map[e2]
+    a2 = (a2[0] + d.c, a2[1])
+    b2 = (b2[0] + d.c, b2[1])
+    keep = [edge for edge in edges if edge[0] not in (e, e2 + offset)]
+    top = max(label for label, _, _ in edges)
+    keep += [(top + 1, a, a2), (top + 2, b, b2)]
+    return Diagram(crossings, keep, loops)
+
+
+def assert_equals_reference(out: Diagram, ref: Diagram) -> None:
+    """A diagram an array edit built equals the one the edge-list
+    reference built, in value, ``repr``, edges and PD text."""
+    assert out == ref, ref.to_pd()
+    assert repr(out) == repr(ref)
+    assert out.edges == ref.edges
+    assert out.to_pd() == ref.to_pd()
+
+
+class TestSumsAndUnionsFromArrays:
+    """Sums and unions place the port arrays side by side; the edge-list
+    versions they replaced are the references."""
+
+    def test_every_catalog_pair_equals_the_reference(self):
+        diagrams = [entry.diagram() for entry in CATALOG.values()]
+        for d, d2 in itertools.product(diagrams, repeat=2):
+            assert_equals_reference(disjoint_union(d, d2), reference_disjoint_union(d, d2))
+            assert_equals_reference(connected_sum(d, d2), reference_connected_sum(d, d2))
+
+    def test_every_edge_pair_of_the_product_partners_equals_the_reference(self):
+        partners = [CATALOG[name].diagram() for name in PRODUCT_PARTNERS]
+        sums = 0
+        for d, d2 in itertools.product(partners, repeat=2):
+            for e in (None, *d.edge_labels()):
+                for e2 in (None, *d2.edge_labels()):
+                    out = connected_sum(d, d2, e, e2)
+                    assert_equals_reference(out, reference_connected_sum(d, d2, e, e2))
+                    sums += 1
+        assert sums == sum(len(d.edge_labels()) + 1 for d in partners) ** 2
+
+    def test_a_loop_and_a_bool_name_what_the_reference_names(self):
+        hopf, o = parse_pd(HOPF), parse_pd("X(1,2,2,1) O")
+        for e in (True, 1, 2, None):
+            out = connected_sum(o, hopf, e, e)
+            assert_equals_reference(out, reference_connected_sum(o, hopf, e, e))
+
+    def test_an_edge_reference_that_is_not_an_int_is_refused(self):
+        d = parse_pd(TREFOIL)
+        for e, e2 in ((1.0, 2), (1, 2.0), (1.0, 2.0), ("1", 2)):
+            with pytest.raises(DiagramError, match="no edge"):
+                connected_sum(d, d, e, e2)
+
+    def test_sums_and_unions_are_checked_diagrams_built_from_arrays(self, monkeypatch):
+        tre, hopf, unknot = parse_pd(TREFOIL), parse_pd(HOPF), parse_pd(UNKNOT)
+        calls = count_builds(monkeypatch)
+        outs = [connected_sum(tre, hopf, 2, 3), connected_sum(tre, unknot)]
+        outs.append(disjoint_union(tre, hopf))
+        assert calls["__post_init__"] == 0
+        assert calls["_from_arrays"] == len(outs)
+        for out in outs:
+            assert out._proj._lower_ports is not None
 
 
 class TestFaces:

@@ -1,6 +1,7 @@
 """Move generators: exactness, invariance, determinism, replay."""
 
 import itertools
+from bisect import bisect_left
 
 import pytest
 
@@ -29,6 +30,7 @@ from kauffpoly.moves import (
     replay,
 )
 from kauffpoly.series import kauffman_F, kauffman_L
+from test_diagram import assert_equals_reference, count_builds
 
 UNKNOT = parse_pd("O")
 KINK = "X(1,2,2,1)"
@@ -352,6 +354,179 @@ class TestCanonicalStorage:
             assert_stored_canonically(out)
             pushed += 1
         assert pushed >= 4
+
+
+def reference_r1_add(d: Diagram, e, chirality: str, side: str = "R") -> Diagram:
+    """``r1_add`` as an edit of the sorted edge list, built by the public
+    constructor: the reference for the edit of the port arrays."""
+    k = d.c
+    top = d.edges[-1][0] if d.edges else 0
+    over_v = (chirality == "+") if side == "R" else (chirality == "-")
+    crossings = d.crossings + (over_v,)
+    if e is None:
+        if side == "R":
+            new = ((top + 1, (k, 0), (k, 3)), (top + 2, (k, 1), (k, 2)))
+        else:
+            new = ((top + 1, (k, 0), (k, 1)), (top + 2, (k, 2), (k, 3)))
+        return Diagram(crossings, d.edges + new, d.free_loops - 1)
+    edges = list(d.edges)
+    i = bisect_left(edges, (e,))
+    label, a, b = edges[i]
+    edges[i] = (label, a, (k, 0))
+    if side == "R":
+        edges += ((top + 1, b, (k, 3)), (top + 2, (k, 1), (k, 2)))
+    else:
+        edges += ((top + 1, b, (k, 1)), (top + 2, (k, 2), (k, 3)))
+    return Diagram(crossings, edges, d.free_loops)
+
+
+def reference_r2_push(d: Diagram, dart1, dart2, over_first: bool = True) -> Diagram:
+    """``r2_add_at`` as an edit of the sorted edge list, built by the
+    public constructor."""
+    u = d.c
+    v = d.c + 1
+    edges = list(d.edges)
+    top = edges[-1][0]
+    for (e, h), port in ((dart1, (u, 0)), (dart2, (v, 1))):
+        i = bisect_left(edges, (e,))
+        label, a, b = edges[i]
+        edges[i] = (label, b if h == a else a, port)
+    edges += (
+        (top + 1, dart1[1], (v, 2)),
+        (top + 2, dart2[1], (u, 1)),
+        (top + 3, (u, 2), (v, 0)),
+        (top + 4, (u, 3), (v, 3)),
+    )
+    over_v = not over_first
+    return Diagram(d.crossings + (over_v, over_v), edges, d.free_loops)
+
+
+def reference_r3_slide(d: Diagram, face, slider: int) -> Diagram:
+    """``r3_apply`` as a substitution of eight ports in the edge list,
+    built by the public constructor."""
+    hy = face[(slider - 1) % 3][1]
+    hz = face[slider][1]
+    hx = face[(slider + 1) % 3][1]
+    Y, y_b = hy
+    Z, z_a = hz
+    X, x_c = hx
+    y_a = (y_b + 1) % 4
+    z_c = (z_a + 1) % 4
+    x_b = (x_c + 1) % 4
+    sub = {
+        (X, x_b): (X, (x_b + 2) % 4),
+        (X, (x_b + 2) % 4): (Y, (y_b + 2) % 4),
+        (Y, (y_b + 2) % 4): (X, x_b),
+        (X, x_c): (X, (x_c + 2) % 4),
+        (X, (x_c + 2) % 4): (Z, (z_c + 2) % 4),
+        (Z, (z_c + 2) % 4): (X, x_c),
+        (Y, (y_a + 2) % 4): (Z, (z_a + 2) % 4),
+        (Z, (z_a + 2) % 4): (Y, (y_a + 2) % 4),
+    }
+    edges = [(label, sub.get(a, a), sub.get(b, b)) for label, a, b in d.edges]
+    return Diagram(d.crossings, edges, d.free_loops)
+
+
+def r3_walk_diagrams() -> tuple[Diagram, ...]:
+    """The diagrams of ``TestR3.test_r3_sites_match_the_face_reference``."""
+    diagrams = [entry.diagram() for entry in CATALOG.values()]
+    starts = [UNKNOT, parse_pd("O O O")] + diagrams
+    for start in starts:
+        for max_c in (7, 10, 12):
+            for seed in range(150):
+                diagrams.append(random_move_walk(start, 12, seed, max_c)[0])
+    return tuple(diagrams)
+
+
+class TestArrayEdits:
+    """Every move builds its diagram as an edit of the flat port arrays;
+    the edge-list edits it replaced are the references."""
+
+    def test_every_move_equals_its_reference(self):
+        diagrams = [entry.diagram() for entry in CATALOG.values()]
+        diagrams += [random_diagram(seed, 8, walk_steps=20) for seed in range(15)]
+        cases = 0
+        for d in diagrams:
+            refs = list(d.edge_labels()) + ([None] if d.free_loops else [])
+            for e in refs:
+                for ch in "+-":
+                    for side in "LR":
+                        assert_equals_reference(
+                            r1_add(d, e, ch, side), reference_r1_add(d, e, ch, side)
+                        )
+                        cases += 1
+            for d1, d2 in cofacial_dart_pairs(d):
+                for over in (True, False):
+                    assert_equals_reference(
+                        r2_add_at(d, d1, d2, over), reference_r2_push(d, d1, d2, over)
+                    )
+                    cases += 1
+            for face, k in r3_sites(d):
+                assert_equals_reference(r3_apply(d, face, k), reference_r3_slide(d, face, k))
+                cases += 1
+        assert cases > 3000
+
+    def test_bool_references_equal_the_reference(self):
+        tre = parse_pd(TREFOIL)
+        for chirality in "+-":
+            for side in "LR":
+                out = r1_add(tre, True, chirality, side)
+                assert_equals_reference(out, reference_r1_add(tre, 1, chirality, side))
+        pushed = 0
+        for d1, d2 in cofacial_dart_pairs(tre):
+            if 1 not in (d1[0], d2[0]):
+                continue
+            as_bool = [(True, h) if e == 1 else (e, h) for e, h in (d1, d2)]
+            assert_equals_reference(r2_add_at(tre, *as_bool), reference_r2_push(tre, d1, d2))
+            pushed += 1
+        assert pushed >= 4
+
+    def test_every_r3_slide_of_the_walks_equals_its_reference(self):
+        slid = 0
+        for d in r3_walk_diagrams():
+            for variant in (d, d.mirror()):
+                for face, k in r3_sites(variant):
+                    out = r3_apply(variant, face, k)
+                    assert_equals_reference(out, reference_r3_slide(variant, face, k))
+                    slid += 1
+        assert slid > 1000
+
+    @pytest.mark.parametrize("head", [(0, False), (0.0, 0), [0, 0]])
+    def test_a_dart_head_that_is_not_a_pair_of_ints_is_refused(self, head):
+        tre = parse_pd(TREFOIL)
+        (e1, h1), dart2 = cofacial_dart_pairs(tre)[0]
+        assert h1 == (0, 0)
+        with pytest.raises(MoveSiteError, match="does not exist"):
+            r2_add_at(tre, (e1, head), dart2)
+
+    def test_an_edge_reference_that_is_not_an_int_is_refused(self):
+        tre = parse_pd(TREFOIL)
+        (e1, h1), dart2 = cofacial_dart_pairs(tre)[0]
+        with pytest.raises(MoveSiteError, match="no edge"):
+            r1_add(tre, 1.0, "+")
+        with pytest.raises(MoveSiteError, match="does not exist"):
+            r2_add_at(tre, (float(e1), h1), dart2)
+        with pytest.raises(MoveSiteError, match="not int labels"):
+            r2_add(tre, 1.0, 2.0)
+
+    def test_a_walk_runs_the_constructor_once(self, monkeypatch):
+        expected = [random_diagram(seed, 10, walk_steps=30) for seed in range(10)]
+        calls = count_builds(monkeypatch)
+        for seed, d in enumerate(expected):
+            calls["__post_init__"] = 0
+            assert random_diagram(seed, 10, walk_steps=30) == d
+            assert calls["__post_init__"] == 1  # the walk's start
+
+    def test_moves_build_checked_diagrams_from_arrays(self, monkeypatch):
+        tre = parse_pd(TREFOIL).crossing_change(0)
+        (d1, d2), (face, k) = cofacial_dart_pairs(tre)[0], r3_sites(tre)[0]
+        calls = count_builds(monkeypatch)
+        outs = [r1_add(tre, 2, "+"), r1_add(UNKNOT, None, "-", "L")]
+        outs += [r2_add_at(tre, d1, d2), r3_apply(tre, face, k)]
+        assert calls["__post_init__"] == 0
+        assert calls["_from_arrays"] == len(outs)
+        for out in outs:
+            assert out._proj._lower_ports is not None
 
 
 class TestWalks:

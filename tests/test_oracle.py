@@ -364,9 +364,7 @@ class TestFlatRecursion:
         calls["_from_arrays"] = 0
         assert calls == dict.fromkeys(calls, 0)
         d.crossing_change(0).splice(0, "A").edges  # the counters see these
-        assert calls == dict(
-            __post_init__=0, _from_sorted=0, _from_arrays=1, crossing_change=1, edges=1
-        )
+        assert calls == dict(__post_init__=0, _from_arrays=1, crossing_change=1, edges=1)
 
 
 class TestFlipChain:
